@@ -1,10 +1,11 @@
 """Perf benchmarks for the CSR structural core.
 
-Times the vectorized CSR kernels and the batched Chung-Lu generator against
-the pure-Python reference implementations kept in the code base, asserting
-both exact result equivalence and a conservative minimum speedup (the full
-measured trajectory is produced by ``scripts/bench_perf.py``, which writes
-``BENCH_perf.json``).
+Times the vectorized CSR kernels, the accelerated evaluation and the
+vectorized orphan repair against the pure-Python reference implementations
+(the ``*_reference`` kernels and the oracles in
+:mod:`repro.testing.reference`), asserting both result equivalence and a
+conservative minimum speedup (the full measured trajectory is produced by
+``scripts/bench_perf.py``, which writes ``BENCH_perf.json``).
 
 Run with::
 
@@ -18,11 +19,14 @@ import pytest
 
 from repro.graphs import statistics as stats
 from repro.models.chung_lu import ChungLuModel
+from repro.testing.reference import (
+    evaluate_synthetic_graph_reference,
+    post_process_graph_scalar,
+)
 
 #: Conservative lower bounds (the driver typically measures far higher);
 #: generous slack keeps the suite robust on loaded CI machines.
 MIN_KERNEL_SPEEDUP = 4.0
-MIN_GENERATOR_SPEEDUP = 4.0
 
 
 def _best_of(function, repeats=5):
@@ -79,21 +83,8 @@ class TestSensitivityKernel:
 
 
 class TestChungLuGeneration:
-    def test_corrected_generation_speedup(self, warm_graph):
-        degrees = warm_graph.degrees()
-        reference_model = ChungLuModel(degrees, vectorized=False)
-        fast_model = ChungLuModel(degrees, vectorized=True)
-        target = fast_model.effective_target_edges()
-        assert reference_model.generate(rng=1).num_edges == target
-        assert fast_model.generate(rng=1).num_edges == target
-        ref_t = _best_of(lambda: reference_model.generate(rng=1), repeats=3)
-        fast_t = _best_of(lambda: fast_model.generate(rng=1))
-        print(f"\nchung_lu_generate: ref {ref_t:.5f}s fast {fast_t:.5f}s "
-              f"-> {ref_t / fast_t:.1f}x")
-        assert ref_t / fast_t >= MIN_GENERATOR_SPEEDUP
-
     def test_fast_generation_is_deterministic(self, warm_graph):
-        model = ChungLuModel(warm_graph.degrees(), vectorized=True)
+        model = ChungLuModel(warm_graph.degrees())
         first = model.generate(rng=7)
         second = model.generate(rng=7)
         assert first == second
@@ -119,7 +110,7 @@ class TestMetricsAccelerator:
         # counts and distort their reference ratios.
         original = warm_graph.copy()
         scratch_original = warm_graph.copy()  # stays accelerator-free
-        model = ChungLuModel(original.degrees(), vectorized=True)
+        model = ChungLuModel(original.degrees())
         synthetics = []
         for seed in range(3):
             sample = AttributedGraph.from_graph_structure(
@@ -132,8 +123,8 @@ class TestMetricsAccelerator:
 
         def scratch_leg():
             return [
-                evaluate_synthetic_graph(scratch_original, sample.copy(),
-                                         accelerated=False)
+                evaluate_synthetic_graph_reference(scratch_original,
+                                                   sample.copy())
                 for sample in synthetics
             ]
 
@@ -179,18 +170,16 @@ class TestOrphanRepair:
 
         seed_graph, desired, pi = repair_workload
         target = int(desired.sum() // 2)
-        scalar = post_process_graph(seed_graph, desired, pi, rng=2,
-                                    vectorized=False)
-        vector = post_process_graph(seed_graph, desired, pi, rng=2,
-                                    vectorized=True)
+        scalar = post_process_graph_scalar(seed_graph, desired, pi, rng=2)
+        vector = post_process_graph(seed_graph, desired, pi, rng=2)
         assert scalar.num_edges == target
         assert vector.num_edges == target
         assert is_connected(scalar)
         assert is_connected(vector)
-        ref_t = _best_of(lambda: post_process_graph(
-            seed_graph, desired, pi, rng=2, vectorized=False), repeats=3)
+        ref_t = _best_of(lambda: post_process_graph_scalar(
+            seed_graph, desired, pi, rng=2), repeats=3)
         fast_t = _best_of(lambda: post_process_graph(
-            seed_graph, desired, pi, rng=2, vectorized=True), repeats=3)
+            seed_graph, desired, pi, rng=2), repeats=3)
         print(f"\norphan_repair: scalar {ref_t:.4f}s vectorized {fast_t:.4f}s "
               f"-> {ref_t / fast_t:.1f}x")
         assert ref_t / fast_t >= self.MIN_REPAIR_SPEEDUP
@@ -199,10 +188,8 @@ class TestOrphanRepair:
         from repro.models.postprocess import post_process_graph
 
         seed_graph, desired, pi = repair_workload
-        first = post_process_graph(seed_graph, desired, pi, rng=5,
-                                   vectorized=True)
-        second = post_process_graph(seed_graph, desired, pi, rng=5,
-                                    vectorized=True)
+        first = post_process_graph(seed_graph, desired, pi, rng=5)
+        second = post_process_graph(seed_graph, desired, pi, rng=5)
         assert first == second
 
 

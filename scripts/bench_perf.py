@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Perf benchmark driver for the CSR structural core.
 
-Times the vectorized CSR kernels and the batched Chung-Lu generator against
-the original pure-Python reference implementations (kept verbatim in the
-code base as ``*_reference`` / ``vectorized=False``), verifies that both
-sides produce identical results, and *appends* a dated entry to the
-``BENCH_perf.json`` trajectory (older entries are preserved; a legacy
-single-report file is migrated into the first entry) so future PRs have a
-perf history to regress against, not just the latest run.
+Times the vectorized CSR kernels and the batched TriCycLe rewiring engine
+against the original pure-Python reference implementations (the
+``*_reference`` kernels and the oracles in :mod:`repro.testing.reference`),
+verifies that both sides produce identical results, and *appends* a dated
+entry to the ``BENCH_perf.json`` trajectory (older entries are preserved; a
+legacy single-report file is migrated into the first entry) so future PRs
+have a perf history to regress against, not just the latest run.
 
 Each entry also records the Monte-Carlo runner's serial vs. parallel
 timings (``--skip-runner`` disables that section) together with a
@@ -55,6 +55,11 @@ from repro.experiments.runner import (  # noqa: E402
 from repro.graphs import statistics as stats  # noqa: E402
 from repro.models.chung_lu import ChungLuModel  # noqa: E402
 from repro.models.tricycle import TriCycLeModel  # noqa: E402
+from repro.testing.reference import (  # noqa: E402
+    SequentialTriCycLeModel,
+    evaluate_synthetic_graph_reference,
+    post_process_graph_scalar,
+)
 
 #: Seed shared with the table/figure benchmarks (the paper's conference date).
 BENCH_SEED = 20160626
@@ -134,21 +139,10 @@ def bench_tier(tier: str, scale: float, repeats: int) -> List[dict]:
         row(kernel, ref_t, fast_t, bool(same(ref_result, fast_result)))
 
     degrees = fresh.degrees()
-    reference_model = ChungLuModel(degrees, vectorized=False)
-    fast_model = ChungLuModel(degrees, vectorized=True)
-    ref_t = _best_of(lambda: reference_model.generate(rng=1), repeats)
-    fast_t = _best_of(lambda: fast_model.generate(rng=1), repeats)
-    same_counts = (
-        reference_model.generate(rng=1).num_edges
-        == fast_model.generate(rng=1).num_edges
-    )
-    row("chung_lu_generate", ref_t, fast_t, bool(same_counts))
-
     triangles = stats.triangle_count(fresh)
-    tricycle_batched = TriCycLeModel(degrees, num_triangles=triangles,
-                                     batch_proposals=True)
-    tricycle_sequential = TriCycLeModel(degrees, num_triangles=triangles,
-                                        batch_proposals=False)
+    tricycle_batched = TriCycLeModel(degrees, num_triangles=triangles)
+    tricycle_sequential = SequentialTriCycLeModel(degrees,
+                                                  num_triangles=triangles)
     same_graph = (
         tricycle_batched.generate(rng=1) == tricycle_sequential.generate(rng=1)
     )
@@ -165,10 +159,11 @@ def bench_orphan_repair(scale: float, repeats: int) -> dict:
     """Scalar vs vectorized orphan repair (Algorithm 2), measured in situ.
 
     Runs full TriCycLe generation at the requested pokec-like scale
-    (``0.034`` ≈ the n=20k micro-tier) with ``postprocess_vectorized``
-    off and on, timing the two `post_process_graph` calls the pipeline
-    makes (the Chung-Lu seed repair and the heavier post-rewiring repair,
-    where every attachment forces a victim removal).  Everything else —
+    (``0.034`` ≈ the n=20k micro-tier) with its repair swapped for the
+    scalar oracle and then the production engine, timing the two
+    `post_process_graph` calls the pipeline makes (the Chung-Lu seed repair
+    and the heavier post-rewiring repair, where every attachment forces a
+    victim removal).  Everything else —
     seed generation, rewiring — runs the identical default path, so the
     section isolates exactly the repair step.  Both paths must hit
     ``sum(desired) // 2`` edges and a single component; the RNG streams
@@ -188,26 +183,25 @@ def bench_orphan_repair(scale: float, repeats: int) -> dict:
     original = tricycle_module.post_process_graph
     repair_times: List[float] = []
 
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
-        result = original(*args, **kwargs)
-        repair_times.append(time.perf_counter() - start)
-        return result
+    def run(repair: Callable) -> tuple:
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            result = repair(*args, **kwargs)
+            repair_times.append(time.perf_counter() - start)
+            return result
 
-    def run(vectorized: bool) -> tuple:
-        model = TriCycLeModel(desired, num_triangles=triangles,
-                              postprocess_vectorized=vectorized)
+        tricycle_module.post_process_graph = timed
+        model = TriCycLeModel(desired, num_triangles=triangles)
         repair_times.clear()
         graph = model.generate(rng=1)
         return sum(repair_times), graph
 
-    tricycle_module.post_process_graph = timed
     try:
-        scalar_t, scalar_graph = run(False)
-        vector_t, vector_graph = run(True)
+        scalar_t, scalar_graph = run(post_process_graph_scalar)
+        vector_t, vector_graph = run(original)
         for _ in range(max(1, repeats // 2 - 1)):
-            scalar_t = min(scalar_t, run(False)[0])
-            vector_t = min(vector_t, run(True)[0])
+            scalar_t = min(scalar_t, run(post_process_graph_scalar)[0])
+            vector_t = min(vector_t, run(original)[0])
     finally:
         tricycle_module.post_process_graph = original
 
@@ -329,8 +323,8 @@ def bench_metrics(tier: str, repeats: int, trials: int = 3) -> dict:
 
     Mirrors the evaluate stage's real shape: one original graph, several
     synthetic samples, each scored with ``evaluate_synthetic_graph``.  The
-    from-scratch leg uses ``accelerated=False`` on accelerator-free copies
-    (the historical evaluation body); the accelerated leg prewarms the
+    from-scratch leg runs ``evaluate_synthetic_graph_reference`` on
+    accelerator-free copies; the accelerated leg prewarms the
     original once via ``prepare_original_graph`` and evaluates fresh
     synthetic copies per repeat, so the timing includes the synthetic
     side's one-time priming scan — the genuine steady-state cost.  Both
@@ -345,7 +339,7 @@ def bench_metrics(tier: str, repeats: int, trials: int = 3) -> dict:
     scale = float(parts[1]) if len(parts) > 1 else 1.0
     original = _tier_graph(tier, scale)
 
-    model = ChungLuModel(original.degrees(), vectorized=True)
+    model = ChungLuModel(original.degrees())
     synthetics = []
     for seed in range(trials):
         structure = model.generate(rng=seed)
@@ -359,8 +353,7 @@ def bench_metrics(tier: str, repeats: int, trials: int = 3) -> dict:
 
     def scratch_leg() -> list:
         return [
-            evaluate_synthetic_graph(scratch_original, sample.copy(),
-                                     accelerated=False)
+            evaluate_synthetic_graph_reference(scratch_original, sample.copy())
             for sample in synthetics
         ]
 

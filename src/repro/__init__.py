@@ -29,7 +29,7 @@ True
 """
 
 from repro.core.agm import AgmParameters, AgmSynthesizer, learn_agm
-from repro.core.agm_dp import AgmDp, BudgetSplit, learn_agm_dp
+from repro.core.agm_dp import BudgetSplit, learn_agm_dp
 from repro.datasets.registry import dataset_names, get_dataset_spec, load_dataset
 from repro.datasets.synthetic import (
     attributed_social_graph,
@@ -44,7 +44,6 @@ from repro.metrics.evaluation import EvaluationReport, evaluate_synthetic_graph
 from repro.models.chung_lu import ChungLuModel
 from repro.models.tcl import TclModel
 from repro.models.tricycle import TriCycLeModel
-from repro.privacy.budget import PrivacyBudget
 
 __version__ = "1.1.0"
 
@@ -58,7 +57,6 @@ from repro.api import (  # noqa: E402
 )
 
 __all__ = [
-    "AgmDp",
     "AgmParameters",
     "AgmSynthesizer",
     "AttributedGraph",
@@ -66,7 +64,6 @@ __all__ = [
     "ChungLuModel",
     "EvaluationReport",
     "ModelArtifact",
-    "PrivacyBudget",
     "ReleaseSession",
     "ReleaseSpec",
     "SpecValidationError",

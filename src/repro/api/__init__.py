@@ -1,8 +1,7 @@
 """The public API of the synthesis workflow: spec in, artifact out, samples free.
 
 Three typed objects replace the ad-hoc entry points the library grew up with
-(JSON run-config dicts, ``AgmDp(...)`` keyword soup, raw pipeline
-construction):
+(JSON run-config dicts, facade keyword soup, raw pipeline construction):
 
 * :class:`ReleaseSpec` — a frozen, schema-validated description of *what* to
   release (input, ε, backend, budget split, generation knobs), with

@@ -16,7 +16,7 @@
 
 from repro.core.acceptance import compute_acceptance_probabilities
 from repro.core.agm import AgmParameters, AgmSynthesizer, learn_agm
-from repro.core.agm_dp import AgmDp, BudgetSplit, learn_agm_dp
+from repro.core.agm_dp import BudgetSplit, learn_agm_dp
 from repro.core.pipeline import (
     PipelineResult,
     PipelineStage,
@@ -36,7 +36,6 @@ __all__ = [
     "AgmParameters",
     "AgmSynthesizer",
     "learn_agm",
-    "AgmDp",
     "BudgetSplit",
     "learn_agm_dp",
     "SynthesisPipeline",

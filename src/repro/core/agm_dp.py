@@ -16,11 +16,10 @@ Two structural backends are supported, matching the paper's experiments:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.agm import AgmParameters, AgmSynthesizer
+from repro.core.agm import AgmParameters
 from repro.core.registry import get_backend
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.truncation import default_truncation_parameter
@@ -162,115 +161,3 @@ def learn_agm_dp(graph: AttributedGraph, epsilon: float,
     )
     return parameters, accountant
 
-
-class AgmDp:
-    """Facade for the complete AGM-DP workflow: fit once, sample many.
-
-    .. deprecated::
-        ``AgmDp`` predates the public API package and is kept as a
-        backward-compatibility shim.  New code should describe the release
-        with a :class:`repro.api.ReleaseSpec` and drive it through
-        :class:`repro.api.ReleaseSession` (``fit(spec) -> ModelArtifact``,
-        then ``sample(artifact, n, seed)``), which adds spec validation, a
-        persistable artifact and the artifact cache behind the HTTP service.
-
-    Examples
-    --------
-    >>> from repro.datasets import lastfm_like
-    >>> graph = lastfm_like(seed=0)          # doctest: +SKIP
-    >>> model = AgmDp(epsilon=1.0, backend="tricycle", rng=0)
-    >>> model.fit(graph)                      # doctest: +SKIP
-    >>> synthetic = model.sample()            # doctest: +SKIP
-
-    Parameters
-    ----------
-    epsilon:
-        Global privacy budget ε for the release.
-    backend:
-        ``"tricycle"`` (the paper's AGMDP-TriCL) or ``"fcl"`` (AGMDP-FCL).
-    truncation_k:
-        Truncation parameter for Θ_F; defaults to ``n^(1/3)``.
-    budget_split:
-        Optional custom :class:`BudgetSplit`.
-    num_iterations:
-        Acceptance-refinement rounds used when sampling.
-    rng:
-        Seed or generator used for both learning and sampling.
-    """
-
-    def __init__(self, epsilon: float, backend: str = "tricycle",
-                 truncation_k: Optional[int] = None,
-                 budget_split: Optional[BudgetSplit] = None,
-                 num_iterations: int = 3,
-                 handle_orphans: bool = True,
-                 rng: RngLike = None) -> None:
-        warnings.warn(
-            "AgmDp is deprecated; describe the release with "
-            "repro.api.ReleaseSpec and drive it through "
-            "repro.api.ReleaseSession (fit once, sample many)",
-            DeprecationWarning, stacklevel=2,
-        )
-        self._epsilon = check_epsilon(epsilon)
-        get_backend(backend)  # raises ValueError for unregistered names
-        self._backend = backend
-        self._truncation_k = truncation_k
-        self._budget_split = budget_split
-        self._num_iterations = num_iterations
-        self._handle_orphans = handle_orphans
-        self._rng = ensure_rng(rng)
-        self._parameters: Optional[AgmParameters] = None
-        self._budget: Optional[PrivacyAccountant] = None
-
-    @property
-    def epsilon(self) -> float:
-        """The global privacy budget."""
-        return self._epsilon
-
-    @property
-    def backend(self) -> str:
-        """The structural backend in use."""
-        return self._backend
-
-    @property
-    def parameters(self) -> AgmParameters:
-        """The learned parameters (raises if :meth:`fit` has not been called)."""
-        if self._parameters is None:
-            raise RuntimeError("AgmDp.fit() must be called before accessing parameters")
-        return self._parameters
-
-    @property
-    def budget(self) -> PrivacyAccountant:
-        """The privacy accountant holding the per-stage ledger of the fit."""
-        if self._budget is None:
-            raise RuntimeError("AgmDp.fit() must be called before accessing the budget")
-        return self._budget
-
-    def fit(self, graph: AttributedGraph) -> "AgmDp":
-        """Learn the DP parameters from ``graph``; returns ``self`` for chaining."""
-        self._parameters, self._budget = learn_agm_dp(
-            graph,
-            self._epsilon,
-            backend=self._backend,
-            truncation_k=self._truncation_k,
-            budget_split=self._budget_split,
-            rng=self._rng,
-        )
-        return self
-
-    def sample(self, rng: RngLike = None) -> AttributedGraph:
-        """Sample one synthetic graph from the fitted parameters."""
-        synthesizer = AgmSynthesizer(
-            self.parameters,
-            num_iterations=self._num_iterations,
-            handle_orphans=self._handle_orphans,
-        )
-        return synthesizer.sample(rng=self._rng if rng is None else rng)
-
-    def sample_many(self, count: int, rng: RngLike = None):
-        """Yield ``count`` independent synthetic graphs from the fitted parameters."""
-        synthesizer = AgmSynthesizer(
-            self.parameters,
-            num_iterations=self._num_iterations,
-            handle_orphans=self._handle_orphans,
-        )
-        return synthesizer.sample_many(count, rng=self._rng if rng is None else rng)

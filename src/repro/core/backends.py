@@ -64,9 +64,6 @@ class TriCycLeBackend(StructuralBackend):
         if equivalence is not None:
             # Validation (exact/distributional) lives in the model ctor.
             model_kwargs["equivalence"] = str(equivalence)
-        speculation_block = options.get("speculation_block")
-        if speculation_block is not None:
-            model_kwargs["speculation_block"] = int(speculation_block)
         memory_budget_mb = options.get("memory_budget_mb")
         if memory_budget_mb is not None:
             model_kwargs["memory_budget_mb"] = int(memory_budget_mb)
@@ -74,11 +71,6 @@ class TriCycLeBackend(StructuralBackend):
             degrees=parameters.degrees,
             num_triangles=parameters.num_triangles,
             handle_orphans=handle_orphans,
-            max_iteration_factor=int(options.get("max_iteration_factor", 30)),
-            batch_proposals=bool(options.get("batch_proposals", True)),
-            postprocess_vectorized=bool(
-                options.get("postprocess_vectorized", True)
-            ),
             **model_kwargs,
         )
 
@@ -114,7 +106,5 @@ class FclBackend(StructuralBackend):
         if memory_budget_mb is not None:
             model_kwargs["memory_budget_mb"] = int(memory_budget_mb)
         return ChungLuModel(
-            parameters.degrees, bias_correction=True,
-            vectorized=bool(options.get("vectorized", True)),
-            **model_kwargs,
+            parameters.degrees, bias_correction=True, **model_kwargs,
         )

@@ -84,9 +84,9 @@ class StructuralBackend(abc.ABC):
                     **options) -> StructuralModel:
         """Instantiate a generative model from fitted parameters.
 
-        Backend-specific generation knobs (e.g. TriCycLe's
-        ``batch_proposals`` / ``max_iteration_factor``) arrive as keyword
-        options; builders must ignore options they do not understand.
+        Generation options arrive as keyword options — the synthesizer
+        passes ``rewire_equivalence`` and ``memory_budget_mb`` — and
+        builders must ignore options they do not understand.
         """
 
     def validate_parameters(self, parameters) -> None:

@@ -23,11 +23,6 @@ from typing import Dict, Iterable, List
 import numpy as np
 
 from repro.graphs.attributed import AttributedGraph
-from repro.graphs.statistics import (
-    average_local_clustering,
-    global_clustering_coefficient,
-    triangle_count,
-)
 from repro.metrics.distributions import (
     hellinger_distance,
     mean_relative_error,
@@ -97,73 +92,44 @@ def _structural_metrics(graph: AttributedGraph
 
 
 def evaluate_synthetic_graph(original: AttributedGraph,
-                             synthetic: AttributedGraph,
-                             accelerated: bool = True) -> EvaluationReport:
+                             synthetic: AttributedGraph) -> EvaluationReport:
     """Compute the full Table 2-5 metric row for one synthetic graph.
 
-    With ``accelerated`` (the default) the structural metrics of both
-    graphs are served through attached
+    The structural metrics of both graphs are served through attached
     :class:`~repro.graphs.accel.MetricsAccelerator` instances — one
     triangle census per graph instead of three, O(1) when already primed —
     and the original's Θ_F probabilities are memoized across calls.  The
-    report is bit-identical to the from-scratch path (pinned by
-    ``tests/metrics/test_incremental.py``); pass ``accelerated=False`` to
-    run the historical recompute-everything evaluation (the perf harness's
-    baseline leg — note the public kernels it calls still consult any
-    *already attached* accelerator, so baseline timings should use graphs
-    without one).
+    report is bit-identical to the from-scratch evaluation in
+    :mod:`repro.testing.reference` (pinned by
+    ``tests/metrics/test_incremental.py``).
     """
-    if accelerated:
-        from repro.metrics.incremental import cached_connection_probabilities
+    from repro.metrics.incremental import cached_connection_probabilities
 
-        original_correlations = cached_connection_probabilities(original)
-        synthetic_correlations = connection_probabilities(synthetic)
-        original_triangles, original_average, original_global = \
-            _structural_metrics(original)
-        synthetic_triangles, synthetic_average, synthetic_global = \
-            _structural_metrics(synthetic)
-        return EvaluationReport(
-            theta_f_mre=mean_relative_error(
-                original_correlations, synthetic_correlations
-            ),
-            theta_f_hellinger=hellinger_distance(
-                original_correlations, synthetic_correlations
-            ),
-            degree_ks=degree_ks(original, synthetic),
-            degree_hellinger=degree_hellinger(original, synthetic),
-            triangle_mre=relative_error(original_triangles, synthetic_triangles),
-            average_clustering_mre=relative_error(
-                original_average, synthetic_average
-            ),
-            global_clustering_mre=relative_error(
-                original_global, synthetic_global
-            ),
-            edge_count_mre=relative_error(
-                original.num_edges, synthetic.num_edges
-            ),
-        )
-
-    original_correlations = connection_probabilities(original)
+    original_correlations = cached_connection_probabilities(original)
     synthetic_correlations = connection_probabilities(synthetic)
-
+    original_triangles, original_average, original_global = \
+        _structural_metrics(original)
+    synthetic_triangles, synthetic_average, synthetic_global = \
+        _structural_metrics(synthetic)
     return EvaluationReport(
-        theta_f_mre=mean_relative_error(original_correlations, synthetic_correlations),
+        theta_f_mre=mean_relative_error(
+            original_correlations, synthetic_correlations
+        ),
         theta_f_hellinger=hellinger_distance(
             original_correlations, synthetic_correlations
         ),
         degree_ks=degree_ks(original, synthetic),
         degree_hellinger=degree_hellinger(original, synthetic),
-        triangle_mre=relative_error(
-            triangle_count(original), triangle_count(synthetic)
-        ),
+        triangle_mre=relative_error(original_triangles, synthetic_triangles),
         average_clustering_mre=relative_error(
-            average_local_clustering(original), average_local_clustering(synthetic)
+            original_average, synthetic_average
         ),
         global_clustering_mre=relative_error(
-            global_clustering_coefficient(original),
-            global_clustering_coefficient(synthetic),
+            original_global, synthetic_global
         ),
-        edge_count_mre=relative_error(original.num_edges, synthetic.num_edges),
+        edge_count_mre=relative_error(
+            original.num_edges, synthetic.num_edges
+        ),
     )
 
 

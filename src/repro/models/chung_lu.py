@@ -63,6 +63,11 @@ def build_pi_distribution(degrees: np.ndarray,
 class ChungLuModel(StructuralModel):
     """Fast Chung-Lu generator with optional bias correction.
 
+    Endpoints are drawn in blocks through
+    :class:`~repro.utils.sampling.WeightedSampler`, self-loops and duplicate
+    proposals are discarded with vectorized key operations, and acceptance
+    probabilities are applied in bulk.
+
     Parameters
     ----------
     degrees:
@@ -77,15 +82,6 @@ class ChungLuModel(StructuralModel):
         Safety bound: at most ``max_attempt_factor * m`` endpoint pairs are
         drawn, so pathological acceptance probabilities cannot hang the
         generator.
-    vectorized:
-        When true (default), endpoints are drawn in blocks through
-        :class:`~repro.utils.sampling.WeightedSampler`, self-loops and
-        duplicate proposals are discarded with vectorized key operations,
-        and acceptance probabilities are applied in bulk.  When false, the
-        original per-edge sampling loop is used — kept only as the perf
-        baseline for ``scripts/bench_perf.py`` and for A/B debugging; the
-        two paths target the same distribution but consume the RNG
-        differently, so they produce different graphs for the same seed.
     memory_budget_mb:
         Optional byte budget for generation.  When set (or when the
         ``REPRO_MEMORY_BUDGET_MB`` environment variable provides a default),
@@ -101,7 +97,6 @@ class ChungLuModel(StructuralModel):
     def __init__(self, degrees: np.ndarray, bias_correction: bool = True,
                  exclude_degree_one: bool = False,
                  max_attempt_factor: int = 50,
-                 vectorized: bool = True,
                  memory_budget_mb: Optional[int] = None) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
         if self._degrees.ndim != 1:
@@ -113,7 +108,6 @@ class ChungLuModel(StructuralModel):
         self._bias_correction = bool(bias_correction)
         self._exclude_degree_one = bool(exclude_degree_one)
         self._max_attempt_factor = int(max_attempt_factor)
-        self._vectorized = bool(vectorized)
         self._memory_budget = MemoryBudget.resolve(memory_budget_mb)
 
     @property
@@ -188,27 +182,15 @@ class ChungLuModel(StructuralModel):
             4 * 8 * target_edges + csr_bytes(n, target_edges),
         )
 
-        if self._vectorized:
-            if self._bias_correction:
-                keys = self._sample_corrected(
-                    n, pi, target_edges, max_attempts, generator, acceptance
-                )
-            else:
-                keys = self._sample_plain(
-                    n, pi, target_edges, generator, acceptance
-                )
-            return AttributedGraph._from_canonical_keys(n, keys, num_attributes)
-
-        graph = AttributedGraph(n, num_attributes)
         if self._bias_correction:
-            self._generate_corrected_reference(
-                graph, pi, target_edges, max_attempts, generator, acceptance
+            keys = self._sample_corrected(
+                n, pi, target_edges, max_attempts, generator, acceptance
             )
         else:
-            self._generate_plain_reference(
-                graph, pi, target_edges, generator, acceptance
+            keys = self._sample_plain(
+                n, pi, target_edges, generator, acceptance
             )
-        return graph
+        return AttributedGraph._from_canonical_keys(n, keys, num_attributes)
 
     # ------------------------------------------------------------------
     # Internal sampling strategies (batched fast paths)
@@ -231,7 +213,7 @@ class ChungLuModel(StructuralModel):
         distribution is preprocessed once, not per batch), proposals are
         deduplicated on the encoded keys ``min * n + max``, and acceptance
         probabilities are evaluated in bulk with one coin per drawn pair —
-        matching the sequential loop's per-attempt accept/reject semantics.
+        matching a per-edge loop's per-attempt accept/reject semantics.
         Cross-round collision tracking (a partitioned key bitmap within its
         byte budget, a sorted key array otherwise — see
         :mod:`repro.utils.membership`) is only instantiated if the first
@@ -240,7 +222,7 @@ class ChungLuModel(StructuralModel):
         (Efraimidis–Spirakis weighted sampling without replacement): the
         first occurrences of distinct keys in a uniformly ordered multiset
         follow the Plackett–Luce distribution with multiplicity weights, so
-        this reproduces the sequential loop's "first ``target`` distinct
+        this reproduces a per-edge loop's "first ``target`` distinct
         edges by arrival" distribution — a uniform subset would
         under-represent high-π edges.  Returns the unique canonical edge
         keys.
@@ -353,49 +335,3 @@ class ChungLuModel(StructuralModel):
             drawn += shard
         raw = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
         return self._dedupe_sorted(raw)
-
-    # ------------------------------------------------------------------
-    # Reference sampling loops (pre-vectorization seed implementation)
-    # ------------------------------------------------------------------
-    # Kept verbatim as the baseline that ``scripts/bench_perf.py`` measures
-    # speedups against; selected with ``vectorized=False``.
-
-    def _generate_corrected_reference(self, graph: AttributedGraph,
-                                      pi: np.ndarray, target_edges: int,
-                                      max_attempts: int,
-                                      generator: np.random.Generator,
-                                      acceptance: Optional[EdgeAcceptance]
-                                      ) -> None:
-        """Per-edge cFCL loop (reference)."""
-        n = graph.num_nodes
-        attempts = 0
-        batch = max(1024, target_edges)
-        while graph.num_edges < target_edges and attempts < max_attempts:
-            us = generator.choice(n, size=batch, p=pi)
-            vs = generator.choice(n, size=batch, p=pi)
-            for u, v in zip(us, vs):
-                attempts += 1
-                if graph.num_edges >= target_edges or attempts >= max_attempts:
-                    break
-                u, v = int(u), int(v)
-                if u == v or graph.has_edge(u, v):
-                    continue
-                if acceptance is not None and not acceptance.accepts(u, v, generator):
-                    continue
-                graph.add_edge(u, v)
-
-    def _generate_plain_reference(self, graph: AttributedGraph, pi: np.ndarray,
-                                  target_edges: int,
-                                  generator: np.random.Generator,
-                                  acceptance: Optional[EdgeAcceptance]) -> None:
-        """Per-edge FCL loop (reference)."""
-        n = graph.num_nodes
-        us = generator.choice(n, size=target_edges, p=pi)
-        vs = generator.choice(n, size=target_edges, p=pi)
-        for u, v in zip(us, vs):
-            u, v = int(u), int(v)
-            if u == v or graph.has_edge(u, v):
-                continue
-            if acceptance is not None and not acceptance.accepts(u, v, generator):
-                continue
-            graph.add_edge(u, v)

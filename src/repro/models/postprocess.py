@@ -8,25 +8,20 @@ desired degree, drawing partners from the π distribution among nodes whose
 desired degree is not yet met; whenever the repair would exceed the target
 edge count, a random existing edge is removed.
 
-Two implementations share the same outer loop semantics:
-
-* the **vectorized engine** (default, ``vectorized=True``) presamples the
-  π attach draws through a cursor-backed
-  :class:`~repro.utils.sampling.PresampledStream`, evaluates the partner
-  filters (self, main-component membership via a
-  :class:`~repro.utils.membership.PartitionedKeyBitmap`, desired-degree
-  headroom via the live ``degrees_view``) as array masks per block, samples
-  victim edges as uniform slots of an incrementally refreshed CSR snapshot,
-  scores them with vectorized common-neighbour passes over the snapshot
-  rows, and verifies speculative removals with the budgeted numpy frontier
-  BFS shared with :mod:`repro.graphs.components`
-  (:class:`~repro.graphs.components.BudgetedReachability`) — no Python sets
-  anywhere on the hot path;
-* the **scalar reference** (``vectorized=False``) keeps the original
-  per-attempt probe loop and is retained for A/B debugging and the perf
-  harness.  The two paths consume the RNG differently, so they produce
-  different graphs for the same seed while targeting the same distribution
-  (pinned by the equivalence tests).
+The repair runs on a **vectorized engine**: it presamples the π attach
+draws through a cursor-backed :class:`~repro.utils.sampling.PresampledStream`,
+evaluates the partner filters (self, main-component membership via a
+:class:`~repro.utils.membership.PartitionedKeyBitmap`, desired-degree
+headroom via the live ``degrees_view``) as array masks per block, samples
+victim edges as uniform slots of an incrementally refreshed CSR snapshot,
+scores them with vectorized common-neighbour passes over the snapshot rows,
+and verifies speculative removals with the budgeted numpy frontier BFS
+shared with :mod:`repro.graphs.components`
+(:class:`~repro.graphs.components.BudgetedReachability`) — no Python sets
+anywhere on the hot path.  The original per-attempt probe loop is the
+oracle in :mod:`repro.testing.reference`; the two consume the RNG
+differently, so they produce different graphs for the same seed while
+targeting the same distribution (pinned by the equivalence tests).
 
 The component decomposition is computed lazily: attaching an orphan moves it
 into the main component without touching the other components, so the O(n+m)
@@ -34,16 +29,15 @@ scan only reruns when an edge removal may actually have disconnected the
 graph or when the current orphan worklist is exhausted.
 
 When the requested edge budget cannot possibly yield one component
-(``sum(desired) // 2 < n - 1``) the repair warns once up front, and either
-path stops early once full passes over the orphan worklist stop shrinking
-it — instead of silently churning (removing and re-adding edges, burning
-RNG draws) until ``max_rounds``.
+(``sum(desired) // 2 < n - 1``) the repair warns once up front, and stops
+early once full passes over the orphan worklist stop shrinking it —
+instead of silently churning (removing and re-adding edges, burning RNG
+draws) until ``max_rounds``.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import islice
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
@@ -54,7 +48,6 @@ from repro.graphs.components import (
     _gather_frontier,
     _labels_from_csr,
     _sorted_dedupe,
-    connected_components,
 )
 from repro.models.base import EdgeAcceptance
 from repro.utils.arrays import (
@@ -99,8 +92,7 @@ def _warn_infeasible(target_edges: int, num_nodes: int) -> None:
 def post_process_graph(graph: AttributedGraph, desired_degrees: np.ndarray,
                        pi: np.ndarray, rng: RngLike = None,
                        acceptance: Optional[EdgeAcceptance] = None,
-                       max_rounds: Optional[int] = None,
-                       vectorized: bool = True) -> AttributedGraph:
+                       max_rounds: Optional[int] = None) -> AttributedGraph:
     """Reconnect orphaned nodes to the main component (Algorithm 2).
 
     Parameters
@@ -121,10 +113,6 @@ def post_process_graph(graph: AttributedGraph, desired_degrees: np.ndarray,
     max_rounds:
         Safety bound on the number of orphan-processing iterations; defaults
         to ``4 * n``.
-    vectorized:
-        Run the block-vectorized repair engine (default).  ``False`` selects
-        the scalar reference loop; the paths consume the RNG differently, so
-        outputs differ per seed while following the same distribution.
 
     Returns
     -------
@@ -147,23 +135,17 @@ def post_process_graph(graph: AttributedGraph, desired_degrees: np.ndarray,
     if source_accel is not None and source_accel.maintains_structure:
         # Copies never inherit the accelerator attachment, but the copy is
         # structurally identical right now, so the primed counts carry over
-        # verbatim.  The scalar repair path then maintains them per edge in
-        # O(delta); the vectorized engine's wholesale adoption invalidates
-        # them (recompute on next query) — both exact.
+        # verbatim.  A repair that mutates adopts its edge set wholesale,
+        # which invalidates them (recompute on next query); one with no
+        # orphans leaves them primed.
         source_accel.clone_to(result)
     target_edges = int(desired.sum() // 2)
     if max_rounds is None:
         max_rounds = 4 * max(1, graph.num_nodes)
 
-    if vectorized:
-        _RepairEngine(
-            result, desired, pi, generator, acceptance, target_edges,
-            max_rounds,
-        ).run()
-        return result
-    _post_process_scalar(
-        result, desired, pi, generator, acceptance, target_edges, max_rounds
-    )
+    _RepairEngine(
+        result, desired, pi, generator, acceptance, target_edges, max_rounds,
+    ).run()
     return result
 
 
@@ -721,242 +703,3 @@ class _RepairEngine:
         )
         return np.bincount(pair_index[hits], minlength=k)
 
-
-# ----------------------------------------------------------------------
-# Scalar reference loop (``vectorized=False``)
-# ----------------------------------------------------------------------
-def _post_process_scalar(result: AttributedGraph, desired: np.ndarray,
-                         pi: np.ndarray, generator: np.random.Generator,
-                         acceptance: Optional[EdgeAcceptance],
-                         target_edges: int, max_rounds: int) -> None:
-    """The original per-attempt repair loop, mutating ``result`` in place."""
-    sampler = WeightedSampler(pi) if pi.sum() > 0 else None
-    # The repair loop is scalar-probe-heavy: work on the O(1)-update set
-    # view directly instead of paying the accessor per membership test.
-    result.materialize_neighbor_sets()
-    adj = result.adjacency_sets()
-
-    main_component: Set[int] = set()
-    worklist: List[int] = []
-    cursor = 0
-    dirty = True  # the component decomposition must be (re)computed
-    rounds = 0
-    best_orphans: Optional[int] = None
-    stalls = 0
-    stall_limit = _STALL_LIMIT
-    warned = False
-    current_degrees = result.degrees()
-    degree_bound = max(1, int(current_degrees.max())) if current_degrees.size else 1
-    while rounds < max_rounds:
-        rounds += 1
-        if dirty or cursor >= len(worklist):
-            components = connected_components(result)
-            if len(components) <= 1:
-                break
-            main_component = components[0]
-            if not warned and target_edges < result.num_nodes - 1:
-                _warn_infeasible(target_edges, result.num_nodes)
-                warned = True
-                stall_limit = 1
-            # Process orphans by ascending id (deterministic for a fixed
-            # seed), exactly like the former smallest-id-per-scan rule.
-            worklist = sorted(
-                node for component in components[1:] for node in component
-            )
-            if best_orphans is not None and len(worklist) >= best_orphans:
-                stalls += 1
-                if stalls >= stall_limit:
-                    break
-            else:
-                best_orphans = len(worklist)
-                stalls = 0
-            cursor = 0
-            dirty = False
-
-        orphan = worklist[cursor]
-        cursor += 1
-
-        # Detach any stray edges (they can only lead to other orphans).
-        for neighbour in list(adj[orphan]):
-            result.remove_edge(orphan, neighbour)
-
-        wanted = max(1, int(desired[orphan]))
-        attached = 0
-        attempts = 0
-        max_attempts = 50 * wanted + 50
-        while attached < wanted and attempts < max_attempts:
-            attempts += 1
-            if sampler is not None:
-                partner = sampler.sample(generator)
-            else:
-                partner = int(generator.integers(result.num_nodes))
-            if partner == orphan or partner in adj[orphan]:
-                continue
-            if partner not in main_component:
-                continue
-            # Prefer partners whose desired degree is not yet met; fall back
-            # to any main-component partner once attempts pile up, so the
-            # repair always terminates.
-            if len(adj[partner]) >= desired[partner] and attempts < max_attempts // 2:
-                continue
-            if acceptance is not None and not acceptance.accepts(
-                orphan, partner, generator
-            ):
-                continue
-            result.add_edge(orphan, partner)
-            attached += 1
-            degree_bound = max(
-                degree_bound, len(adj[orphan]), len(adj[partner])
-            )
-            if result.num_edges > target_edges:
-                if not _remove_random_safe_edge(
-                    result, orphan, generator, degree_bound=degree_bound
-                ):
-                    dirty = True
-        if attached:
-            main_component.add(orphan)
-
-
-def _locally_connected(graph: AttributedGraph, source: int, target: int,
-                       edge_budget: int = 4096) -> bool:
-    """Budgeted BFS: is ``target`` reachable from ``source``?
-
-    Traverses at most ``edge_budget`` edges.  In the giant component of a
-    social graph the alternate path between the endpoints of a removed edge
-    is short, so the search almost always succeeds within a handful of
-    expansions; an exhausted budget returns ``False`` (treat as "possibly
-    disconnected") rather than paying for a full O(n + m) scan.  Budgeting
-    edge visits instead of node expansions keeps the worst case bounded on
-    hub-heavy graphs, where a few hundred hub expansions can mean hundreds
-    of thousands of neighbour probes.
-
-    This is the scalar reference; the vectorized engine runs the same
-    budgeted search through
-    :class:`repro.graphs.components.BudgetedReachability`.
-    """
-    from collections import deque
-
-    adj = graph.adjacency_sets()
-    seen = {source}
-    queue = deque([source])
-    visited_edges = 0
-    while queue and visited_edges < edge_budget:
-        node = queue.popleft()
-        visited_edges += len(adj[node])
-        for neighbour in adj[node]:
-            if neighbour == target:
-                return True
-            if neighbour not in seen:
-                seen.add(neighbour)
-                queue.append(neighbour)
-    return False
-
-
-def _remove_random_safe_edge(graph: AttributedGraph, protected_node: int,
-                             generator: np.random.Generator,
-                             num_candidates: int = 8,
-                             degree_bound: Optional[int] = None) -> bool:
-    """Remove one random edge not incident to ``protected_node``.
-
-    Returns ``True`` when the removal provably kept the graph connected and
-    ``False`` when an arbitrary edge was removed (the caller must then
-    re-examine connectivity).
-
-    Protecting the freshly repaired node keeps the repair from undoing
-    itself; if every sampled edge touches the protected node (tiny graphs),
-    an arbitrary edge is removed instead.
-
-    Algorithm 2 deletes an arbitrary random edge.  Candidates are drawn
-    uniformly over edges by rejection sampling — pick a node, accept it with
-    probability ``degree / degree_bound``, then pick a uniform neighbour —
-    which is O(1) per draw instead of materialising the O(m) edge list or an
-    O(n) degree table.  Among the candidates this implementation prefers, in
-    order:
-
-    1. an edge lying on a triangle (guaranteed not to be a bridge, so the
-       removal cannot disconnect the graph) with the fewest common
-       neighbours (so the fewest triangles are destroyed);
-    2. otherwise, a candidate whose endpoints stay connected after the
-       removal (verified with a budgeted local BFS);
-    3. otherwise, an arbitrary candidate (the caller's repair loop will fix
-       any resulting orphan on a later round).
-    """
-    if graph.num_edges == 0:
-        return True
-    n = graph.num_nodes
-    adj = graph.adjacency_sets()
-    degrees = graph.degrees_view()
-    if degree_bound is None or degree_bound < 1:
-        degree_bound = max(1, int(degrees.max()))
-
-    sampled = []
-    fallback = None
-    rounds = 0
-    max_rounds = 8
-    block = 16 * num_candidates
-    while len(sampled) < num_candidates and rounds < max_rounds:
-        rounds += 1
-        # Scalar RNG calls dominate the rejection loop, so draw the node
-        # picks and acceptance coins for a whole block at once, and run the
-        # accept test (coin < degree) vectorized — on a skewed degree
-        # sequence the acceptance rate is ``d̄ / d_max``, so scanning the
-        # rejected draws in Python would dominate the whole repair step.
-        nodes = generator.integers(0, n, size=block)
-        coins = generator.random(block) * degree_bound
-        for position in np.flatnonzero(coins < degrees[nodes]).tolist():
-            u = int(nodes[position])
-            coin = float(coins[position])
-            neighbours = adj[u]
-            # Conditioned on acceptance the coin is uniform on [0, du), so
-            # its integer part doubles as a uniform neighbour index (walked
-            # with islice — same iteration order as tuple(...)[index], but
-            # without materialising a hub-sized tuple per draw).
-            v = next(islice(neighbours, int(coin), None))
-            edge = (u, v) if u < v else (v, u)
-            if protected_node in edge:
-                fallback = fallback or edge
-                continue
-            sampled.append(edge)
-            if len(sampled) >= num_candidates:
-                break
-    if not sampled:
-        if fallback is None:
-            # Rejection sampling found nothing (extremely skewed degrees
-            # make per-draw acceptance tiny).  Fall back to one exact
-            # degree-weighted draw so an edge is always removed — returning
-            # without removing would leave the graph above its target edge
-            # count.
-            cumulative = np.cumsum(graph.degrees())
-            r = int(generator.integers(int(cumulative[-1])))
-            u = int(np.searchsorted(cumulative, r, side="right"))
-            offset = r - (int(cumulative[u - 1]) if u else 0)
-            v = tuple(adj[u])[offset]
-            fallback = (u, v) if u < v else (v, u)
-        sampled = [fallback]
-
-    on_triangle = [
-        (count, edge)
-        for count, edge in (
-            (graph.count_common_neighbors(u, v), (u, v)) for u, v in sampled
-        )
-        if count > 0
-    ]
-    if on_triangle:
-        _count, edge = min(on_triangle, key=lambda item: item[0])
-        graph.remove_edge(*edge)
-        return True
-
-    for u, v in sampled:
-        graph.remove_edge(u, v)
-        # An endpoint left isolated is certainly disconnected — same verdict
-        # as the budgeted BFS, without the scan.  Otherwise search from the
-        # lower-degree side: a small detached fragment empties the queue (a
-        # cheap, definitive "no") where the giant side would burn the whole
-        # budget.
-        if len(adj[u]) and len(adj[v]):
-            source, sink = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
-            if _locally_connected(graph, source, sink):
-                return True
-        graph.add_edge(u, v)
-    graph.remove_edge(*sampled[0])
-    return False

@@ -1,12 +1,13 @@
 """Shared rewiring machinery: sorted adjacency, CSR snapshots, proposal blocks.
 
-Every rewiring loop in this package (TriCycLe's exact sequential and batched
-engines, TCL's refinement loop, and the speculative distributional engine)
-runs on the same three structures:
+Every rewiring loop in this package (TriCycLe's exact batched engine, TCL's
+refinement loop, and the speculative distributional engine) runs on the same
+three structures:
 
 * :class:`_SortedAdjacency` — mutable sorted neighbour rows with set
   mirrors; uniform neighbour picks are index arithmetic, shared verbatim by
-  the sequential and batched proposal paths (bit-identity);
+  the batched proposal path and the per-proposal reference loop in
+  :mod:`repro.testing.reference` (bit-identity);
 * :class:`_Snapshot` — an immutable CSR image whose directed edge keys
   ``owner * n + neighbour`` are globally sorted; snapshots are *folded
   forward* through a delta overlay with a sort-free vectorized merge;
@@ -224,15 +225,6 @@ class _Snapshot:
         indptr, flat = directed_keys_to_csr(n, keys)
         return cls(n, indptr, flat,
                    np.diff(np.asarray(indptr, dtype=np.int64)), keys)
-
-    def contains(self, u: int, v: int) -> bool:
-        """Whether edge ``{u, v}`` exists in this snapshot (scalar probe)."""
-        keys = self.keys
-        if keys.size == 0:
-            return False
-        key = u * self.n + v
-        position = int(np.searchsorted(keys, key))
-        return position < keys.size and int(keys[position]) == key
 
     def folded(self, added_canonical: Set[int], removed_canonical: Set[int]
                ) -> "_Snapshot":

@@ -103,14 +103,10 @@ class TclModel(StructuralModel):
         graph with :func:`estimate_transitive_closure_probability`.
     handle_orphans:
         Apply the same orphan-repair extension as TriCycLe.
-    postprocess_vectorized:
-        Run the orphan repair through the vectorized engine (default); the
-        scalar reference repair is selected with ``False``.
     """
 
     def __init__(self, degrees: np.ndarray, rho: float,
-                 handle_orphans: bool = True,
-                 postprocess_vectorized: bool = True) -> None:
+                 handle_orphans: bool = True) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
         if self._degrees.ndim != 1:
             raise ValueError("degrees must be one-dimensional")
@@ -118,7 +114,6 @@ class TclModel(StructuralModel):
             raise ValueError("degrees must be non-negative")
         self._rho = check_fraction(rho, "rho", inclusive=False)
         self._handle_orphans = bool(handle_orphans)
-        self._postprocess_vectorized = bool(postprocess_vectorized)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -194,7 +189,6 @@ class TclModel(StructuralModel):
         if self._handle_orphans:
             graph = post_process_graph(
                 graph, self._degrees, pi, rng=generator, acceptance=acceptance,
-                vectorized=self._postprocess_vectorized,
             )
         return graph
 

@@ -19,8 +19,8 @@ excluded from the π distribution and wired up afterwards by
 
 Batched proposal evaluation
 ---------------------------
-With ``batch_proposals=True`` the rewiring loop runs on an engine built
-around **incrementally maintained CSR snapshots**:
+The exact rewiring loop runs on an engine built around **incrementally
+maintained CSR snapshots**:
 
 * the live structure is a :class:`_SortedAdjacency` (sorted neighbour rows
   plus set mirrors); the graph object is not touched until the loop ends,
@@ -42,8 +42,9 @@ around **incrementally maintained CSR snapshots**:
   the ranges are disjoint over a block's lifetime, so verification totals
   O(block), not O(block · swaps).
 
-The batched path is bit-identical to ``batch_proposals=False``: both share
-the same sorted-row pick semantics and presampled RNG stream, and every
+The engine is bit-identical to the per-proposal reference loop
+(:class:`repro.testing.reference.SequentialTriCycLeModel`): both share the
+same sorted-row pick semantics and presampled RNG stream, and every
 batched answer equals the live value at the moment it is consulted (pinned
 by ``tests/models/test_tricycle.py``).
 
@@ -72,7 +73,6 @@ from repro.models.chung_lu import ChungLuModel, build_pi_distribution
 from repro.models.postprocess import post_process_graph
 from repro.models.rewiring import (  # noqa: F401  (re-exported names)
     _EVAL_WINDOW,
-    _SPECULATION_BLOCK,
     _ProposalBlock,
     _Snapshot,
     _SortedAdjacency,
@@ -108,30 +108,13 @@ class TriCycLeModel(StructuralModel):
         The rewiring loop proposes at most ``max_iteration_factor * m`` edges
         before giving up; this keeps generation bounded when the degree
         sequence simply cannot support the requested number of triangles.
-    batch_proposals:
-        Evaluate proposal windows (walk endpoints, adjacency probes,
-        common-neighbour counts) vectorized against incrementally maintained
-        CSR snapshots, skipping provably non-viable proposals in bulk.
-        Bit-identical to the sequential evaluation (``False`` keeps the
-        per-proposal loop, used by the equivalence tests and the perf
-        harness).
-    postprocess_vectorized:
-        Run the orphan repair through the vectorized engine (default); the
-        scalar reference repair is selected with ``False``.  The two repair
-        paths consume the RNG differently, so per-seed outputs differ while
-        targeting the same distribution.
     equivalence:
         Rewiring equivalence contract.  ``"exact"`` (default) is
         bit-identical to the historical scalar swap sequence;
         ``"distributional"`` dispatches to the speculative block engine
         (:class:`repro.models.rewiring.SpeculativeRewiring`), which targets
         the same degree/triangle/Θ'_F distributions but commits whole blocks
-        of disjoint swaps per snapshot.  Deterministic per
-        ``(seed, speculation_block)``.
-    speculation_block:
-        Proposals drawn per speculative round (distributional mode only).
-        Larger blocks amortize the vectorized passes and snapshot folds
-        better but raise the commit-conflict rate.
+        of disjoint swaps per snapshot.  Deterministic per seed.
     memory_budget_mb:
         Optional byte budget for generation (defaults to the
         ``REPRO_MEMORY_BUDGET_MB`` environment variable when unset).  The
@@ -145,10 +128,7 @@ class TriCycLeModel(StructuralModel):
     def __init__(self, degrees: np.ndarray, num_triangles: int,
                  handle_orphans: bool = True,
                  max_iteration_factor: int = 30,
-                 batch_proposals: bool = True,
-                 postprocess_vectorized: bool = True,
                  equivalence: str = "exact",
-                 speculation_block: int = _SPECULATION_BLOCK,
                  memory_budget_mb: Optional[int] = None) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
         if self._degrees.ndim != 1:
@@ -164,15 +144,10 @@ class TriCycLeModel(StructuralModel):
                 f"equivalence must be one of {_EQUIVALENCE_MODES}, "
                 f"got {equivalence!r}"
             )
-        if speculation_block < 1:
-            raise ValueError("speculation_block must be >= 1")
         self._num_triangles = int(num_triangles)
         self._handle_orphans = bool(handle_orphans)
         self._max_iteration_factor = int(max_iteration_factor)
-        self._batch_proposals = bool(batch_proposals)
-        self._postprocess_vectorized = bool(postprocess_vectorized)
         self._equivalence = str(equivalence)
-        self._speculation_block = int(speculation_block)
         self._memory_budget_mb = (
             None if memory_budget_mb is None else int(memory_budget_mb)
         )
@@ -250,7 +225,6 @@ class TriCycLeModel(StructuralModel):
             # phase can compensate for any triangles the repair destroys.
             graph = post_process_graph(
                 graph, self._degrees, pi, rng=generator, acceptance=acceptance,
-                vectorized=self._postprocess_vectorized,
             )
 
         accel = graph.metrics_accelerator
@@ -291,22 +265,18 @@ class TriCycLeModel(StructuralModel):
         if self._equivalence == "distributional":
             engine = SpeculativeRewiring(
                 graph, edge_age, tau, target, max_iterations, sampler,
-                generator, acceptance, block_size=self._speculation_block,
-                accel=accel,
+                generator, acceptance, accel=accel,
             )
             engine.run()
             self._last_rewiring_stats = dict(engine.stats)
         else:
-            adjacency = _SortedAdjacency(graph)
-            rewire = self._rewire_batched if self._batch_proposals \
-                else self._rewire_sequential
-            rewire(graph, adjacency, edge_age, tau, target, max_iterations,
-                   sampler, generator, acceptance)
+            self._rewire_batched(graph, _SortedAdjacency(graph), edge_age,
+                                 tau, target, max_iterations, sampler,
+                                 generator, acceptance)
 
         if self._handle_orphans:
             graph = post_process_graph(
                 graph, self._degrees, pi, rng=generator, acceptance=acceptance,
-                vectorized=self._postprocess_vectorized,
             )
         if acceptance is not None and graph.num_attributes == 0:
             # Ensure the attribute dimension matches what AGM expects.
@@ -314,76 +284,6 @@ class TriCycLeModel(StructuralModel):
                 graph, acceptance.num_attributes
             )
         return graph
-
-    # ------------------------------------------------------------------
-    # Sequential rewiring (the per-proposal reference loop)
-    # ------------------------------------------------------------------
-    def _rewire_sequential(self, graph: AttributedGraph,
-                           adjacency: _SortedAdjacency,
-                           edge_age: Deque[Edge], tau: int, target: int,
-                           max_iterations: int, sampler: WeightedSampler,
-                           generator: np.random.Generator,
-                           acceptance: Optional[EdgeAcceptance]) -> None:
-        """Per-proposal reference loop (``batch_proposals=False``).
-
-        π proposals and the uniforms driving the two neighbour hops are
-        drawn in blocks (a scalar searchsorted plus two scalar RNG calls per
-        iteration used to dominate the proposal cost); evaluation is fully
-        scalar against the live graph.  The batched loop consumes the
-        identical RNG stream.
-        """
-        block_size = max(256, min(65536, max_iterations))
-        vi_block = sampler.sample_many(block_size, generator)
-        unit_block = generator.random((block_size, 2))
-        cursor = 0
-        iterations = 0
-        # Scalar membership probes and common-neighbour counts run on the
-        # O(1)-update set view.
-        graph.materialize_neighbor_sets()
-
-        while tau < target and iterations < max_iterations and graph.num_edges > 0:
-            iterations += 1
-            if cursor >= block_size:
-                vi_block = sampler.sample_many(block_size, generator)
-                unit_block = generator.random((block_size, 2))
-                cursor = 0
-            vi = int(vi_block[cursor])
-            hop_one, hop_two = unit_block[cursor]
-            cursor += 1
-
-            # Friend-of-a-friend proposal (Algorithm 1, lines 5-9): walk to a
-            # random neighbour vk, then to a random neighbour of vk other
-            # than vi.
-            vk = adjacency.pick(vi, hop_one)
-            if vk is None:
-                continue
-            vj = adjacency.pick_excluding(vk, vi, hop_two)
-            if vj is None or vj == vi:
-                continue
-            if graph.has_edge(vi, vj):
-                continue
-            if acceptance is not None and not acceptance.accepts(vi, vj, generator):
-                continue
-
-            oldest = self._pop_oldest_existing_edge(graph, edge_age)
-            if oldest is None:
-                break
-            vq, vr = oldest
-            cn_old = graph.count_common_neighbors(vq, vr)
-            graph.remove_edge(vq, vr)
-            adjacency.remove(vq, vr)
-            cn_new = graph.count_common_neighbors(vi, vj)
-            if cn_new >= cn_old:
-                graph.add_edge(vi, vj)
-                adjacency.add(vi, vj)
-                edge_age.append((min(vi, vj), max(vi, vj)))
-                tau += cn_new - cn_old
-            else:
-                # Undo the removal; the retired edge becomes the youngest so
-                # the loop cannot get stuck re-proposing the same swap.
-                graph.add_edge(vq, vr)
-                adjacency.add(vq, vr)
-                edge_age.append((vq, vr))
 
     # ------------------------------------------------------------------
     # Batched rewiring (incremental snapshots)
@@ -400,7 +300,7 @@ class TriCycLeModel(StructuralModel):
         ``adjacency`` (rows + set mirrors), probes and counts run against
         the current :class:`_ProposalBlock`'s snapshot-plus-overlay, and the
         final edge set is adopted back into the graph in one vectorized
-        pass.  Bit-identical to :meth:`_rewire_sequential`.
+        pass.  Bit-identical to the per-proposal reference loop.
         """
         block_size = max(256, min(65536, max_iterations))
         vi_block = sampler.sample_many(block_size, generator)
@@ -539,18 +439,5 @@ class TriCycLeModel(StructuralModel):
         while edge_age:
             u, v = edge_age.popleft()
             if v in sets[u]:
-                return (u, v)
-        return None
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _pop_oldest_existing_edge(graph: AttributedGraph,
-                                  edge_age: Deque[Edge]) -> Optional[Edge]:
-        """Pop the oldest edge that still exists in the graph."""
-        while edge_age:
-            u, v = edge_age.popleft()
-            if graph.has_edge(u, v):
                 return (u, v)
         return None

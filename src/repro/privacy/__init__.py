@@ -16,7 +16,7 @@ from repro.privacy.accountant import (
     SubBudget,
     charge_epsilon,
 )
-from repro.privacy.budget import BudgetExceededError, PrivacyBudget, split_budget
+from repro.privacy.budget import BudgetExceededError
 from repro.privacy.mechanisms import (
     clamp,
     exponential_mechanism,
@@ -44,9 +44,7 @@ __all__ = [
     "PrivacyAccountant",
     "SubBudget",
     "charge_epsilon",
-    "PrivacyBudget",
     "BudgetExceededError",
-    "split_budget",
     "laplace_noise",
     "laplace_mechanism",
     "geometric_mechanism",

@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 from repro.privacy.budget import BudgetExceededError
 from repro.utils.validation import check_epsilon
 
-#: Relative numerical tolerance for overdraft checks (matches PrivacyBudget).
+#: Relative numerical tolerance for overdraft checks.
 _OVERDRAFT_TOLERANCE = 1e-9
 
 StagePath = Tuple[str, ...]
@@ -89,13 +89,6 @@ class PrivacyAccountant:
     0.25
     >>> accountant.spent
     0.25
-
-    Notes
-    -----
-    The accountant is duck-compatible with the older
-    :class:`~repro.privacy.budget.PrivacyBudget` surface (``total_epsilon``,
-    ``spent``, ``remaining``, ``spend``, ``ledger``, ``summary``), so code
-    that only inspected the returned ledger keeps working unchanged.
     """
 
     def __init__(self, total_epsilon: float) -> None:
@@ -182,8 +175,8 @@ class PrivacyAccountant:
     def spend(self, epsilon: float, label: str = "direct") -> float:
         """Record a direct (un-allocated) expenditure against the global budget.
 
-        Mirrors :meth:`repro.privacy.budget.PrivacyBudget.spend`; stage-based
-        code should prefer :meth:`allocate` / :meth:`SubBudget.spend`.
+        Stage-based code should prefer :meth:`allocate` /
+        :meth:`SubBudget.spend`.
         """
         _check_stage_name(label)
         epsilon = check_epsilon(epsilon, "epsilon")
@@ -211,8 +204,7 @@ class PrivacyAccountant:
     def ledger(self) -> List[Tuple[str, float]]:
         """Charges in order, labelled by their *top-level* stage name.
 
-        Compatible with the ``PrivacyBudget.ledger()`` view the earlier
-        workflow returned; use :meth:`breakdown` for full stage paths.
+        Use :meth:`breakdown` for full stage paths.
         """
         return [(charge.path[0], charge.epsilon) for charge in self._charges]
 

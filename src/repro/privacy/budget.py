@@ -4,109 +4,10 @@ Differential privacy composes: running mechanisms with parameters
 ``epsilon_1 .. epsilon_k`` sequentially on the same data yields
 ``sum(epsilon_i)``-DP, running them on disjoint data yields
 ``max(epsilon_i)``-DP, and post-processing is free (Section 2.3).
-:class:`PrivacyBudget` makes that arithmetic explicit: the AGM-DP workflow
-charges every parameter-learning step against a budget object and refuses to
-overspend, which both documents and enforces the accounting in Theorem 2.
+:class:`~repro.privacy.accountant.PrivacyAccountant` makes that arithmetic
+explicit and refuses to overspend; this module holds the error it raises.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
-from repro.utils.validation import check_epsilon
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when a mechanism would spend more privacy budget than remains."""
-
-
-@dataclass
-class _Charge:
-    """A single recorded expenditure against the budget."""
-
-    label: str
-    epsilon: float
-
-
-@dataclass
-class PrivacyBudget:
-    """Tracks ε spent under sequential composition.
-
-    Parameters
-    ----------
-    total_epsilon:
-        The overall privacy parameter for the release.
-
-    Examples
-    --------
-    >>> budget = PrivacyBudget(1.0)
-    >>> budget.spend(0.25, "attributes")
-    0.25
-    >>> budget.remaining
-    0.75
-    """
-
-    total_epsilon: float
-    _charges: List[_Charge] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        self.total_epsilon = check_epsilon(self.total_epsilon, "total_epsilon")
-
-    @property
-    def spent(self) -> float:
-        """Total ε spent so far."""
-        return float(sum(charge.epsilon for charge in self._charges))
-
-    @property
-    def remaining(self) -> float:
-        """ε still available (never negative)."""
-        return max(0.0, self.total_epsilon - self.spent)
-
-    def spend(self, epsilon: float, label: str = "") -> float:
-        """Record an expenditure of ``epsilon``; returns the amount spent.
-
-        Raises
-        ------
-        BudgetExceededError
-            If the expenditure would push the total spend above the budget
-            (beyond a small numerical tolerance).
-        """
-        epsilon = check_epsilon(epsilon, "epsilon")
-        if self.spent + epsilon > self.total_epsilon * (1.0 + 1e-9):
-            raise BudgetExceededError(
-                f"spending {epsilon:.6g} would exceed the budget: "
-                f"{self.spent:.6g} of {self.total_epsilon:.6g} already spent"
-            )
-        self._charges.append(_Charge(label=label, epsilon=epsilon))
-        return epsilon
-
-    def ledger(self) -> List[Tuple[str, float]]:
-        """Return the list of ``(label, epsilon)`` charges in order."""
-        return [(charge.label, charge.epsilon) for charge in self._charges]
-
-    def summary(self) -> Dict[str, float]:
-        """Return spend per label (labels aggregated)."""
-        totals: Dict[str, float] = {}
-        for charge in self._charges:
-            totals[charge.label] = totals.get(charge.label, 0.0) + charge.epsilon
-        return totals
-
-
-def split_budget(total_epsilon: float, weights: Dict[str, float]) -> Dict[str, float]:
-    """Split ``total_epsilon`` among named components proportionally to ``weights``.
-
-    This implements the SplitBudget step of Algorithm 3.  The paper's default
-    for the TriCycLe backend is an even four-way split (attributes,
-    correlations, degree sequence, triangle count); the FCL backend gives half
-    to the degree sequence.  Any non-negative weights (not all zero) work.
-    """
-    total_epsilon = check_epsilon(total_epsilon, "total_epsilon")
-    if not weights:
-        raise ValueError("weights must not be empty")
-    weight_sum = float(sum(weights.values()))
-    if weight_sum <= 0 or any(w < 0 for w in weights.values()):
-        raise ValueError("weights must be non-negative and sum to a positive value")
-    return {
-        name: total_epsilon * (weight / weight_sum) for name, weight in weights.items()
-    }

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.agm_dp import AgmDp, BudgetSplit, learn_agm_dp
+from repro.core.agm import AgmSynthesizer
+from repro.core.agm_dp import BudgetSplit, learn_agm_dp
 from repro.params.structural import TriCycLeParameters
 
 
@@ -87,38 +88,27 @@ class TestLearnAgmDp:
 
 
 class TestAgmDpFacade:
+    """Fit then sample: ``learn_agm_dp``, then an ``AgmSynthesizer`` that
+    draws from the same generator."""
+
     def test_fit_then_sample(self, small_social_graph):
-        model = AgmDp(epsilon=1.0, backend="tricycle", num_iterations=1, rng=0)
-        returned = model.fit(small_social_graph)
-        assert returned is model
-        sample = model.sample()
+        generator = np.random.default_rng(0)
+        params, _ = learn_agm_dp(small_social_graph, epsilon=1.0,
+                                 backend="tricycle", rng=generator)
+        sample = AgmSynthesizer(params, num_iterations=1).sample(rng=generator)
         assert sample.num_nodes == small_social_graph.num_nodes
         assert sample.num_attributes == small_social_graph.num_attributes
 
-    def test_parameters_before_fit_raise(self):
-        model = AgmDp(epsilon=1.0)
-        with pytest.raises(RuntimeError):
-            _ = model.parameters
-        with pytest.raises(RuntimeError):
-            _ = model.budget
-
     def test_sample_many(self, small_social_graph):
-        model = AgmDp(epsilon=1.0, num_iterations=1, rng=0).fit(small_social_graph)
-        samples = list(model.sample_many(2))
+        generator = np.random.default_rng(0)
+        params, _ = learn_agm_dp(small_social_graph, epsilon=1.0, rng=generator)
+        synthesizer = AgmSynthesizer(params, num_iterations=1)
+        samples = list(synthesizer.sample_many(2, rng=generator))
         assert len(samples) == 2
 
-    def test_invalid_constructor_arguments(self):
-        with pytest.raises(ValueError):
-            AgmDp(epsilon=0.0)
-        with pytest.raises(ValueError):
-            AgmDp(epsilon=1.0, backend="ergm")
-
-    def test_epsilon_and_backend_properties(self):
-        model = AgmDp(epsilon=0.5, backend="fcl")
-        assert model.epsilon == pytest.approx(0.5)
-        assert model.backend == "fcl"
-
     def test_fcl_facade_end_to_end(self, small_social_graph):
-        model = AgmDp(epsilon=2.0, backend="fcl", num_iterations=1, rng=1)
-        sample = model.fit(small_social_graph).sample()
+        generator = np.random.default_rng(1)
+        params, _ = learn_agm_dp(small_social_graph, epsilon=2.0,
+                                 backend="fcl", rng=generator)
+        sample = AgmSynthesizer(params, num_iterations=1).sample(rng=generator)
         assert sample.num_edges > 0

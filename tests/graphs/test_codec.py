@@ -31,10 +31,10 @@ from repro.core.agm import AgmSynthesizer, learn_agm
 from repro.graphs.io import graph_from_payload, graph_to_payload
 
 
-def _graph(num_nodes=6, num_attributes=2, seed=3):
+def _graph(num_nodes=6, num_attributes=2, seed=3, num_edges=8):
     rng = np.random.default_rng(seed)
     pairs = set()
-    while len(pairs) < min(8, num_nodes * (num_nodes - 1) // 2):
+    while len(pairs) < min(num_edges, num_nodes * (num_nodes - 1) // 2):
         u, v = rng.integers(0, num_nodes, size=2)
         if u != v:
             pairs.add((min(int(u), int(v)), max(int(u), int(v))))
@@ -180,7 +180,8 @@ class TestBackendBitIdentity:
 
     @pytest.mark.parametrize("backend", ["tricycle", "fcl"])
     def test_sampled_graph_round_trips_bit_identical(self, backend):
-        source = _graph(num_nodes=20, num_attributes=2, seed=5)
+        # 30 edges on 20 nodes: the orphan repair can reach one component.
+        source = _graph(num_nodes=20, num_attributes=2, seed=5, num_edges=30)
         params = learn_agm(source, backend=backend)
         synthesizer = AgmSynthesizer(params, num_iterations=1)
         graph = synthesizer.sample(rng=np.random.default_rng(20160626))

@@ -4,6 +4,10 @@ import numpy as np
 
 from repro.core.pipeline import SynthesisPipeline
 from repro.graphs.accel import MetricsAccelerator
+from repro.graphs.statistics import (
+    triangle_count_reference,
+    triangles_per_node_reference,
+)
 from repro.metrics.evaluation import evaluate_synthetic_graph
 from repro.metrics.incremental import (
     accelerator_stats,
@@ -11,13 +15,15 @@ from repro.metrics.incremental import (
     ensure_accelerator,
     prepare_original_graph,
 )
-from repro.models.chung_lu import ChungLuModel
+from repro.models.chung_lu import ChungLuModel, build_pi_distribution
+from repro.models.postprocess import post_process_graph
+from repro.testing.reference import evaluate_synthetic_graph_reference
 
 
 def _synthetics(graph, count=3):
     from repro.graphs.attributed import AttributedGraph
 
-    model = ChungLuModel(graph.degrees(), vectorized=True)
+    model = ChungLuModel(graph.degrees())
     samples = []
     for seed in range(count):
         structure = model.generate(rng=seed)
@@ -33,12 +39,10 @@ class TestAcceleratedEvaluation:
     def test_reports_bit_identical_to_from_scratch(self, small_social_graph):
         original = small_social_graph.copy()
         for synthetic in _synthetics(original):
-            scratch = evaluate_synthetic_graph(
-                original.copy(), synthetic.copy(), accelerated=False
+            scratch = evaluate_synthetic_graph_reference(
+                original.copy(), synthetic.copy()
             )
-            accelerated = evaluate_synthetic_graph(
-                original, synthetic, accelerated=True
-            )
+            accelerated = evaluate_synthetic_graph(original, synthetic)
             assert accelerated == scratch
 
     def test_bit_identical_after_mutations(self, small_social_graph):
@@ -51,8 +55,8 @@ class TestAcceleratedEvaluation:
         original.remove_edge(*next(iter(original.edges())))
         synthetic.add_edge(0, original.num_nodes - 1)
         accelerated = evaluate_synthetic_graph(original, synthetic)
-        scratch = evaluate_synthetic_graph(
-            original.copy(), synthetic.copy(), accelerated=False
+        scratch = evaluate_synthetic_graph_reference(
+            original.copy(), synthetic.copy()
         )
         assert accelerated == scratch
 
@@ -90,25 +94,35 @@ class TestPipelineIntegration:
         assert restored.extra["metrics_accelerator"] == stats
 
     def test_repair_engine_carries_counts_into_copy(self, small_social_graph):
-        from repro.graphs import statistics as graph_statistics
-        from repro.models.chung_lu import build_pi_distribution
-        from repro.models.postprocess import post_process_graph
-
-        graph = small_social_graph.copy()
+        graph = small_social_graph.copy()  # connected: nothing to repair
         accel = MetricsAccelerator.attach(graph).prime()
         desired = graph.degrees()
-        pi = build_pi_distribution(desired)
         repaired = post_process_graph(
-            graph, desired, pi, rng=11, vectorized=False
+            graph, desired, build_pi_distribution(desired), rng=11
         )
         seeded = repaired.metrics_accelerator
         assert seeded is not None and seeded.is_primed
         assert seeded.stats()["primes"] == 0  # counts carried, not rescanned
-        assert seeded.triangle_count() == \
-            graph_statistics.triangle_count_reference(repaired)
+        assert seeded.triangle_count() == triangle_count_reference(repaired)
+        # The source graph's accelerator was never disturbed.
+        assert graph.metrics_accelerator is accel and accel.is_primed
+
+    def test_repair_that_mutates_keeps_counts_exact(self, small_social_graph):
+        graph = small_social_graph.copy()
+        for node in (3, 17, 42):  # strand a few nodes for the repair
+            for neighbour in list(graph.neighbors(node)):
+                graph.remove_edge(node, neighbour)
+        accel = MetricsAccelerator.attach(graph).prime()
+        desired = small_social_graph.degrees()
+        repaired = post_process_graph(
+            graph, desired, build_pi_distribution(desired), rng=11
+        )
+        assert repaired.num_edges > graph.num_edges
+        seeded = repaired.metrics_accelerator
+        assert seeded is not None
+        assert seeded.triangle_count() == triangle_count_reference(repaired)
         assert np.array_equal(
             seeded.triangles_per_node(),
-            graph_statistics.triangles_per_node_reference(repaired),
+            triangles_per_node_reference(repaired),
         )
-        # The source graph's accelerator was never disturbed.
         assert graph.metrics_accelerator is accel and accel.is_primed

@@ -11,6 +11,11 @@ from repro.graphs.components import is_connected, orphaned_nodes
 from repro.models.base import EdgeAcceptance
 from repro.models.chung_lu import ChungLuModel, build_pi_distribution
 from repro.models.postprocess import post_process_graph
+from repro.testing.reference import post_process_graph_scalar
+
+#: The repair under test, keyed by whether it is the vectorized production
+#: engine or the scalar oracle.
+REPAIRS = {True: post_process_graph, False: post_process_graph_scalar}
 
 
 def graph_with_orphans() -> AttributedGraph:
@@ -106,16 +111,14 @@ class TestVectorizedRepair:
 
     def test_deterministic_per_seed(self):
         graph, desired, pi = _repair_workload(0)
-        first = post_process_graph(graph, desired, pi, rng=7, vectorized=True)
-        second = post_process_graph(graph, desired, pi, rng=7, vectorized=True)
+        first = post_process_graph(graph, desired, pi, rng=7)
+        second = post_process_graph(graph, desired, pi, rng=7)
         assert first == second
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_edge_target_and_connectivity(self, seed):
         graph, desired, pi = _repair_workload(seed)
-        repaired = post_process_graph(
-            graph, desired, pi, rng=seed, vectorized=True
-        )
+        repaired = post_process_graph(graph, desired, pi, rng=seed)
         assert repaired.num_edges == int(desired.sum() // 2)
         assert is_connected(repaired)
 
@@ -124,9 +127,7 @@ class TestVectorizedRepair:
         graph = graph_with_orphans()
         desired = np.array([3, 2, 3, 2, 1, 1, 1])
         pi = build_pi_distribution(desired)
-        repaired = post_process_graph(
-            graph, desired, pi, rng=5, vectorized=vectorized
-        )
+        repaired = REPAIRS[vectorized](graph, desired, pi, rng=5)
         assert is_connected(repaired)
         assert repaired.num_edges == int(desired.sum() // 2)
 
@@ -142,12 +143,8 @@ class TestVectorizedRepair:
         connected_scalar = connected_vector = 0
         for seed in seeds:
             graph, desired, pi = _repair_workload(seed)
-            scalar = post_process_graph(
-                graph, desired, pi, rng=seed, vectorized=False
-            )
-            vector = post_process_graph(
-                graph, desired, pi, rng=seed, vectorized=True
-            )
+            scalar = post_process_graph_scalar(graph, desired, pi, rng=seed)
+            vector = post_process_graph(graph, desired, pi, rng=seed)
             assert scalar.num_edges == vector.num_edges \
                 == int(desired.sum() // 2)
             connected_scalar += is_connected(scalar)
@@ -173,9 +170,8 @@ class TestVectorizedRepair:
                 num_attributes=1,
             )
             for vectorized in (False, True):
-                repaired = post_process_graph(
-                    structured, desired, pi, rng=seed,
-                    acceptance=acceptance, vectorized=vectorized,
+                repaired = REPAIRS[vectorized](
+                    structured, desired, pi, rng=seed, acceptance=acceptance,
                 )
                 observed[vectorized].append(observed_correlations(repaired))
         scalar_mean = np.mean(observed[False], axis=0)
@@ -190,9 +186,7 @@ class TestVectorizedRepair:
         desired = np.array([2, 2, 2, 1, 1, 1, 1, 1, 0, 1])
         pi = build_pi_distribution(desired)
         with pytest.warns(UserWarning, match="spanning minimum"):
-            repaired = post_process_graph(
-                graph, desired, pi, rng=11, vectorized=vectorized
-            )
+            repaired = REPAIRS[vectorized](graph, desired, pi, rng=11)
         assert repaired.num_edges <= int(desired.sum() // 2)
         assert not is_connected(repaired)
 
@@ -204,8 +198,7 @@ class TestVectorizedRepair:
         pi = build_pi_distribution(desired)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            post_process_graph(graph, desired, pi, rng=3,
-                               vectorized=vectorized)
+            REPAIRS[vectorized](graph, desired, pi, rng=3)
         infeasible = [w for w in caught
                       if "spanning minimum" in str(w.message)]
         assert len(infeasible) == 1
@@ -213,9 +206,7 @@ class TestVectorizedRepair:
     def test_empty_pi_falls_back_to_uniform_draws(self):
         graph = graph_with_orphans()
         desired = np.array([3, 2, 3, 2, 1, 1, 1])
-        repaired = post_process_graph(
-            graph, desired, np.zeros(7), rng=2, vectorized=True
-        )
+        repaired = post_process_graph(graph, desired, np.zeros(7), rng=2)
         assert is_connected(repaired)
 
     def test_acceptance_rejections_still_terminate(self):
@@ -226,6 +217,6 @@ class TestVectorizedRepair:
             num_attributes=1,
         )
         repaired = post_process_graph(
-            graph, desired, pi, rng=1, acceptance=acceptance, vectorized=True
+            graph, desired, pi, rng=1, acceptance=acceptance
         )
         assert repaired.num_edges <= int(desired.sum() // 2)

@@ -7,6 +7,7 @@ from repro.graphs.components import is_connected
 from repro.graphs.statistics import degree_sequence, triangle_count
 from repro.models.tricycle import TriCycLeModel
 from repro.params.structural import fit_tricycle
+from repro.testing.reference import SequentialTriCycLeModel
 
 
 class TestConstruction:
@@ -83,27 +84,27 @@ class TestGeneration:
 
 
 class TestBatchedProposalEquivalence:
-    """The vectorized proposal-block path must be bit-identical to the
-    sequential per-proposal path — same RNG stream, same graph out."""
+    """The vectorized proposal-block engine must be bit-identical to the
+    sequential per-proposal oracle — same RNG stream, same graph out."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 13])
     def test_batched_equals_sequential(self, small_social_graph, seed):
         params = fit_tricycle(small_social_graph)
         batched = TriCycLeModel(
-            params.degrees, params.num_triangles, batch_proposals=True
+            params.degrees, params.num_triangles
         ).generate(rng=seed)
-        sequential = TriCycLeModel(
-            params.degrees, params.num_triangles, batch_proposals=False
+        sequential = SequentialTriCycLeModel(
+            params.degrees, params.num_triangles
         ).generate(rng=seed)
         assert batched == sequential
 
     def test_batched_equals_sequential_medium(self, medium_social_graph):
         params = fit_tricycle(medium_social_graph)
         batched = TriCycLeModel(
-            params.degrees, params.num_triangles, batch_proposals=True
+            params.degrees, params.num_triangles
         ).generate(rng=3)
-        sequential = TriCycLeModel(
-            params.degrees, params.num_triangles, batch_proposals=False
+        sequential = SequentialTriCycLeModel(
+            params.degrees, params.num_triangles
         ).generate(rng=3)
         assert batched == sequential
 
@@ -122,10 +123,10 @@ class TestBatchedProposalEquivalence:
         # The acceptance filter draws from the shared stream mid-loop, so
         # equality requires the batched path to consume RNG identically.
         batched = TriCycLeModel(
-            params.degrees, params.num_triangles, batch_proposals=True
+            params.degrees, params.num_triangles
         ).generate(rng=11, acceptance=acceptance)
-        sequential = TriCycLeModel(
-            params.degrees, params.num_triangles, batch_proposals=False
+        sequential = SequentialTriCycLeModel(
+            params.degrees, params.num_triangles
         ).generate(rng=11, acceptance=acceptance)
         assert batched == sequential
 
@@ -140,11 +141,9 @@ class TestBatchedProposalEquivalence:
         for seed in (0, 1, 2):
             batched = TriCycLeModel(
                 degrees, num_triangles=30, handle_orphans=False,
-                batch_proposals=True,
             ).generate(rng=seed)
-            sequential = TriCycLeModel(
+            sequential = SequentialTriCycLeModel(
                 degrees, num_triangles=30, handle_orphans=False,
-                batch_proposals=False,
             ).generate(rng=seed)
             assert batched == sequential
 
@@ -153,10 +152,8 @@ class TestBatchedProposalEquivalence:
         for target in (0, params.num_triangles):
             batched = TriCycLeModel(
                 params.degrees, target, handle_orphans=True,
-                batch_proposals=True,
             ).generate(rng=5)
-            sequential = TriCycLeModel(
+            sequential = SequentialTriCycLeModel(
                 params.degrees, target, handle_orphans=True,
-                batch_proposals=False,
             ).generate(rng=5)
             assert batched == sequential

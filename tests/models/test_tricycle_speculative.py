@@ -2,11 +2,10 @@
 
 The distributional contract is pinned here: the speculative engine must
 track the exact engine's degree sequence, triangle count and attribute
-correlations (Θ'_F) closely, stay deterministic per ``(seed, block size)``,
-and keep its internal bookkeeping — the edge-age queue, the live key set,
-and the folded snapshot — mutually consistent through conflicts and
-rollbacks (the queue ≡ live edges invariant the engine's probe-free pops
-rely on).
+correlations (Θ'_F) closely, stay deterministic per seed, and keep its
+internal bookkeeping — the edge-age queue, the live key set, and the
+folded snapshot — mutually consistent through conflicts and rollbacks (the
+queue ≡ live edges invariant the engine's probe-free pops rely on).
 """
 
 from collections import deque
@@ -73,8 +72,6 @@ class TestModelDispatch:
     def test_equivalence_knob_validation(self):
         with pytest.raises(ValueError):
             TriCycLeModel(np.array([2, 2, 2]), 1, equivalence="approximate")
-        with pytest.raises(ValueError):
-            TriCycLeModel(np.array([2, 2, 2]), 1, speculation_block=0)
         model = TriCycLeModel(np.array([2, 2, 2]), 1,
                               equivalence="distributional")
         assert model.equivalence == "distributional"
@@ -104,13 +101,12 @@ class TestModelDispatch:
 
 
 class TestDeterminism:
-    def test_deterministic_per_seed_and_block(self, small_social_graph):
+    def test_deterministic_per_seed(self, small_social_graph):
         params = fit_tricycle(small_social_graph)
         outputs = []
         for _ in range(2):
             model = TriCycLeModel(params.degrees, params.num_triangles,
-                                  equivalence="distributional",
-                                  speculation_block=128)
+                                  equivalence="distributional")
             outputs.append(_edge_keys(model.generate(rng=11)))
         assert outputs[0] == outputs[1]
 

@@ -67,6 +67,13 @@ class TestPrivacyAccountant:
         assert subs["m"].epsilon == pytest.approx(1.0)
         assert accountant.allocated == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("weights", [
+        {}, {"x": -1, "y": 2}, {"x": 0, "y": 0},
+    ], ids=["empty", "negative", "all_zero"])
+    def test_split_rejects_invalid_weights(self, weights):
+        with pytest.raises(ValueError):
+            PrivacyAccountant(1.0).split(weights)
+
     def test_nested_split_records_dotted_paths(self):
         accountant = PrivacyAccountant(1.0)
         structural = accountant.allocate("structural", 0.5)

@@ -6,7 +6,6 @@ import pytest
 pytestmark = pytest.mark.slow
 
 from repro import (
-    AgmDp,
     AgmSynthesizer,
     evaluate_synthetic_graph,
     learn_agm,
@@ -18,12 +17,21 @@ from repro.metrics.distributions import hellinger_distance
 from repro.params.correlations import connection_probabilities
 
 
+def _fit_then_sample(graph, epsilon, seed, backend="tricycle",
+                     num_iterations=3):
+    """Fit AGM-DP, then draw one sample, both from one seeded generator."""
+    generator = np.random.default_rng(seed)
+    params, _ = learn_agm_dp(graph, epsilon, backend=backend, rng=generator)
+    synthesizer = AgmSynthesizer(params, num_iterations=num_iterations)
+    return synthesizer.sample(rng=generator)
+
+
 class TestEndToEndPrivateSynthesis:
     """Algorithm 3 from input graph to evaluated synthetic graph."""
 
     def test_full_pipeline_tricycle(self, medium_social_graph):
-        model = AgmDp(epsilon=2.0, backend="tricycle", num_iterations=2, rng=0)
-        synthetic = model.fit(medium_social_graph).sample()
+        synthetic = _fit_then_sample(medium_social_graph, 2.0, seed=0,
+                                     num_iterations=2)
 
         assert synthetic.num_nodes == medium_social_graph.num_nodes
         assert synthetic.num_attributes == medium_social_graph.num_attributes
@@ -33,8 +41,8 @@ class TestEndToEndPrivateSynthesis:
         assert report.degree_ks < 0.5
 
     def test_full_pipeline_fcl(self, medium_social_graph):
-        model = AgmDp(epsilon=2.0, backend="fcl", num_iterations=2, rng=1)
-        synthetic = model.fit(medium_social_graph).sample()
+        synthetic = _fit_then_sample(medium_social_graph, 2.0, seed=1,
+                                     backend="fcl", num_iterations=2)
         report = evaluate_synthetic_graph(medium_social_graph, synthetic)
         assert report.edge_count_mre < 0.25
 
@@ -47,9 +55,8 @@ class TestEndToEndPrivateSynthesis:
         def average_triangle_mre(backend: str) -> float:
             errors = []
             for seed in range(3):
-                model = AgmDp(epsilon=3.0, backend=backend, num_iterations=1,
-                              rng=seed)
-                synthetic = model.fit(medium_social_graph).sample()
+                synthetic = _fit_then_sample(medium_social_graph, 3.0, seed,
+                                             backend=backend, num_iterations=1)
                 errors.append(
                     evaluate_synthetic_graph(medium_social_graph, synthetic)
                     .triangle_mre
@@ -60,8 +67,8 @@ class TestEndToEndPrivateSynthesis:
 
     def test_correlations_beat_uniform_baseline(self, medium_social_graph):
         """Section 5.2: Θ_F error must be well below the uniform baseline."""
-        model = AgmDp(epsilon=2.0, backend="tricycle", num_iterations=2, rng=3)
-        synthetic = model.fit(medium_social_graph).sample()
+        synthetic = _fit_then_sample(medium_social_graph, 2.0, seed=3,
+                                     num_iterations=2)
         target = connection_probabilities(medium_social_graph)
         achieved = connection_probabilities(synthetic)
         uniform = np.full_like(target, 1.0 / target.size)
@@ -73,9 +80,9 @@ class TestEndToEndPrivateSynthesis:
         def average_theta_f_error(epsilon: float) -> float:
             errors = []
             for seed in range(3):
-                model = AgmDp(epsilon=epsilon, backend="fcl", num_iterations=1,
-                              rng=seed)
-                synthetic = model.fit(medium_social_graph).sample()
+                synthetic = _fit_then_sample(medium_social_graph, epsilon,
+                                             seed, backend="fcl",
+                                             num_iterations=1)
                 errors.append(
                     evaluate_synthetic_graph(medium_social_graph, synthetic)
                     .theta_f_hellinger
@@ -86,9 +93,8 @@ class TestEndToEndPrivateSynthesis:
 
     def test_synthetic_graph_is_connected_with_orphan_handling(self,
                                                                medium_social_graph):
-        model = AgmDp(epsilon=2.0, backend="tricycle", num_iterations=1,
-                      handle_orphans=True, rng=4)
-        synthetic = model.fit(medium_social_graph).sample()
+        synthetic = _fit_then_sample(medium_social_graph, 2.0, seed=4,
+                                     num_iterations=1)
         assert is_connected(synthetic)
 
     def test_budget_never_exceeded(self, small_social_graph):
@@ -133,8 +139,8 @@ class TestNonPrivateVersusPrivate:
 class TestPersistenceRoundTrip:
     def test_synthetic_graph_survives_serialisation(self, tmp_path,
                                                     small_social_graph):
-        model = AgmDp(epsilon=1.0, num_iterations=1, rng=0).fit(small_social_graph)
-        synthetic = model.sample()
+        synthetic = _fit_then_sample(small_social_graph, 1.0, seed=0,
+                                     num_iterations=1)
         path = tmp_path / "synthetic.json"
         save_graph_json(synthetic, path)
         assert load_graph_json(path) == synthetic
