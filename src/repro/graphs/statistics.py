@@ -14,13 +14,12 @@ cached CSR view (:meth:`repro.graphs.attributed.AttributedGraph.csr`):
   directed-edge keys (:mod:`repro.utils.membership`; a ``searchsorted``
   pass above the bitmap's byte budget) rather than per-edge Python set
   intersections;
-* ``max_common_neighbours`` counts wedge multiplicities: every wedge centred
-  at ``w`` with endpoints ``(u, v)`` contributes one common neighbour to the
-  pair, so the maximum multiplicity over unique endpoint pairs *is* the
-  maximum common-neighbour count.  Endpoints are enumerated in descending
-  degree order with a pessimistic per-block upper bound (``cn(u, ·) ≤
-  deg(u)``), so enumeration stops at the first block provably unable to
-  beat the running maximum;
+* ``max_common_neighbours`` is an exact heavy-endpoint scan.  Exact counts
+  among the top hubs give a lower bound ``best``.  Since ``cn(u, v) ≤
+  min(deg u, deg v)``, any pair with more than ``best`` common neighbours
+  has both degrees above ``best``, so only the wedges whose two endpoints
+  are such *heavy* nodes are enumerated, each heavy pair exactly once (the
+  heavy/light split of worst-case-optimal joins);
 * ``degree_ccdf`` is a single ``searchsorted`` over the sorted degree
   sequence.
 
@@ -47,12 +46,17 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro.graphs.attributed import AttributedGraph
+from repro.graphs.dtypes import edge_key_dtype, pack_edge_keys
 from repro.utils import membership as membership_index
 
 #: Upper bound on the number of (neighbour, neighbour) pairs materialised per
 #: enumeration chunk; keeps the wedge kernels' working set to a few hundred MB
 #: even on heavy-tailed degree sequences.
 _MAX_PAIRS_PER_CHUNK = 1 << 22
+
+#: Hubs whose pairwise common-neighbour counts seed the lower bound of
+#: :func:`max_common_neighbours` (16 hubs are 120 probed pairs).
+_SEED_HUBS = 16
 
 
 def degree_sequence(graph: AttributedGraph, sort: bool = False) -> np.ndarray:
@@ -110,6 +114,12 @@ def _iter_row_chunks(pair_counts: np.ndarray, max_pairs: int
         start = end
 
 
+def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions ``starts[i] + 0 .. lengths[i] - 1``, segment after segment."""
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return offsets + np.arange(offsets.size, dtype=np.int64)
+
+
 def _pairs_within_rows(indptr: np.ndarray, indices: np.ndarray,
                        rows: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,11 +147,7 @@ def _pairs_within_rows(indptr: np.ndarray, indices: np.ndarray,
     total_pairs = int(pair_counts.sum())
     if total_pairs == 0:
         return empty, empty, empty
-    pair_prev = np.cumsum(pair_counts) - pair_counts
-    first_positions = np.arange(total_pairs, dtype=np.int64) \
-        - np.repeat(pair_prev, pair_counts) \
-        + np.repeat(entry_starts, pair_counts)
-    firsts = indices[first_positions]
+    firsts = indices[_segment_positions(entry_starts, pair_counts)]
     seconds = np.repeat(indices[entry_starts + entry_local], pair_counts)
     owners = np.repeat(entry_rows, pair_counts)
     return owners, firsts, seconds
@@ -276,32 +282,34 @@ def global_clustering_coefficient(graph: AttributedGraph) -> float:
 
 
 def max_common_neighbours(graph: AttributedGraph) -> int:
-    """Maximum number of common neighbours over all node pairs sharing a wedge.
+    """Maximum number of common neighbours over all node pairs.
 
     This equals the local sensitivity of the triangle count under edge
-    adjacency: adding or removing one edge changes the triangle count by at
-    most this many.  Only pairs at distance one or two need to be examined —
-    any other pair has zero common neighbours.
+    adjacency: adding or removing the edge ``{u, v}`` changes the triangle
+    count by exactly ``cn(u, v) = |Γ(u) ∩ Γ(v)|``.  Only pairs at distance
+    one or two need to be examined — any other pair has zero common
+    neighbours.
 
-    Vectorized formulation: a pair ``(u, v)`` has exactly as many common
-    neighbours as there are wedges centred anywhere with endpoints
-    ``{u, v}``.  Wedge partners are enumerated *grouped by endpoint* — for
-    each node ``u`` the concatenation of its neighbours' neighbour lists
-    holds every wedge partner ``v`` with multiplicity ``|Γ(u) ∩ Γ(v)|`` —
-    so every pair's full multiplicity is completed inside one enumeration
-    chunk and only a running maximum crosses chunk boundaries, keeping peak
-    memory bounded by the chunk budget.  Each chunk is compressed with a
-    sort plus boundary-diff pass (deliberately not ``np.unique``, which
-    measures slower than a plain sort here).
+    The scan is exact and rests on one bound: ``cn(u, v) ≤ min(deg u,
+    deg v)``.
 
-    Endpoints are processed in **descending degree order** with a
-    pessimistic per-block upper bound: every pair credited to endpoint
-    ``u``'s block satisfies ``cn(u, v) ≤ deg(u)``, and along the
-    degree-descending order that bound is monotonically non-increasing —
-    the first block whose bound cannot beat the running maximum proves the
-    same for every later block, so enumeration stops there.  On heavy-
-    tailed graphs the maximum lives among the hubs and the low-degree tail
-    is never materialised.
+    1. Exact counts among the top ``_SEED_HUBS`` hubs
+       (:func:`batched_common_neighbours`) seed a lower bound ``best``.
+    2. Any pair with more than ``best`` common neighbours has both degrees
+       above ``best``.  Those *heavy* nodes are ranked by descending
+       degree, and every centre's heavy neighbours are kept sorted by rank.
+       For each heavy endpoint ``u`` the scan gathers, from each centre
+       ``w ∈ Γ(u)``, only the part of ``w``'s heavy list ranked after
+       ``u``.  Partner ``v`` then occurs there exactly ``cn(u, v)`` times,
+       so every heavy pair is counted once and completes inside ``u``'s
+       chunk; only the running maximum crosses chunk boundaries.
+    3. Endpoints are gathered in chunks of at most ``_MAX_PAIRS_PER_CHUNK``
+       partners, in rank order.  The first chunk whose leading endpoint has
+       ``deg(u) ≤ best`` proves the same for every later chunk, so the scan
+       stops there.
+
+    Each chunk is compressed with a sort plus boundary-diff pass.  The
+    result is pinned to :func:`max_common_neighbours_reference`.
 
     An attached accelerator memoizes the result until the next mutation.
     """
@@ -315,58 +323,67 @@ def max_common_neighbours(graph: AttributedGraph) -> int:
 
 
 def _max_common_neighbours_scan(graph: AttributedGraph) -> int:
-    """The degree-ordered, bound-pruned wedge-multiplicity scan."""
+    """The exact heavy-endpoint scan behind :func:`max_common_neighbours`."""
     n = graph.num_nodes
     if n == 0 or graph.num_edges == 0:
         return 0
     indptr, indices = graph.csr()
-    # Widen once: the storage-ladder indptr is narrow unsigned, and both
-    # the descending-order negation and the cumulative-sum positioning
-    # below need signed int64 arithmetic.
-    degrees = np.diff(np.asarray(indptr, dtype=np.int64))
-    owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    # Two-hop gather volume per endpoint: sum of neighbour degrees.
-    volumes = np.bincount(
-        owners, weights=degrees[indices].astype(np.float64), minlength=n
-    ).astype(np.int64)
-    # Degree-descending endpoint order; zero-volume rows can contribute no
-    # wedge partner at all and are dropped up front.
-    order = np.argsort(-degrees, kind="stable")
-    order = order[volumes[order] > 0]
-    best = 0
-    for block in _iter_row_chunks(volumes[order], _MAX_PAIRS_PER_CHUNK):
-        rows = order[block]
-        # Pessimistic bound for this and (by monotonicity) every later
-        # block: a common neighbour of (u, v) is a neighbour of u.
-        if int(degrees[rows[0]]) <= best:
+    # Widen once: the storage-ladder indptr is narrow unsigned, and the
+    # negation and position arithmetic below need signed int64.
+    indptr = np.asarray(indptr, dtype=np.int64)
+    degrees = np.diff(indptr)
+    by_degree = np.argsort(-degrees, kind="stable")
+
+    # Lower bound from the hubs.  Every probed row is a hub row, so the
+    # probe keys only need the hubs' directed edge keys; id-sorted hubs
+    # with id-sorted rows give them already sorted.
+    hubs = np.sort(by_degree[:_SEED_HUBS])
+    hub_degrees = degrees[hubs]
+    hub_keys = np.repeat(hubs, hub_degrees) * n \
+        + indices[_segment_positions(indptr[hubs], hub_degrees)]
+    first, second = np.triu_indices(hubs.size, k=1)
+    best = int(batched_common_neighbours(
+        n, indptr, indices, hub_keys, hubs[first], hubs[second]
+    ).max())
+
+    # Heavy endpoints in descending degree order: rank r is heavy[r].
+    heavy = by_degree[:np.count_nonzero(degrees > best)]
+    num_heavy = heavy.size
+    if num_heavy < 2:
+        return best
+    heavy_degrees = degrees[heavy]
+    # One entry (u, w) per heavy u and neighbour w, grouped by u's rank.
+    entry_ptr = np.concatenate(([0], np.cumsum(heavy_degrees)))
+    centres = indices[_segment_positions(indptr[heavy], heavy_degrees)]
+    entry_ranks = np.repeat(
+        np.arange(num_heavy, dtype=edge_key_dtype(num_heavy)), heavy_degrees
+    )
+    # Stable-sorting the entries by centre lists every centre's heavy
+    # neighbours in rank order, and the entry (u, w) lands exactly where
+    # u sits in w's list: the part ranked after u starts one step later.
+    by_centre = np.argsort(centres, kind="stable")
+    members = entry_ranks[by_centre]
+    tail_starts = np.empty_like(by_centre)
+    tail_starts[by_centre] = np.arange(1, by_centre.size + 1)
+    centre_ends = np.cumsum(np.bincount(centres, minlength=n))
+    tails = centre_ends[centres] - tail_starts
+    volumes = np.diff(np.concatenate(([0], np.cumsum(tails)))[entry_ptr])
+
+    for block in _iter_row_chunks(volumes, _MAX_PAIRS_PER_CHUNK):
+        # cn(u, v) ≤ deg(u), non-increasing along the rank order.
+        if int(heavy_degrees[block[0]]) <= best:
             break
-        row_lengths = degrees[rows]
-        row_total = int(row_lengths.sum())
-        row_previous = np.concatenate(([0], np.cumsum(row_lengths)[:-1]))
-        entry_positions = np.arange(row_total, dtype=np.int64) \
-            - np.repeat(row_previous, row_lengths) \
-            + np.repeat(indptr[rows], row_lengths)
-        centres = indices[entry_positions]    # the wedge centres w
-        endpoints = np.repeat(rows, row_lengths)  # the endpoint u of (u, w)
-        lengths = degrees[centres]
-        total = int(lengths.sum())
-        if total == 0:
+        lo, hi = entry_ptr[block[0]], entry_ptr[block[-1] + 1]
+        lengths = tails[lo:hi]
+        partners = members[_segment_positions(tail_starts[lo:hi], lengths)]
+        if partners.size == 0:
             continue
-        previous = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        positions = np.arange(total, dtype=np.int64) \
-            - np.repeat(previous, lengths) + np.repeat(indptr[centres], lengths)
-        partners = indices[positions]
-        endpoint_per_partner = np.repeat(endpoints, lengths)
-        # Count each unordered pair once (the v < u half is completed when
-        # v's own block runs) and drop the trivial partner v == u.
-        mask = partners > endpoint_per_partner
-        keys = endpoint_per_partner[mask] * n + partners[mask]
-        if keys.size == 0:
-            continue
+        keys = pack_edge_keys(
+            np.repeat(entry_ranks[lo:hi], lengths), partners, num_heavy
+        )
         keys.sort()
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        counts = np.diff(np.concatenate((starts, [keys.size])))
-        best = max(best, int(counts.max()))
+        runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        best = max(best, int(np.diff(np.append(runs, keys.size)).max()))
     return best
 
 
@@ -431,11 +448,7 @@ def batched_common_neighbours(num_nodes: int, indptr: np.ndarray,
             if collect_members:
                 member_chunks.append(np.empty(0, dtype=np.int64))
             continue
-        previous = np.concatenate(([0], np.cumsum(row_lengths)[:-1]))
-        positions = np.arange(total, dtype=np.int64) \
-            - np.repeat(previous, row_lengths) \
-            + np.repeat(indptr[rows], row_lengths)
-        candidates = indices[positions]
+        candidates = indices[_segment_positions(indptr[rows], row_lengths)]
         pair_offsets = np.repeat(block, row_lengths)
         probe_keys = anchor_side[pair_offsets] * num_nodes + candidates
         found = np.minimum(

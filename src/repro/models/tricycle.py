@@ -13,6 +13,12 @@ phases:
    progress and termination with the desired count (up to the attempt
    budget).
 
+Edges retire in arrival order.  Chung-Lu draws are exchangeable, so the
+seed edges queue in a seeded random order, and every rewired edge joins the
+back of the queue.  Node ids carry no age: private degree sequences are
+sorted, and retiring seed edges by id would strip the lowest-degree nodes
+bare for the final orphan repair.
+
 The orphan extension of Section 3.3 is supported: degree-one nodes can be
 excluded from the π distribution and wired up afterwards by
 :func:`repro.models.postprocess.post_process_graph`.
@@ -93,6 +99,10 @@ _EQUIVALENCE_MODES = ("exact", "distributional")
 
 class TriCycLeModel(StructuralModel):
     """The TriCycLe generative model.
+
+    Rewiring retires edges in arrival order: the seed edges in a seeded
+    random order (the order of exchangeable Chung-Lu draws), then the
+    rewired edges in the order they were added.
 
     Parameters
     ----------
@@ -256,7 +266,14 @@ class TriCycLeModel(StructuralModel):
             + csr_bytes(n, graph.num_edges)
             + 3 * 2 * 8 * graph.num_edges,
         )
-        edge_age: Deque[Edge] = deque(graph.edges())
+        # Chung-Lu draws are exchangeable, so a seeded random order is the
+        # seed edges' arrival order in distribution.  ``graph.edges()`` is
+        # id order, which would retire the lowest-degree nodes' edges first.
+        sources, targets = graph.edge_arrays()
+        arrival = generator.permutation(sources.size)
+        edge_age: Deque[Edge] = deque(
+            zip(sources[arrival].tolist(), targets[arrival].tolist())
+        )
         tau = triangle_count(graph)
         target = self._num_triangles
         max_iterations = self._max_iteration_factor * max(graph.num_edges, 1)

@@ -37,39 +37,32 @@ def isotonic_regression(values: np.ndarray) -> np.ndarray:
     constrained least-squares problem in linear time.  This is the
     "minimum L2 distance sequence satisfying the ordering constraint" that
     Hay et al.'s dynamic program computes.
+
+    The block stack lives in Python lists: the loop is scalar, and list
+    operations on Python floats cost a fraction of NumPy scalar indexing.
+    The float operations and their order are those of
+    :func:`repro.testing.reference.isotonic_regression_reference`, so the
+    output is bit-identical to it.
     """
     arr = np.asarray(values, dtype=float)
-    n = arr.size
-    if n == 0:
+    if arr.size == 0:
         return arr.copy()
 
     # Each block is (total, count); blocks are merged while out of order.
-    block_total = np.empty(n)
-    block_count = np.empty(n, dtype=np.int64)
-    block_start = np.empty(n, dtype=np.int64)
-    num_blocks = 0
-
-    for i, value in enumerate(arr):
-        block_total[num_blocks] = value
-        block_count[num_blocks] = 1
-        block_start[num_blocks] = i
-        num_blocks += 1
+    totals = []
+    counts = []
+    for value in arr.tolist():
+        total = value
+        count = 1
         # Merge while the previous block's mean exceeds the new block's mean.
-        while (
-            num_blocks > 1
-            and block_total[num_blocks - 2] * block_count[num_blocks - 1]
-            > block_total[num_blocks - 1] * block_count[num_blocks - 2]
-        ):
-            block_total[num_blocks - 2] += block_total[num_blocks - 1]
-            block_count[num_blocks - 2] += block_count[num_blocks - 1]
-            num_blocks -= 1
-
-    result = np.empty(n)
-    for b in range(num_blocks):
-        start = block_start[b]
-        end = block_start[b + 1] if b + 1 < num_blocks else n
-        result[start:end] = block_total[b] / block_count[b]
-    return result
+        while totals and totals[-1] * count > total * counts[-1]:
+            total = totals.pop() + total
+            count = counts.pop() + count
+        totals.append(total)
+        counts.append(count)
+    return np.repeat(
+        [total / count for total, count in zip(totals, counts)], counts
+    )
 
 
 def constrained_inference(noisy_sorted_sequence: np.ndarray) -> np.ndarray:

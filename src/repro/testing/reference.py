@@ -12,7 +12,10 @@ production engines against them:
   so the two agree in distribution, not per seed;
 * :func:`evaluate_synthetic_graph_reference` — the from-scratch evaluation
   row, bit-identical to the accelerated
-  :func:`~repro.metrics.evaluation.evaluate_synthetic_graph`.
+  :func:`~repro.metrics.evaluation.evaluate_synthetic_graph`;
+* :func:`isotonic_regression_reference` — the PAVA on scalar-indexed NumPy
+  arrays, bit-identical to
+  :func:`~repro.privacy.constrained_inference.isotonic_regression`.
 
 No production module imports this one (a guard test walks ``src/repro``),
 and :mod:`repro.testing` does not import it either.
@@ -442,3 +445,47 @@ def evaluate_synthetic_graph_reference(original: AttributedGraph,
         ),
         edge_count_mre=relative_error(original.num_edges, synthetic.num_edges),
     )
+
+
+# ----------------------------------------------------------------------
+# Constrained inference: the numpy-array PAVA
+# ----------------------------------------------------------------------
+def isotonic_regression_reference(values: np.ndarray) -> np.ndarray:
+    """PAVA over scalar-indexed NumPy block arrays (reference).
+
+    :func:`repro.privacy.constrained_inference.isotonic_regression` performs
+    the same float operations in the same order on Python lists, so the two
+    are bit-identical.
+    """
+    arr = np.asarray(values, dtype=float)
+    n = arr.size
+    if n == 0:
+        return arr.copy()
+
+    # Each block is (total, count); blocks are merged while out of order.
+    block_total = np.empty(n)
+    block_count = np.empty(n, dtype=np.int64)
+    block_start = np.empty(n, dtype=np.int64)
+    num_blocks = 0
+
+    for i, value in enumerate(arr):
+        block_total[num_blocks] = value
+        block_count[num_blocks] = 1
+        block_start[num_blocks] = i
+        num_blocks += 1
+        # Merge while the previous block's mean exceeds the new block's mean.
+        while (
+            num_blocks > 1
+            and block_total[num_blocks - 2] * block_count[num_blocks - 1]
+            > block_total[num_blocks - 1] * block_count[num_blocks - 2]
+        ):
+            block_total[num_blocks - 2] += block_total[num_blocks - 1]
+            block_count[num_blocks - 2] += block_count[num_blocks - 1]
+            num_blocks -= 1
+
+    result = np.empty(n)
+    for b in range(num_blocks):
+        start = block_start[b]
+        end = block_start[b + 1] if b + 1 < num_blocks else n
+        result[start:end] = block_total[b] / block_count[b]
+    return result

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.models.tricycle as tricycle
+from repro.datasets.synthetic import powerlaw_degree_sequence
 from repro.graphs.components import is_connected
 from repro.graphs.statistics import degree_sequence, triangle_count
 from repro.models.tricycle import TriCycLeModel
@@ -81,6 +83,33 @@ class TestGeneration:
         graph = TriCycLeModel(np.array([1, 1]), 0, handle_orphans=False).generate(rng=0)
         assert graph.num_nodes == 2
         assert graph.num_edges <= 1
+
+
+class TestEdgeAgeOrder:
+    """Seed edges retire in arrival order, not in node-id order.
+
+    Private degree sequences are sorted, so low ids are the lowest-degree
+    nodes; retiring edges by id strips those nodes bare, and the final
+    repair then destroys the triangles rewiring made.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sorted_sequence_keeps_triangles_and_few_orphans(
+            self, monkeypatch, seed):
+        degrees = np.sort(powerlaw_degree_sequence(1000, 10.0, 80, rng=0))
+        target = 3000
+        isolated = []
+        repair = tricycle.post_process_graph
+
+        def counting_repair(graph, *args, **kwargs):
+            isolated.append(int(np.count_nonzero(graph.degrees() == 0)))
+            return repair(graph, *args, **kwargs)
+
+        monkeypatch.setattr(tricycle, "post_process_graph", counting_repair)
+        graph = TriCycLeModel(degrees, target).generate(rng=seed)
+        _seed_repair, final_repair = isolated
+        assert final_repair < 0.05 * degrees.size
+        assert triangle_count(graph) >= 0.9 * target
 
 
 class TestBatchedProposalEquivalence:

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datasets.synthetic import powerlaw_degree_sequence
 from repro.privacy.constrained_inference import (
+    DEGREE_SEQUENCE_SENSITIVITY,
     constrained_inference,
     isotonic_regression,
     private_degree_sequence,
 )
+from repro.testing.reference import isotonic_regression_reference
 
 
 class TestIsotonicRegression:
@@ -44,6 +49,57 @@ class TestIsotonicRegression:
         values = np.array([3.0, 1.0, 2.0])
         assert np.allclose(constrained_inference(values),
                            isotonic_regression(values))
+
+
+def _assert_bit_identical(values):
+    ours = isotonic_regression(values)
+    reference = isotonic_regression_reference(values)
+    assert ours.dtype == reference.dtype
+    assert ours.shape == reference.shape
+    assert ours.tobytes() == reference.tobytes()
+
+
+class TestMatchesReferencePava:
+    """The list-based PAVA is bit-identical to the numpy-array oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), max_size=120))
+    def test_arbitrary_values(self, values):
+        _assert_bit_identical(np.asarray(values, dtype=float))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), max_size=120))
+    def test_ties(self, values):
+        _assert_bit_identical(np.asarray(values, dtype=float))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(st.floats(-50, 50), st.integers(1, 12)), max_size=15,
+    ))
+    def test_constant_runs(self, runs):
+        values = [value for value, length in runs for _ in range(length)]
+        _assert_bit_identical(np.asarray(values, dtype=float))
+
+    @pytest.mark.parametrize("values", [[], [2.5], [-0.0]])
+    def test_empty_and_length_one(self, values):
+        _assert_bit_identical(np.asarray(values, dtype=float))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=600),
+        st.sampled_from([0.1, 1.0, 10.0]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_noisy_sorted_degree_sequences(self, num_nodes, epsilon, seed):
+        """The production input: Laplace-noised sorted degree sequences."""
+        rng = np.random.default_rng(seed)
+        degrees = np.sort(powerlaw_degree_sequence(
+            num_nodes, 6.0, max(2, num_nodes // 4), rng=rng,
+        )).astype(float)
+        noisy = degrees + rng.laplace(
+            0.0, DEGREE_SEQUENCE_SENSITIVITY / epsilon, size=num_nodes
+        )
+        _assert_bit_identical(noisy)
 
 
 class TestPrivateDegreeSequence:
