@@ -450,13 +450,13 @@ class TestGenerationBudget:
 
 
 class TestSpeculativeRewiring:
-    """Speculative block rewiring vs the exact batched engine.
+    """Speculative block rewiring vs the exact rewiring loop.
 
     Times the rewiring phase alone at a full epinions-like tier — the
     shared bench fixtures run at tiny CI scales where the phase does not
     dominate.  Each timed leg includes the setup that ``generate()`` pays
-    inside its phase: the exact engine builds a ``_SortedAdjacency``
-    mirror, the speculative engine builds its frozen snapshot.  The floor
+    inside its phase: the exact loop builds ``_SortedAdjacency`` rows and
+    set mirrors, the speculative engine builds its frozen snapshot.  The floor
     is gated together with the distributional-equivalence contract: the
     speculative engine's triangle bookkeeping stays exact, both engines
     stop just past the same target, and speculation hits the prescribed
@@ -508,7 +508,7 @@ class TestSpeculativeRewiring:
         edge_age = workload["deque"](graph.edges())
         start = time.perf_counter()
         adjacency = _SortedAdjacency(graph)
-        workload["model"]._rewire_batched(
+        workload["model"]._rewire_exact(
             graph, adjacency, edge_age, workload["tau"], workload["target"],
             workload["max_iterations"], WeightedSampler(workload["pi"]),
             generator, None,

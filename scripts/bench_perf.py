@@ -140,17 +140,17 @@ def bench_tier(tier: str, scale: float, repeats: int) -> List[dict]:
 
     degrees = fresh.degrees()
     triangles = stats.triangle_count(fresh)
-    tricycle_batched = TriCycLeModel(degrees, num_triangles=triangles)
+    tricycle_exact = TriCycLeModel(degrees, num_triangles=triangles)
     tricycle_sequential = SequentialTriCycLeModel(degrees,
                                                   num_triangles=triangles)
     same_graph = (
-        tricycle_batched.generate(rng=1) == tricycle_sequential.generate(rng=1)
+        tricycle_exact.generate(rng=1) == tricycle_sequential.generate(rng=1)
     )
     seq_t = _best_of(lambda: tricycle_sequential.generate(rng=1),
                      max(2, repeats // 2))
-    bat_t = _best_of(lambda: tricycle_batched.generate(rng=1),
-                     max(2, repeats // 2))
-    row("tricycle_generate", seq_t, bat_t, bool(same_graph))
+    exact_t = _best_of(lambda: tricycle_exact.generate(rng=1),
+                       max(2, repeats // 2))
+    row("tricycle_generate", seq_t, exact_t, bool(same_graph))
 
     return rows
 
@@ -219,7 +219,7 @@ def bench_orphan_repair(scale: float, repeats: int) -> dict:
         "reference_seconds": scalar_t,
         "fast_seconds": vector_t,
         "speedup": scalar_t / vector_t if vector_t else None,
-        "identical_results": bool(invariants_hold),
+        "invariants_hold": bool(invariants_hold),
     }
 
 
@@ -229,8 +229,9 @@ def bench_rewiring(tier: str, repeats: int) -> dict:
     ``tier`` is ``dataset-scale`` (e.g. ``epinions`` or ``pokec-0.1``).
     Both engines start from one shared Chung-Lu-plus-repair seed graph and
     rewire toward the same triangle target; each timed leg includes its
-    own phase setup (the exact engine's ``_SortedAdjacency`` mirror, the
-    speculative engine's frozen snapshot), mirroring what ``generate()``
+    own phase setup (the exact loop's ``_SortedAdjacency`` rows and set
+    mirrors, the speculative engine's frozen snapshot), mirroring what
+    ``generate()``
     pays.  Alongside best-of wall times the entry records the speculative
     engine's acceptance/conflict/rollback rates and the
     distributional-equivalence invariants: the incremental triangle count
@@ -267,8 +268,8 @@ def bench_rewiring(tier: str, repeats: int) -> dict:
         edge_age = deque(graph.edges())
         start = time.perf_counter()
         adjacency = _SortedAdjacency(graph)
-        model._rewire_batched(graph, adjacency, edge_age, tau, target,
-                              max_iterations, WeightedSampler(pi), rng, None)
+        model._rewire_exact(graph, adjacency, edge_age, tau, target,
+                            max_iterations, WeightedSampler(pi), rng, None)
         return time.perf_counter() - start, graph
 
     def run_speculative():
@@ -314,7 +315,7 @@ def bench_rewiring(tier: str, repeats: int) -> dict:
         if proposals else None,
         "conflicts": engine.stats["conflicts"],
         "rollbacks": engine.stats["rollbacks"],
-        "identical_results": bool(invariants_hold),
+        "invariants_hold": bool(invariants_hold),
     }
 
 
@@ -889,14 +890,14 @@ def main(argv=None) -> int:
               f"-> {row['speedup']:.2f}x  "
               f"(rounds={row['rounds']} acceptance={acceptance} "
               f"conflicts={row['conflicts']} rollbacks={row['rollbacks']} "
-              f"invariants={row['identical_results']})")
+              f"invariants={row['invariants_hold']})")
     if orphan_repair is not None:
         print(f"\norphan_repair (n={orphan_repair['n']}, in-situ TriCycLe "
               f"repair calls): "
               f"scalar {orphan_repair['reference_seconds']:.3f}s  "
               f"vectorized {orphan_repair['fast_seconds']:.3f}s  "
               f"-> {orphan_repair['speedup']:.1f}x  "
-              f"invariants={orphan_repair['identical_results']}")
+              f"invariants={orphan_repair['invariants_hold']}")
     if runner is not None:
         print(f"\nrunner: {runner['trials']} trials  "
               f"serial {runner['serial_seconds']:.3f}s  "
@@ -927,9 +928,8 @@ def main(argv=None) -> int:
     mismatches.extend(row for row in generation
                       if row.get("under_budget") is False)
     mismatches.extend(row for row in metrics if not row["identical_results"])
-    mismatches.extend(row for row in rewiring
-                      if not row["identical_results"])
-    if orphan_repair is not None and not orphan_repair["identical_results"]:
+    mismatches.extend(row for row in rewiring if not row["invariants_hold"])
+    if orphan_repair is not None and not orphan_repair["invariants_hold"]:
         mismatches.append(orphan_repair)
     if runner is not None and not runner["identical_results"]:
         mismatches.append(runner)

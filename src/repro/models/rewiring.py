@@ -1,19 +1,22 @@
-"""Shared rewiring machinery: sorted adjacency, CSR snapshots, proposal blocks.
+"""Shared rewiring machinery: sorted adjacency, CSR snapshots, speculation.
 
-Every rewiring loop in this package (TriCycLe's exact batched engine, TCL's
-refinement loop, and the speculative distributional engine) runs on the same
-three structures:
+The rewiring loops in this package run on two structures:
 
-* :class:`_SortedAdjacency` — mutable sorted neighbour rows with set
-  mirrors; uniform neighbour picks are index arithmetic, shared verbatim by
-  the batched proposal path and the per-proposal reference loop in
-  :mod:`repro.testing.reference` (bit-identity);
+* :class:`_SortedAdjacency` — mutable sorted neighbour rows.  TriCycLe's
+  exact loop (:meth:`repro.models.tricycle.TriCycLeModel._rewire_exact`)
+  picks uniform neighbours by index arithmetic on the rows, and probes and
+  counts on set mirrors of them, one proposal at a time; TCL's refinement
+  loop walks the rows;
 * :class:`_Snapshot` — an immutable CSR image whose directed edge keys
   ``owner * n + neighbour`` are globally sorted; snapshots are *folded
-  forward* through a delta overlay with a sort-free vectorized merge;
-* :class:`_ProposalBlock` — one window of friend-of-a-friend proposals
-  evaluated vectorized against a snapshot, with an O(1)-per-swap delta
-  overlay (the exact batched engine's workhorse).
+  forward* through a delta overlay with a sort-free vectorized merge.  Only
+  the speculative engine below uses them.
+
+The exact loop evaluates no proposal against a snapshot.  Nearly every
+TriCycLe proposal is viable (13.6k of 14.3k per generation at pokec-0.01),
+and accepted swaps dirty the hub rows so fast that about 80% of first hops
+and 92% of second hops would have to be re-derived live, so vectorized
+proposal blocks cost more than they save under the exact contract.
 
 Speculative block rewiring (``equivalence="distributional"``)
 -------------------------------------------------------------
@@ -65,29 +68,19 @@ deviation, pinned by the closeness suites.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import deque
+from itertools import chain
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.graphs.attributed import AttributedGraph
+from repro.graphs.dtypes import pack_edge_keys
 from repro.graphs.statistics import batched_common_neighbours
 from repro.models.base import EdgeAcceptance
-from repro.utils.arrays import (
-    directed_keys_to_csr,
-    fold_sorted_keys,
-    sorted_intersect,
-)
+from repro.utils.arrays import directed_keys_to_csr, fold_sorted_keys
 from repro.utils.sampling import WeightedSampler
 
 Edge = Tuple[int, int]
-
-#: Proposals evaluated eagerly per snapshot window — also the snapshot
-#: refresh cadence: each window boundary folds the accumulated overlay
-#: forward.  (A stale-consult-triggered mid-window refresh was measured and
-#: rejected: at the accept-dominated bench tiers the O(m) folds cost more
-#: than the scalar fallbacks they avoid.)
-_EVAL_WINDOW = 16384
 
 #: Default speculation block budget for the distributional engine — the
 #: *ceiling* on the round capacity (the floor of the edge-count clamp).
@@ -102,22 +95,20 @@ _MIN_ROUND = 64
 
 
 class _SortedAdjacency:
-    """Mutable adjacency rows kept sorted, with set mirrors.
+    """Mutable adjacency rows kept sorted.
 
     Seeded from the graph's CSR view (whose rows are sorted), and kept
-    sorted through the rewiring loop's mutations with ``bisect`` insertions
+    sorted through the rewiring loops' mutations with ``bisect`` insertions
     and deletions — O(degree) C-level memmoves.  Sorted rows buy two things:
 
-    * uniform neighbour picks are plain index arithmetic, shared verbatim by
-      the sequential and batched proposal paths (bit-identity);
-    * the rows concatenate into a CSR snapshot whose directed keys are
-      already globally sorted — no argsort pass.
-
-    The lazily-built set mirrors give the batched engine O(1) membership
-    probes and O(min d) common-neighbour counts without any graph access.
+    * uniform neighbour picks are plain index arithmetic on pre-drawn
+      uniforms, shared verbatim by the exact loop and the per-proposal
+      reference in :mod:`repro.testing.reference` (bit-identity);
+    * the rows concatenate into directed keys that are already globally
+      sorted (:meth:`directed_keys`) — no argsort pass.
     """
 
-    __slots__ = ("lists", "sets")
+    __slots__ = ("lists",)
 
     def __init__(self, graph: AttributedGraph) -> None:
         indptr, indices = graph.csr()
@@ -126,67 +117,26 @@ class _SortedAdjacency:
         self.lists: List[List[int]] = [
             flat[bounds[v]:bounds[v + 1]] for v in range(graph.num_nodes)
         ]
-        self.sets: Optional[List[Set[int]]] = None
-
-    def ensure_sets(self) -> None:
-        """Build the set mirrors (the batched engine's probe structure)."""
-        if self.sets is None:
-            self.sets = [set(row) for row in self.lists]
 
     def add(self, u: int, v: int) -> None:
         insort(self.lists[u], v)
         insort(self.lists[v], u)
-        if self.sets is not None:
-            self.sets[u].add(v)
-            self.sets[v].add(u)
 
     def remove(self, u: int, v: int) -> None:
         row = self.lists[u]
         del row[bisect_left(row, v)]
         row = self.lists[v]
         del row[bisect_left(row, u)]
-        if self.sets is not None:
-            self.sets[u].discard(v)
-            self.sets[v].discard(u)
 
-    def has(self, u: int, v: int) -> bool:
-        """Membership probe against the set mirror (O(1))."""
-        return v in self.sets[u]
-
-    def count_common(self, u: int, v: int) -> int:
-        """``|Γ(u) ∩ Γ(v)|`` via the set mirrors."""
-        a, b = self.sets[u], self.sets[v]
-        if len(a) > len(b):
-            a, b = b, a
-        return len(a & b)
-
-    def pick(self, v: int, unit: float) -> Optional[int]:
-        """Uniform neighbour of ``v`` driven by a pre-drawn unit uniform."""
-        row = self.lists[v]
-        if not row:
-            return None
-        return row[min(int(unit * len(row)), len(row) - 1)]
-
-    def pick_excluding(self, v: int, excluded: int, unit: float
-                       ) -> Optional[int]:
-        """Uniform element of ``Γ(v) \\ {excluded}`` in O(log d).
-
-        Skips the excluded element by index arithmetic instead of rejection,
-        so the draw stays exactly uniform over the remaining neighbours.
-        """
-        row = self.lists[v]
-        size = len(row)
-        position = bisect_left(row, excluded)
-        if position >= size or row[position] != excluded:
-            if size == 0:
-                return None
-            return row[min(int(unit * size), size - 1)]
-        if size == 1:
-            return None
-        index = min(int(unit * (size - 1)), size - 2)
-        if index >= position:
-            index += 1
-        return row[index]
+    def directed_keys(self) -> np.ndarray:
+        """The rows as sorted directed keys ``owner * n + neighbour``."""
+        rows = self.lists
+        n = len(rows)
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        neighbours = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                                 count=int(lengths.sum()))
+        owners = np.repeat(np.arange(n), lengths)
+        return pack_edge_keys(owners, neighbours, n, dtype=np.int64)
 
 
 class _Snapshot:
@@ -249,9 +199,9 @@ def evaluate_walks(snapshot: _Snapshot, vi: np.ndarray, unit_one: np.ndarray,
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized friend-of-a-friend walks against a frozen snapshot.
 
-    Replicates :meth:`_SortedAdjacency.pick` /
-    :meth:`_SortedAdjacency.pick_excluding` index arithmetic exactly
-    (bit-identity of the exact batched engine rests on this).  Returns
+    Replicates the sorted-row pick arithmetic of the exact loop
+    (:func:`repro.testing.reference.pick` and
+    :func:`repro.testing.reference.pick_excluding`) exactly.  Returns
     ``(vk, vj, has_edge)``: the hop endpoints with ``-1`` marking dead walks
     (no neighbour, or ``Γ(vk) \\ {vi}`` empty), and the snapshot adjacency
     probe for the surviving ``{vi, vj}`` pairs.
@@ -267,7 +217,7 @@ def evaluate_walks(snapshot: _Snapshot, vi: np.ndarray, unit_one: np.ndarray,
         return vk_out, vj_out, np.zeros(size, dtype=bool)
 
     # Hop one: vk = Γ(vi)[min(int(u1 · |Γ(vi)|), |Γ(vi)| − 1)], exactly
-    # as _SortedAdjacency.pick computes it.
+    # as the exact loop computes it.
     deg_vi = lengths[vi]
     reachable = deg_vi > 0
     hop_one = np.minimum((unit_one * deg_vi).astype(np.int64), deg_vi - 1)
@@ -280,7 +230,7 @@ def evaluate_walks(snapshot: _Snapshot, vi: np.ndarray, unit_one: np.ndarray,
     )
     vk_out[reachable] = vk[reachable]
 
-    # Hop two replicates pick_excluding: vi is always a member of Γ(vk)
+    # Hop two skips vi's row position: vi is always a member of Γ(vk)
     # on the snapshot (symmetry), and its position inside the sorted row
     # is its global key rank minus the row start.
     position = np.searchsorted(sorted_keys, vk * n + vi) - indptr[vk]
@@ -302,210 +252,6 @@ def evaluate_walks(snapshot: _Snapshot, vi: np.ndarray, unit_one: np.ndarray,
     probe = np.minimum(np.searchsorted(sorted_keys, pair_keys), total - 1)
     has_edge = valid & (sorted_keys[probe] == pair_keys)
     return vk_out, vj_out, has_edge
-
-
-class _ProposalBlock:
-    """One window of rewiring proposals with an incrementally patched snapshot.
-
-    Construction evaluates walk endpoints and adjacency probes for the whole
-    window vectorized against an immutable :class:`_Snapshot`
-    (:func:`evaluate_walks`); common-neighbour counts come from vectorized
-    merges of the snapshot rows (:meth:`pair_cn`).  Accepted swaps are
-    **patched in as a delta overlay** (O(1) per swap):
-
-    * ``mutated`` — nodes whose adjacency rows changed since the snapshot;
-      a precomputed answer is consulted only while its row dependencies
-      (``vi`` for hop one, ``vk`` for hop two, ``{vi, vj}`` for the count)
-      are untouched, which makes it exactly equal to the live value;
-    * added/removed canonical edge keys — an O(1) correction that keeps the
-      adjacency *probe* exact for every proposal, mutated rows or not, and
-      the raw material for folding the snapshot forward.
-
-    :meth:`next_consult` skips provably non-viable proposals in bulk: the
-    next snapshot-viable candidate bounds a skip range, and the range is
-    verified against the mutated-node mask with three gathers.  Skip ranges
-    are disjoint across the block's lifetime, so the verification totals
-    O(block).
-
-    The exactness argument is the same as the original dirty-set design —
-    every answer depends only on the rows of the nodes involved — but the
-    overlay turns "row touched → per-proposal fallback forever" into
-    "row touched → O(1) patch, everything else stays vectorized".
-    """
-
-    __slots__ = ("_n", "_size", "_vi", "_vk", "_vj", "_has_edge",
-                 "_vi_list", "_vk_list", "_vj_list", "_edge_list",
-                 "_candidates", "_candidate_pos", "_mut_bytes", "_mut_view",
-                 "_snapshot", "num_mutated", "added", "removed")
-
-    def __init__(self, snapshot: _Snapshot, vi_block: np.ndarray,
-                 unit_block: np.ndarray) -> None:
-        size = int(vi_block.size)
-        self._n = snapshot.n
-        self._size = size
-        self._snapshot = snapshot
-        self._vi = vi_block.astype(np.int64, copy=False)
-        self._vk, self._vj, self._has_edge = evaluate_walks(
-            snapshot, self._vi,
-            unit_block[:, 0] if size else np.empty(0),
-            unit_block[:, 1] if size else np.empty(0),
-        )
-        self._candidate_pos = 0
-        # Mutated-node mask: a bytearray for ~O(50ns) scalar writes and
-        # probes, with a NumPy view over the same buffer for the skip-range
-        # gathers.
-        self._mut_bytes = bytearray(max(snapshot.n, 1))
-        self._mut_view = np.frombuffer(self._mut_bytes, dtype=np.uint8)
-        self.num_mutated = 0
-        self.added: Set[int] = set()
-        self.removed: Set[int] = set()
-        # List mirrors for the scalar consult path (a NumPy scalar unbox per
-        # read would dominate the per-consult cost).
-        self._vi_list = self._vi.tolist()
-        self._vk_list = self._vk.tolist()
-        self._vj_list = self._vj.tolist()
-        self._edge_list = self._has_edge.tolist()
-        # Static candidates: proposals viable *on the snapshot* — the second
-        # hop exists and the proposed edge is absent (pick_excluding
-        # guarantees vj != vi).  Proposals whose verdict could have flipped
-        # since necessarily depend on a mutated row and are caught by the
-        # skip-range verification in next_consult.
-        self._candidates: List[int] = np.flatnonzero(
-            (self._vj >= 0) & ~self._has_edge
-        ).tolist()
-
-    @property
-    def size(self) -> int:
-        """Number of proposals this window evaluates."""
-        return self._size
-
-    def folded_snapshot(self) -> _Snapshot:
-        """The snapshot with this window's overlay folded in (current state)."""
-        return self._snapshot.folded(self.added, self.removed)
-
-    # ------------------------------------------------------------------
-    # Bulk skipping and incremental maintenance
-    # ------------------------------------------------------------------
-    def next_consult(self, cursor: int) -> int:
-        """First index ≥ ``cursor`` that needs Python attention (or size).
-
-        That is the next *static* candidate — viable on the snapshot — or,
-        before it, the first skipped proposal whose row dependencies touch a
-        mutated node (its precomputed no-op verdict can no longer be
-        trusted).
-        """
-        candidates = self._candidates
-        position = self._candidate_pos
-        while position < len(candidates) and candidates[position] < cursor:
-            position += 1
-        self._candidate_pos = position
-        stop = candidates[position] if position < len(candidates) else self._size
-        if stop > cursor and self.num_mutated:
-            # (_vk/_vj hold -1 for dead proposals; index -1 aliases node
-            # n-1, which can only spuriously *consult* a proposal — the
-            # consult path re-derives exact answers either way.)
-            if stop - cursor <= 8:
-                mask = self._mut_bytes
-                vi, vk, vj = self._vi_list, self._vk_list, self._vj_list
-                for probe in range(cursor, stop):
-                    if mask[vi[probe]] or mask[vk[probe]] or mask[vj[probe]]:
-                        return probe
-            else:
-                # Geometric chunks: the scan stops at the first hit, so a
-                # long candidate gap dense with mutated-row proposals costs
-                # O(first-hit distance) per consult instead of re-gathering
-                # the whole remaining gap every time.
-                mutated = self._mut_view
-                chunk = 64
-                start = cursor
-                while start < stop:
-                    end = min(start + chunk, stop)
-                    hit = mutated[self._vi[start:end]]
-                    hit |= mutated[self._vk[start:end]]
-                    hit |= mutated[self._vj[start:end]]
-                    offset = int(np.argmax(hit))
-                    if hit[offset]:
-                        return start + offset
-                    start = end
-                    chunk *= 4
-        return stop
-
-    def is_mutated(self, node: int) -> bool:
-        """Whether ``node``'s row changed since this window's snapshot."""
-        return self._mut_bytes[node] != 0
-
-    def note_swap(self, removed_edge: Edge, added_edge: Optional[Edge]) -> None:
-        """Patch one accepted swap into the snapshot overlay — O(1).
-
-        Later proposals depending on a mutated row are re-armed lazily by
-        :meth:`next_consult`; everything else keeps its (still exact)
-        precomputed answers.
-        """
-        n = self._n
-        mask = self._mut_bytes
-        vq, vr = removed_edge
-        key = vq * n + vr if vq < vr else vr * n + vq
-        if key in self.added:
-            self.added.discard(key)
-        else:
-            self.removed.add(key)
-        mask[vq] = 1
-        mask[vr] = 1
-        if added_edge is not None:
-            va, vb = added_edge
-            akey = va * n + vb if va < vb else vb * n + va
-            if akey in self.removed:
-                self.removed.discard(akey)
-            else:
-                self.added.add(akey)
-            mask[va] = 1
-            mask[vb] = 1
-        self.num_mutated += 1
-
-    def edge_exists(self, index: int, vi: int, vj: int) -> bool:
-        """Current existence of edge ``{vi, vj}`` for an unmutated proposal.
-
-        The snapshot probe corrected by the O(1) overlay of edges added or
-        removed since — exact for *every* proposal, mutated rows or not.
-        """
-        key = vi * self._n + vj if vi < vj else vj * self._n + vi
-        if key in self.added:
-            return True
-        if key in self.removed:
-            return False
-        return self._edge_list[index]
-
-    def pair_cn(self, u: int, v: int) -> int:
-        """Snapshot common-neighbour count of an arbitrary pair.
-
-        Exact for the live structure while neither row is mutated.  A
-        vectorized merge of the two sorted snapshot rows — the win over the
-        set intersection grows with the row sizes, so callers gate it on
-        :meth:`row_length`.
-        """
-        snapshot = self._snapshot
-        indptr, flat = snapshot.indptr, snapshot.flat
-        return int(sorted_intersect(
-            flat[indptr[u]:indptr[u + 1]],
-            flat[indptr[v]:indptr[v + 1]],
-        ).size)
-
-    def row_length(self, node: int) -> int:
-        """Snapshot degree of ``node``."""
-        return int(self._snapshot.lengths[node])
-
-    # ------------------------------------------------------------------
-    # Precomputed answers
-    # ------------------------------------------------------------------
-    def vk(self, index: int) -> Optional[int]:
-        """First-hop endpoint of proposal ``index`` (``None``: no neighbour)."""
-        value = self._vk_list[index]
-        return None if value < 0 else value
-
-    def vj(self, index: int) -> Optional[int]:
-        """Second-hop endpoint (``None``: Γ(vk) \\ {vi} was empty)."""
-        value = self._vj_list[index]
-        return None if value < 0 else value
 
 
 class SpeculativeRewiring:

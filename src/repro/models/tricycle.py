@@ -23,40 +23,32 @@ The orphan extension of Section 3.3 is supported: degree-one nodes can be
 excluded from the π distribution and wired up afterwards by
 :func:`repro.models.postprocess.post_process_graph`.
 
-Batched proposal evaluation
----------------------------
-The exact rewiring loop runs on an engine built around **incrementally
-maintained CSR snapshots**:
+The exact rewiring loop
+-----------------------
+Exact rewiring is one plain per-proposal loop over the sorted neighbour
+rows of a :class:`~repro.models.rewiring._SortedAdjacency`, for the two
+uniform hops (index arithmetic on pre-drawn uniforms), and set mirrors of
+the rows, for the adjacency probe and the two common-neighbour counts.  The
+retired edge leaves the sets only; the sorted rows change only when a swap
+is accepted.  The graph object is not touched until the loop ends, when the
+final rows are adopted back in one vectorized pass.
 
-* the live structure is a :class:`_SortedAdjacency` (sorted neighbour rows
-  plus set mirrors); the graph object is not touched until the loop ends,
-  when the final edge set is adopted back in one vectorized pass;
-* proposal blocks evaluate walk endpoints and adjacency probes for a whole
-  window in a handful of NumPy passes against an immutable
-  :class:`_Snapshot`; common-neighbour counts come from vectorized merges
-  of the snapshot rows while the rows are untouched;
-* every accepted swap is **patched into the block as a delta overlay** —
-  the mutated-node set plus the edge keys added/removed since the snapshot
-  — in O(1), instead of funnelling all later proposals through a live
-  fallback;
-* a snapshot is *folded forward* (previous keys ⊕ overlay, a sort-free
-  array merge) whenever a new evaluation window starts, so the vectorized
-  answers keep their hit rate across whole blocks;
-* proposals that are provably non-viable — no second hop, or the proposed
-  edge already exists — are skipped in bulk with zero per-proposal Python
-  work; the skip ranges are verified against the mutated-node mask, and
-  the ranges are disjoint over a block's lifetime, so verification totals
-  O(block), not O(block · swaps).
+The loop does not evaluate proposals in vectorized blocks against a CSR
+snapshot, because on this workload such blocks do not pay.  Nearly every
+proposal is viable (13.6k of 14.3k per generation at pokec-0.01), so there
+is little to skip in bulk, and accepted swaps dirty the hub rows so fast
+that about 80% of first hops and 92% of second hops would have to be
+re-derived live anyway.  The snapshot bookkeeping then costs more than the
+work it saves.
 
-The engine is bit-identical to the per-proposal reference loop
-(:class:`repro.testing.reference.SequentialTriCycLeModel`): both share the
-same sorted-row pick semantics and presampled RNG stream, and every
-batched answer equals the live value at the moment it is consulted (pinned
+The loop is bit-identical to the per-proposal reference
+(:class:`repro.testing.reference.SequentialTriCycLeModel`): both consume the
+same presampled RNG stream and the same sorted-row pick arithmetic (pinned
 by ``tests/models/test_tricycle.py``).
 
 Speculative rewiring (``equivalence="distributional"``)
 -------------------------------------------------------
-The exact contract caps the batched engine's speedup — the workload is
+The exact contract caps the loop's speed — the workload is
 accept-dominated, so the scalar swap sequence itself is the bottleneck.
 ``equivalence="distributional"`` dispatches rewiring to
 :class:`repro.models.rewiring.SpeculativeRewiring`, which commits whole
@@ -67,6 +59,7 @@ than bit-identity; see :mod:`repro.models.rewiring` for the contract.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Deque, Optional
 
@@ -77,14 +70,7 @@ from repro.graphs.statistics import triangle_count
 from repro.models.base import EdgeAcceptance, StructuralModel
 from repro.models.chung_lu import ChungLuModel, build_pi_distribution
 from repro.models.postprocess import post_process_graph
-from repro.models.rewiring import (  # noqa: F401  (re-exported names)
-    _EVAL_WINDOW,
-    _ProposalBlock,
-    _Snapshot,
-    _SortedAdjacency,
-    Edge,
-    SpeculativeRewiring,
-)
+from repro.models.rewiring import Edge, SpeculativeRewiring, _SortedAdjacency
 from repro.utils.memory import (
     MemoryBudget,
     adjacency_set_bytes,
@@ -95,6 +81,11 @@ from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sampling import WeightedSampler
 
 _EQUIVALENCE_MODES = ("exact", "distributional")
+
+#: Rewiring proposes at most this many edges per seed edge before giving
+#: up; this keeps generation bounded when the degree sequence simply cannot
+#: support the requested number of triangles.
+_MAX_ITERATION_FACTOR = 30
 
 
 class TriCycLeModel(StructuralModel):
@@ -114,10 +105,6 @@ class TriCycLeModel(StructuralModel):
         Enable the orphan extension: exclude degree-one nodes from the π
         distribution, generate ``m - |N_1|`` seed edges, and repair
         disconnected nodes with the Algorithm 2 post-processing step.
-    max_iteration_factor:
-        The rewiring loop proposes at most ``max_iteration_factor * m`` edges
-        before giving up; this keeps generation bounded when the degree
-        sequence simply cannot support the requested number of triangles.
     equivalence:
         Rewiring equivalence contract.  ``"exact"`` (default) is
         bit-identical to the historical scalar swap sequence;
@@ -137,7 +124,6 @@ class TriCycLeModel(StructuralModel):
 
     def __init__(self, degrees: np.ndarray, num_triangles: int,
                  handle_orphans: bool = True,
-                 max_iteration_factor: int = 30,
                  equivalence: str = "exact",
                  memory_budget_mb: Optional[int] = None) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
@@ -147,8 +133,6 @@ class TriCycLeModel(StructuralModel):
             raise ValueError("degrees must be non-negative")
         if num_triangles < 0:
             raise ValueError(f"num_triangles must be non-negative, got {num_triangles}")
-        if max_iteration_factor < 1:
-            raise ValueError("max_iteration_factor must be >= 1")
         if equivalence not in _EQUIVALENCE_MODES:
             raise ValueError(
                 f"equivalence must be one of {_EQUIVALENCE_MODES}, "
@@ -156,7 +140,6 @@ class TriCycLeModel(StructuralModel):
             )
         self._num_triangles = int(num_triangles)
         self._handle_orphans = bool(handle_orphans)
-        self._max_iteration_factor = int(max_iteration_factor)
         self._equivalence = str(equivalence)
         self._memory_budget_mb = (
             None if memory_budget_mb is None else int(memory_budget_mb)
@@ -246,7 +229,7 @@ class TriCycLeModel(StructuralModel):
                 # stays attached and is fed per-round swap batches.
                 accel.record_rewiring_policy("kept")
             else:
-                # The exact loops maintain their own incremental triangle
+                # The exact loop maintains its own incremental triangle
                 # count and already pay two common-neighbour probes per
                 # proposal; piggybacking full per-edge metric maintenance
                 # would double that cost for counts nobody reads mid-loop.
@@ -256,9 +239,11 @@ class TriCycLeModel(StructuralModel):
                 accel = None
         # Admit the rewiring phase's dominant resident structures before
         # building any of them: the edge-age queue, the set-mirrored
-        # adjacency (or its speculative-engine equivalent), and the CSR
-        # snapshot plus its fold scratch (int64 directed keys, ~3 copies at
-        # the fold peak).
+        # adjacency (or its speculative-engine equivalent), and the
+        # speculative engine's CSR snapshot plus its fold scratch (int64
+        # directed keys, ~3 copies at the fold peak).  The exact loop's
+        # adoption keys fit inside the same figure, so it stays an upper
+        # bound for both engines.
         self._memory_budget.admit(
             "tricycle.rewire",
             edge_age_bytes(graph.num_edges)
@@ -276,7 +261,7 @@ class TriCycLeModel(StructuralModel):
         )
         tau = triangle_count(graph)
         target = self._num_triangles
-        max_iterations = self._max_iteration_factor * max(graph.num_edges, 1)
+        max_iterations = _MAX_ITERATION_FACTOR * max(graph.num_edges, 1)
         sampler = WeightedSampler(pi)
 
         if self._equivalence == "distributional":
@@ -287,9 +272,9 @@ class TriCycLeModel(StructuralModel):
             engine.run()
             self._last_rewiring_stats = dict(engine.stats)
         else:
-            self._rewire_batched(graph, _SortedAdjacency(graph), edge_age,
-                                 tau, target, max_iterations, sampler,
-                                 generator, acceptance)
+            self._rewire_exact(graph, _SortedAdjacency(graph), edge_age,
+                               tau, target, max_iterations, sampler,
+                               generator, acceptance)
 
         if self._handle_orphans:
             graph = post_process_graph(
@@ -303,158 +288,123 @@ class TriCycLeModel(StructuralModel):
         return graph
 
     # ------------------------------------------------------------------
-    # Batched rewiring (incremental snapshots)
+    # Exact rewiring
     # ------------------------------------------------------------------
-    def _rewire_batched(self, graph: AttributedGraph,
-                        adjacency: _SortedAdjacency,
-                        edge_age: Deque[Edge], tau: int, target: int,
-                        max_iterations: int, sampler: WeightedSampler,
-                        generator: np.random.Generator,
-                        acceptance: Optional[EdgeAcceptance]) -> None:
-        """Vectorized loop on incrementally folded snapshots.
+    def _rewire_exact(self, graph: AttributedGraph,
+                      adjacency: _SortedAdjacency,
+                      edge_age: Deque[Edge], tau: int, target: int,
+                      max_iterations: int, sampler: WeightedSampler,
+                      generator: np.random.Generator,
+                      acceptance: Optional[EdgeAcceptance]) -> None:
+        """Algorithm 1's accept/reject chain, one proposal at a time.
 
-        The graph object is untouched while rewiring: the live structure is
-        ``adjacency`` (rows + set mirrors), probes and counts run against
-        the current :class:`_ProposalBlock`'s snapshot-plus-overlay, and the
-        final edge set is adopted back into the graph in one vectorized
-        pass.  Bit-identical to the per-proposal reference loop.
+        π proposals and the uniforms driving the two hops are drawn in
+        blocks of up to 65 536 before the loop starts (also when there is
+        nothing to rewire), then again each time a block is used up; each
+        acceptance coin is one ``generator.random()`` draw in between.
+        ``edge_age`` must hold exactly the live edges, oldest first.  The
+        graph is untouched until the final rows are adopted back in one
+        pass.
         """
         block_size = max(256, min(65536, max_iterations))
         vi_block = sampler.sample_many(block_size, generator)
         unit_block = generator.random((block_size, 2))
-        cursor = 0
-        iterations = 0
-        base = 0
-        swapped = False
         if graph.num_edges == 0 or tau >= target:
             return
-        adjacency.ensure_sets()
-        snapshot = _Snapshot.from_graph(graph)
-        batch = _ProposalBlock(
-            snapshot, vi_block[:_EVAL_WINDOW], unit_block[:_EVAL_WINDOW]
-        )
-        # Scalar consults read the presampled blocks as Python lists — one
-        # bulk conversion per RNG block instead of a NumPy scalar unbox per
-        # proposal.
-        vi_list = vi_block.tolist()
-        unit_one = unit_block[:, 0].tolist()
-        unit_two = unit_block[:, 1].tolist()
+        rows = adjacency.lists
+        sets = [set(row) for row in rows]
+        if acceptance is not None:
+            # Python lists: a NumPy scalar unbox per read would dominate the
+            # loop (the presampled blocks are read the same way).
+            codes = acceptance.node_codes.tolist()
+            probabilities = acceptance.probabilities.tolist()
+            q = 1 << acceptance.num_attributes
+            coin = generator.random
+        popleft = edge_age.popleft
+        append = edge_age.append
+        remaining = max_iterations
+        swapped = False
 
-        while tau < target and iterations < max_iterations:
-            iterations += 1
-            if cursor >= block_size:
-                snapshot = batch.folded_snapshot()
-                vi_block = sampler.sample_many(block_size, generator)
-                unit_block = generator.random((block_size, 2))
-                cursor = 0
-                base = 0
-                batch = _ProposalBlock(
-                    snapshot, vi_block[:_EVAL_WINDOW], unit_block[:_EVAL_WINDOW]
-                )
-                vi_list = vi_block.tolist()
-                unit_one = unit_block[:, 0].tolist()
-                unit_two = unit_block[:, 1].tolist()
-            elif cursor >= base + batch.size:
-                # Window exhausted: fold the overlay forward and evaluate
-                # the next window against the fresh snapshot.
-                snapshot = batch.folded_snapshot()
-                base = cursor
-                batch = _ProposalBlock(
-                    snapshot,
-                    vi_block[cursor:cursor + _EVAL_WINDOW],
-                    unit_block[cursor:cursor + _EVAL_WINDOW],
-                )
-
-            index = base + batch.next_consult(cursor - base)
-            if index > cursor:
-                # Proposals [cursor, index) are provably no-ops right now;
-                # the sequential loop burns one iteration on each without
-                # touching the structure or the RNG, so only the iteration
-                # budget and the cursor move.
-                skip = min(index - cursor, max_iterations - iterations + 1)
-                iterations += skip - 1
-                cursor += skip
-                continue
-
-            vi = vi_list[cursor]
-            local = cursor - base
-            cursor += 1
-
-            is_mutated = batch.is_mutated
-            cn_hint: Optional[int] = None
-            if is_mutated(vi):
-                vk = adjacency.pick(vi, unit_one[index])
-                if vk is None:
+        # One pass of the inner loop per presampled block.  tau only moves
+        # on an accept, so the target is checked there.
+        while True:
+            count = min(block_size, remaining)
+            remaining -= count
+            for vi, hop_one, hop_two in zip(
+                vi_block[:count].tolist(),
+                unit_block[:count, 0].tolist(),
+                unit_block[:count, 1].tolist(),
+            ):
+                # Friend-of-a-friend proposal (Algorithm 1, lines 5-9): a
+                # uniform neighbour vk of vi, then a uniform neighbour vj of
+                # vk other than vi.  vi is always in Γ(vk), so the second
+                # hop skips its row position.  The clamps guard the float
+                # product against rounding up to the row length.
+                row = rows[vi]
+                size = len(row)
+                if not size:
                     continue
-                vj = adjacency.pick_excluding(vk, vi, unit_two[index])
-                if vj is None or vj == vi:
+                hop = int(hop_one * size)
+                vk = row[hop if hop < size else size - 1]
+                row = rows[vk]
+                size = len(row) - 1
+                if not size:
                     continue
-                if adjacency.has(vi, vj):
+                hop = int(hop_two * size)
+                if hop >= size:
+                    hop = size - 1
+                if hop >= bisect_left(row, vi):
+                    hop += 1
+                vj = row[hop]
+                near = sets[vi]
+                if vj in near:
                     continue
-            else:
-                vk = batch.vk(local)
-                if vk is None:
-                    continue
-                if is_mutated(vk):
-                    vj = adjacency.pick_excluding(vk, vi, unit_two[index])
-                    if vj is None or vj == vi:
+                if acceptance is not None:
+                    a, b = codes[vi], codes[vj]
+                    if a > b:
+                        a, b = b, a
+                    if not coin() <= probabilities[a * q - a * (a - 1) // 2
+                                                   + (b - a)]:
                         continue
-                    if adjacency.has(vi, vj):
-                        continue
+
+                # Retire the oldest edge from the sets, then count the
+                # proposed edge's common neighbours without it.
+                vq, vr = popleft()
+                set_q, set_r = sets[vq], sets[vr]
+                cn_old = len(set_q & set_r)
+                set_q.discard(vr)
+                set_r.discard(vq)
+                far = sets[vj]
+                cn_new = len(near & far)
+                if cn_new >= cn_old:
+                    row = rows[vq]
+                    del row[bisect_left(row, vr)]
+                    row = rows[vr]
+                    del row[bisect_left(row, vq)]
+                    insort(rows[vi], vj)
+                    insort(rows[vj], vi)
+                    near.add(vj)
+                    far.add(vi)
+                    append((vi, vj) if vi < vj else (vj, vi))
+                    swapped = True
+                    tau += cn_new - cn_old
+                    if tau >= target:
+                        break
                 else:
-                    vj = batch.vj(local)
-                    if vj is None:
-                        continue
-                    if batch.edge_exists(local, vi, vj):
-                        continue
-                    if not is_mutated(vj) and min(
-                        batch.row_length(vi), batch.row_length(vj)
-                    ) >= 64:
-                        # Large untouched rows: the vectorized snapshot
-                        # merge beats the live set intersection (identical
-                        # integers); small or mutated rows take the live
-                        # count below.
-                        cn_hint = batch.pair_cn(vi, vj)
-            if acceptance is not None and not acceptance.accepts(vi, vj, generator):
-                continue
-
-            oldest = self._pop_oldest_existing_edge_sets(adjacency, edge_age)
-            if oldest is None:
-                break
-            vq, vr = oldest
-            cn_old = adjacency.count_common(vq, vr)
-            adjacency.remove(vq, vr)
-            if cn_hint is not None and vq != vi and vq != vj \
-                    and vr != vi and vr != vj:
-                cn_new = cn_hint
+                    # Undo the removal; the retired edge becomes the
+                    # youngest so the loop cannot get stuck re-proposing
+                    # the same swap.
+                    set_q.add(vr)
+                    set_r.add(vq)
+                    append((vq, vr))
             else:
-                cn_new = adjacency.count_common(vi, vj)
-
-            if cn_new >= cn_old:
-                adjacency.add(vi, vj)
-                batch.note_swap((vq, vr), (vi, vj))
-                edge_age.append((min(vi, vj), max(vi, vj)))
-                tau += cn_new - cn_old
-                swapped = True
-            else:
-                # Undo the removal; sorted rows make the undo byte-exact,
-                # so the snapshot stays untouched.
-                adjacency.add(vq, vr)
-                edge_age.append((vq, vr))
+                if remaining:
+                    vi_block = sampler.sample_many(block_size, generator)
+                    unit_block = generator.random((block_size, 2))
+                    continue
+            break
 
         if swapped:
-            # Adopt the rewired edge set back into the graph in one
-            # vectorized pass (the edge count is invariant under swaps).
-            final = batch.folded_snapshot()
-            graph._adopt_directed_keys(final.keys, graph.num_edges)
-
-    @staticmethod
-    def _pop_oldest_existing_edge_sets(adjacency: _SortedAdjacency,
-                                       edge_age: Deque[Edge]) -> Optional[Edge]:
-        """Pop the oldest edge still present in the (set-mirrored) adjacency."""
-        sets = adjacency.sets
-        while edge_age:
-            u, v = edge_age.popleft()
-            if v in sets[u]:
-                return (u, v)
-        return None
+            # Swaps keep the edge count, so only the edge set is adopted.
+            graph._adopt_directed_keys(adjacency.directed_keys(),
+                                       graph.num_edges)

@@ -4,8 +4,9 @@ Each production phase has exactly one engine.  The per-proposal and
 per-attempt loops it replaced live on here, unchanged, so tests can pin the
 production engines against them:
 
-* :class:`SequentialTriCycLeModel` — TriCycLe with the per-proposal exact
-  rewiring loop in place of the batched engine; its outputs are
+* :class:`SequentialTriCycLeModel` — TriCycLe whose exact rewiring runs
+  the per-proposal reference loop on the live graph, with the sorted-row
+  neighbour picks :func:`pick` and :func:`pick_excluding`; its outputs are
   bit-identical to :class:`~repro.models.tricycle.TriCycLeModel`;
 * :func:`post_process_graph_scalar` — Algorithm 2 through the per-attempt
   repair loop; it consumes the RNG differently from the production engine,
@@ -23,6 +24,7 @@ and :mod:`repro.testing` does not import it either.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from itertools import islice
 from typing import Deque, List, Optional, Set
@@ -62,12 +64,12 @@ class SequentialTriCycLeModel(TriCycLeModel):
     must equal :class:`~repro.models.tricycle.TriCycLeModel`'s bit for bit.
     """
 
-    def _rewire_batched(self, graph: AttributedGraph,
-                        adjacency: _SortedAdjacency,
-                        edge_age: Deque[Edge], tau: int, target: int,
-                        max_iterations: int, sampler: WeightedSampler,
-                        generator: np.random.Generator,
-                        acceptance: Optional[EdgeAcceptance]) -> None:
+    def _rewire_exact(self, graph: AttributedGraph,
+                      adjacency: _SortedAdjacency,
+                      edge_age: Deque[Edge], tau: int, target: int,
+                      max_iterations: int, sampler: WeightedSampler,
+                      generator: np.random.Generator,
+                      acceptance: Optional[EdgeAcceptance]) -> None:
         _rewire_sequential(graph, adjacency, edge_age, tau, target,
                            max_iterations, sampler, generator, acceptance)
 
@@ -83,7 +85,7 @@ def _rewire_sequential(graph: AttributedGraph,
     π proposals and the uniforms driving the two neighbour hops are
     drawn in blocks (a scalar searchsorted plus two scalar RNG calls per
     iteration used to dominate the proposal cost); evaluation is fully
-    scalar against the live graph.  The batched loop consumes the
+    scalar against the live graph.  The production loop consumes the
     identical RNG stream.
     """
     block_size = max(256, min(65536, max_iterations))
@@ -108,10 +110,10 @@ def _rewire_sequential(graph: AttributedGraph,
         # Friend-of-a-friend proposal (Algorithm 1, lines 5-9): walk to a
         # random neighbour vk, then to a random neighbour of vk other
         # than vi.
-        vk = adjacency.pick(vi, hop_one)
+        vk = pick(adjacency, vi, hop_one)
         if vk is None:
             continue
-        vj = adjacency.pick_excluding(vk, vi, hop_two)
+        vj = pick_excluding(adjacency, vk, vi, hop_two)
         if vj is None or vj == vi:
             continue
         if graph.has_edge(vi, vj):
@@ -138,6 +140,36 @@ def _rewire_sequential(graph: AttributedGraph,
             graph.add_edge(vq, vr)
             adjacency.add(vq, vr)
             edge_age.append((vq, vr))
+
+
+def pick(adjacency: _SortedAdjacency, v: int, unit: float) -> Optional[int]:
+    """Uniform neighbour of ``v`` driven by a pre-drawn unit uniform."""
+    row = adjacency.lists[v]
+    if not row:
+        return None
+    return row[min(int(unit * len(row)), len(row) - 1)]
+
+
+def pick_excluding(adjacency: _SortedAdjacency, v: int, excluded: int,
+                   unit: float) -> Optional[int]:
+    """Uniform element of ``Γ(v) \\ {excluded}`` in O(log d).
+
+    Skips the excluded element by index arithmetic instead of rejection,
+    so the draw stays exactly uniform over the remaining neighbours.
+    """
+    row = adjacency.lists[v]
+    size = len(row)
+    position = bisect_left(row, excluded)
+    if position >= size or row[position] != excluded:
+        if size == 0:
+            return None
+        return row[min(int(unit * size), size - 1)]
+    if size == 1:
+        return None
+    index = min(int(unit * (size - 1)), size - 2)
+    if index >= position:
+        index += 1
+    return row[index]
 
 
 def _pop_oldest_existing_edge(graph: AttributedGraph,

@@ -9,20 +9,22 @@ dense-speed path was simply unavailable at epinions/pokec scale.
 :class:`PartitionedKeyBitmap` removes the hard gate.  The key space is
 partitioned into blocks of ``2**13`` consecutive keys (a key's block is
 ``key >> 13``) and a **packed 1 KiB bitmap is allocated only for blocks that
-actually contain keys**.  Membership is a vectorized three-step pass:
-``searchsorted`` of the query blocks into the (small) sorted allocated-block
-table, one byte gather, one bit test.  For graphs below the old gate this
-strictly dominates the dense table (same O(1) probes, a fraction of the
-memory); above it, it keeps bitmap probes available as long as the key
-*density* allows.
+actually contain keys**.  A dense block → slot table over the allocated
+blocks' range (``-1`` for absent blocks) locates each bitmap, so membership
+is a vectorized three-step pass: one table gather, one byte gather, one bit
+test.  For graphs below the old gate this strictly dominates the dense
+table (same O(1) probes, a fraction of the memory); above it, it keeps
+bitmap probes available as long as the key *density* allows.
 
 Memory stays bounded: building is subject to a byte budget
-(``REPRO_MEMBERSHIP_BUDGET_MB``, default 256) and callers fall back to
+(``REPRO_MEMBERSHIP_BUDGET_MB``, default 256) that counts the bitmaps and
+the slot table, and callers fall back to
 :func:`repro.utils.arrays.sorted_membership` when scattered keys would
-allocate too many blocks.  :func:`membership_probe` packages that decision;
-:class:`DynamicKeySet` adds incremental insertion (with block growth and a
-transparent downgrade to the sorted representation) for the batched
-generators' cross-round collision tracking.
+allocate too many blocks or span too wide a block range.
+:func:`membership_probe` packages that decision; :class:`DynamicKeySet`
+adds incremental insertion (with block growth and a transparent downgrade
+to the sorted representation) for the batched generators' cross-round
+collision tracking.
 """
 
 from __future__ import annotations
@@ -63,14 +65,45 @@ def _default_budget_bytes() -> int:
 DEFAULT_BUDGET_BYTES = _default_budget_bytes()
 
 
+def _slot_dtype(num_blocks: int) -> np.dtype:
+    """Signed slot width: int32 while every slot fits, int64 beyond."""
+    return np.dtype(np.int32) if num_blocks <= np.iinfo(np.int32).max \
+        else np.dtype(np.int64)
+
+
+def _slot_table(block_ids: np.ndarray) -> np.ndarray:
+    """Dense block → slot table over ``block_ids[0] .. block_ids[-1]``.
+
+    ``-1`` marks an absent block.  One trailing ``-1`` sentinel lets a
+    query clip every out-of-range block onto an absent entry (index ``-1``
+    for blocks below the range, the last index for blocks above it).
+    """
+    if block_ids.size == 0:
+        return np.empty(0, dtype=_slot_dtype(0))
+    table = np.full(int(block_ids[-1] - block_ids[0]) + 2, -1,
+                    dtype=_slot_dtype(block_ids.size))
+    table[block_ids - block_ids[0]] = np.arange(block_ids.size)
+    return table
+
+
+def _footprint(block_ids: np.ndarray) -> int:
+    """Bytes of the bitmaps plus slot table over sorted unique ``block_ids``."""
+    if block_ids.size == 0:
+        return 0
+    span = int(block_ids[-1] - block_ids[0]) + 2
+    return int(block_ids.size) * BLOCK_BYTES \
+        + span * _slot_dtype(block_ids.size).itemsize
+
+
 class PartitionedKeyBitmap:
     """Per-block packed bitmaps over a sparse set of non-negative int keys."""
 
-    __slots__ = ("_block_ids", "_bits")
+    __slots__ = ("_block_ids", "_bits", "_slots")
 
     def __init__(self, block_ids: np.ndarray, bits: np.ndarray) -> None:
         self._block_ids = block_ids
         self._bits = bits
+        self._slots = _slot_table(block_ids)
 
     # ------------------------------------------------------------------
     # Construction
@@ -93,16 +126,14 @@ class PartitionedKeyBitmap:
 
     @staticmethod
     def projected_bytes(keys: np.ndarray) -> int:
-        """Bitmap bytes that :meth:`build` would allocate for ``keys``."""
+        """Bytes (bitmaps plus slot table) :meth:`build` allocates for ``keys``."""
         keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return 0
-        return int(np.unique(keys >> BLOCK_BITS).size) * BLOCK_BYTES
+        return _footprint(np.unique(keys >> BLOCK_BITS))
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the packed bitmaps."""
-        return int(self._bits.size)
+        """Bytes held by the packed bitmaps and the slot table."""
+        return int(self._bits.size) + int(self._slots.nbytes)
 
     @property
     def num_blocks(self) -> int:
@@ -115,19 +146,18 @@ class PartitionedKeyBitmap:
     def contains(self, queries: np.ndarray) -> np.ndarray:
         """Boolean mask: which ``queries`` are members of the key set."""
         queries = np.asarray(queries, dtype=np.int64)
-        result = np.zeros(queries.shape, dtype=bool)
         if queries.size == 0 or self._block_ids.size == 0:
-            return result
-        query_blocks = queries >> BLOCK_BITS
-        slots = np.searchsorted(self._block_ids, query_blocks)
-        valid = slots < self._block_ids.size
-        valid[valid] = self._block_ids[slots[valid]] == query_blocks[valid]
-        if not valid.any():
-            return result
-        offsets = queries[valid] & (BLOCK_KEYS - 1)
-        bytes_ = self._bits[slots[valid] * BLOCK_BYTES + (offsets >> 3)]
-        result[valid] = (bytes_ >> (offsets & 7).astype(np.uint8)) & 1 != 0
-        return result
+            return np.zeros(queries.shape, dtype=bool)
+        table = self._slots
+        slots = table[np.clip((queries >> BLOCK_BITS) - self._block_ids[0],
+                              -1, table.size - 1)]
+        offsets = queries & (BLOCK_KEYS - 1)
+        # An absent block's slot is -1, so its byte index lands inside the
+        # last bitmap; the slot test below discards whatever bit it reads.
+        bytes_ = self._bits[np.multiply(slots, BLOCK_BYTES, dtype=np.int64)
+                            + (offsets >> 3)]
+        return (slots >= 0) & ((bytes_ >> (offsets & 7).astype(np.uint8)) & 1
+                               != 0)
 
     def add_key(self, key: int) -> None:
         """Insert one key — the O(1) scalar fast path of :meth:`add`.
@@ -137,9 +167,11 @@ class PartitionedKeyBitmap:
         vectorized machinery (unique, membership probe, segmented scatter)
         per single-element array.
         """
-        block = key >> BLOCK_BITS
-        slot = int(np.searchsorted(self._block_ids, block))
-        if slot >= self._block_ids.size or self._block_ids[slot] != block:
+        table = self._slots
+        row = (key >> BLOCK_BITS) - int(self._block_ids[0]) \
+            if table.size else -1
+        slot = int(table[row]) if 0 <= row < table.size else -1
+        if slot < 0:
             self.add(np.array([key], dtype=np.int64))
             return
         offset = key & (BLOCK_KEYS - 1)
@@ -167,6 +199,7 @@ class PartitionedKeyBitmap:
                     self._bits.reshape(-1, BLOCK_BYTES)
             self._block_ids = merged
             self._bits = bits
+            self._slots = _slot_table(merged)
         self._scatter(keys)
 
     def _scatter(self, keys: np.ndarray) -> None:
@@ -175,12 +208,13 @@ class PartitionedKeyBitmap:
 
     def _scatter_sorted(self, keys: np.ndarray) -> None:
         """Like :meth:`_scatter` for keys already in sorted order."""
-        slots = np.searchsorted(self._block_ids, keys >> BLOCK_BITS)
+        slots = self._slots[(keys >> BLOCK_BITS) - self._block_ids[0]]
         offsets = keys & (BLOCK_KEYS - 1)
         masks = np.left_shift(
             np.uint8(1), (offsets & 7).astype(np.uint8), dtype=np.uint8
         )
-        byte_positions = slots * BLOCK_BYTES + (offsets >> 3)
+        byte_positions = np.multiply(slots, BLOCK_BYTES, dtype=np.int64) \
+            + (offsets >> 3)
         # Sorted keys give non-decreasing byte positions, so the per-byte OR
         # is one segmented reduction (``bitwise_or.at`` measures ~20x
         # slower) followed by a unique-index scatter.
@@ -198,15 +232,16 @@ def membership_probe(sorted_keys: np.ndarray,
     """Best membership test for a *static* sorted key array.
 
     Returns a callable ``probe(queries) -> bool mask``: a
-    :class:`PartitionedKeyBitmap` when its blocks fit the byte budget, the
-    plain :func:`sorted_membership` binary search otherwise.
+    :class:`PartitionedKeyBitmap` when its blocks and slot table fit the
+    byte budget, the plain :func:`sorted_membership` binary search
+    otherwise.
     """
     if budget_bytes is None:
         budget_bytes = DEFAULT_BUDGET_BYTES
     sorted_keys = np.asarray(sorted_keys, dtype=np.int64)
     if sorted_keys.size:
         block_ids = _sorted_unique(sorted_keys >> BLOCK_BITS)
-        if block_ids.size * BLOCK_BYTES <= budget_bytes:
+        if _footprint(block_ids) <= budget_bytes:
             bits = np.zeros(block_ids.size * BLOCK_BYTES, dtype=np.uint8)
             bitmap = PartitionedKeyBitmap(block_ids, bits)
             bitmap._scatter_sorted(sorted_keys)
@@ -266,8 +301,8 @@ class DynamicKeySet:
         )
         if self._bitmap is None:
             return
-        extra = PartitionedKeyBitmap.projected_bytes(fresh)
-        if self._bitmap.nbytes + extra > self._budget:
+        # The bitmap after the insertion covers exactly the sorted keys.
+        if _footprint(_sorted_unique(self._keys >> BLOCK_BITS)) > self._budget:
             self._bitmap = None
             return
         self._bitmap.add(fresh)

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.models.tricycle as tricycle
+from repro.attributes.encoding import EdgeConfigurationEncoder
 from repro.datasets.synthetic import powerlaw_degree_sequence
 from repro.graphs.components import is_connected
 from repro.graphs.statistics import degree_sequence, triangle_count
+from repro.models.base import EdgeAcceptance
 from repro.models.tricycle import TriCycLeModel
 from repro.params.structural import fit_tricycle
 from repro.testing.reference import SequentialTriCycLeModel
@@ -18,8 +22,6 @@ class TestConstruction:
             TriCycLeModel(np.array([-1, 2]), 5)
         with pytest.raises(ValueError):
             TriCycLeModel(np.array([1, 2]), -5)
-        with pytest.raises(ValueError):
-            TriCycLeModel(np.array([1, 2]), 5, max_iteration_factor=0)
 
     def test_target_edges(self):
         model = TriCycLeModel(np.array([2, 2, 2]), 1)
@@ -112,9 +114,74 @@ class TestEdgeAgeOrder:
         assert triangle_count(graph) >= 0.9 * target
 
 
+@st.composite
+def rewiring_cases(draw):
+    """Small degree sequences with zero-degree rows and many degree-one
+    nodes, triangle targets from 0 to unreachable, and an optional
+    acceptance vector."""
+    core = draw(st.lists(st.integers(2, 9), min_size=1, max_size=30))
+    ones = draw(st.integers(0, 20))
+    zeros = draw(st.integers(0, 4))
+    degrees = np.array(core + [1] * ones + [0] * zeros, dtype=np.int64)
+    degrees = degrees[draw(st.permutations(range(degrees.size)))]
+    target = draw(st.one_of(st.integers(0, 60), st.just(10 ** 6)))
+    # The orphan repair warns on sequences too sparse to connect.
+    handle_orphans = draw(st.booleans()) \
+        and degrees.sum() // 2 >= degrees.size - 1
+    acceptance = None
+    if draw(st.booleans()):
+        w = draw(st.integers(1, 2))
+        size = EdgeConfigurationEncoder(w).num_configurations
+        acceptance = EdgeAcceptance(
+            probabilities=np.array(draw(st.lists(
+                st.floats(0.0, 1.0), min_size=size, max_size=size,
+            ))),
+            node_codes=np.array(draw(st.lists(
+                st.integers(0, (1 << w) - 1),
+                min_size=degrees.size, max_size=degrees.size,
+            )), dtype=np.int64),
+            num_attributes=w,
+        )
+    seed = draw(st.integers(0, 2 ** 16))
+    return degrees, target, handle_orphans, acceptance, seed
+
+
 class TestBatchedProposalEquivalence:
-    """The vectorized proposal-block engine must be bit-identical to the
-    sequential per-proposal oracle — same RNG stream, same graph out."""
+    """The exact rewiring loop must be bit-identical to the sequential
+    per-proposal oracle — same RNG stream, same graph out."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rewiring_cases())
+    def test_equals_sequential_on_small_sequences(self, case):
+        degrees, target, handle_orphans, acceptance, seed = case
+        exact = TriCycLeModel(
+            degrees, target, handle_orphans=handle_orphans,
+        ).generate(rng=seed, acceptance=acceptance)
+        sequential = SequentialTriCycLeModel(
+            degrees, target, handle_orphans=handle_orphans,
+        ).generate(rng=seed, acceptance=acceptance)
+        assert exact == sequential
+
+    def test_second_proposal_block(self, monkeypatch):
+        """m > 2 184 edges lifts the iteration budget past one 65 536
+        block, and an unreachable target spends all of it."""
+        degrees = np.full(600, 8, dtype=np.int64)
+        blocks = []
+
+        class CountingSampler(tricycle.WeightedSampler):
+            def sample_many(self, count, generator, **kwargs):
+                blocks.append(count)
+                return super().sample_many(count, generator, **kwargs)
+
+        monkeypatch.setattr(tricycle, "WeightedSampler", CountingSampler)
+        exact = TriCycLeModel(
+            degrees, 10 ** 7, handle_orphans=False,
+        ).generate(rng=4)
+        assert blocks.count(65536) == 2
+        sequential = SequentialTriCycLeModel(
+            degrees, 10 ** 7, handle_orphans=False,
+        ).generate(rng=4)
+        assert exact == sequential
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 13])
     def test_batched_equals_sequential(self, small_social_graph, seed):

@@ -85,6 +85,54 @@ class TestPartitionedKeyBitmap:
         assert PartitionedKeyBitmap.projected_bytes(keys) == \
             PartitionedKeyBitmap.build(keys).nbytes
 
+    def test_queries_outside_the_block_range(self):
+        # Blocks 5 and 9 only: queries below block 5, inside the absent
+        # blocks between, and above block 9 (including far past it).
+        keys = np.array([5 * BLOCK_KEYS + 3, 9 * BLOCK_KEYS + 8],
+                        dtype=np.int64)
+        bitmap = PartitionedKeyBitmap.build(keys)
+        queries = np.array([
+            0, 3, 4 * BLOCK_KEYS + 3, 5 * BLOCK_KEYS - 1,
+            5 * BLOCK_KEYS + 3, 7 * BLOCK_KEYS + 3, 9 * BLOCK_KEYS + 8,
+            10 * BLOCK_KEYS + 8, 10 * BLOCK_KEYS, 1 << 40,
+        ], dtype=np.int64)
+        assert np.array_equal(
+            bitmap.contains(queries), sorted_membership(keys, queries)
+        )
+
+    def test_empty_bitmap_accepts_inserts(self):
+        bitmap = PartitionedKeyBitmap.build(np.empty(0, dtype=np.int64))
+        assert not bitmap.contains(np.array([0, 1 << 30])).any()
+        bitmap.add_key(7 * BLOCK_KEYS + 1)
+        bitmap.add(np.array([2 * BLOCK_KEYS], dtype=np.int64))
+        queries = np.arange(10 * BLOCK_KEYS, dtype=np.int64)
+        expected = np.array([2 * BLOCK_KEYS, 7 * BLOCK_KEYS + 1])
+        assert np.array_equal(
+            bitmap.contains(queries), sorted_membership(expected, queries)
+        )
+
+    @pytest.mark.parametrize("block", [0, 3, 6, 40])
+    def test_add_inserts_blocks_anywhere(self, block):
+        # Existing blocks 2 and 5; the new block lands before (0), between
+        # (3), right after (6) or far after (40) them, through both the
+        # vectorized and the scalar insert.
+        keys = np.array([2 * BLOCK_KEYS + 1, 5 * BLOCK_KEYS + 2],
+                        dtype=np.int64)
+        fresh = block * BLOCK_KEYS + np.array([0, 77, BLOCK_KEYS - 1])
+        vectorized = PartitionedKeyBitmap.build(keys)
+        vectorized.add(fresh)
+        scalar = PartitionedKeyBitmap.build(keys)
+        for key in fresh.tolist():
+            scalar.add_key(key)
+        reference = np.union1d(keys, fresh)
+        queries = np.arange(42 * BLOCK_KEYS, dtype=np.int64)
+        expected = sorted_membership(reference, queries)
+        for bitmap in (vectorized, scalar):
+            assert bitmap.num_blocks == 3
+            assert bitmap.nbytes == \
+                PartitionedKeyBitmap.projected_bytes(reference)
+            assert np.array_equal(bitmap.contains(queries), expected)
+
 
 class TestMembershipProbe:
     def test_budget_zero_falls_back_to_sorted(self):
@@ -103,6 +151,22 @@ class TestMembershipProbe:
         slow = membership_probe(keys, budget_bytes=0)
         assert np.array_equal(fast(queries), slow(queries))
 
+    def test_budget_counts_the_slot_table(self):
+        # Two blocks far apart: 2 KiB of bitmaps fit the budget, the slot
+        # table spanning the ~1000 blocks between them does not.
+        keys = np.array([1, 1000 * BLOCK_KEYS + 1], dtype=np.int64)
+        bitmap_bytes = 2 * (BLOCK_KEYS >> 3)
+        projected = PartitionedKeyBitmap.projected_bytes(keys)
+        assert projected > bitmap_bytes + 1000
+        fits = membership_probe(keys, budget_bytes=projected)
+        assert isinstance(getattr(fits, "__self__", None),
+                          PartitionedKeyBitmap)
+        probe = membership_probe(keys, budget_bytes=bitmap_bytes)
+        assert not isinstance(getattr(probe, "__self__", None),
+                              PartitionedKeyBitmap)
+        queries = np.array([0, 1, 2, 1000 * BLOCK_KEYS + 1], dtype=np.int64)
+        assert np.array_equal(probe(queries), [False, True, False, True])
+
 
 class TestDynamicKeySet:
     def test_downgrades_when_budget_exhausted(self):
@@ -120,6 +184,20 @@ class TestDynamicKeySet:
         assert np.array_equal(
             seen.contains(queries), sorted_membership(reference, queries)
         )
+
+    def test_budget_counts_the_slot_table(self):
+        near = np.array([1], dtype=np.int64)
+        far = np.array([1000 * BLOCK_KEYS + 1], dtype=np.int64)
+        bitmap_bytes = 2 * (BLOCK_KEYS >> 3)
+        assert not DynamicKeySet(np.union1d(near, far),
+                                 budget_bytes=bitmap_bytes).uses_bitmap
+        # Growing into a far block fits the bitmaps but not the table.
+        seen = DynamicKeySet(near, budget_bytes=bitmap_bytes + 64)
+        assert seen.uses_bitmap
+        seen.add(far)
+        assert not seen.uses_bitmap
+        queries = np.array([0, 1, 1000 * BLOCK_KEYS + 1], dtype=np.int64)
+        assert np.array_equal(seen.contains(queries), [False, True, True])
 
     def test_add_keeps_answers_exact(self):
         rng = np.random.default_rng(9)
