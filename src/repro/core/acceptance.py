@@ -29,11 +29,13 @@ _UNOBSERVED_RATIO = np.inf
 #: structural samplers keep proposing edges until the target edge count is
 #: reached, the *relative* acceptance values fully determine the attribute
 #: composition of the output; a uniform rescaling only affects how many
-#: proposals are needed.  Enforcing a floor on the expected acceptance rate
-#: therefore keeps generation time bounded without changing the model, except
-#: that configurations pushed above one by the rescaling are clipped (those
-#: are exactly the most under-represented ones, which the paper's supremum
-#: normalisation already pins to one).
+#: proposals are needed.  Chung-Lu draws its accepted pairs directly, so
+#: its time does not depend on the rate; the floor still bounds the
+#: proposals that orphan repair, TriCycLe rewiring and TCL spend on their
+#: acceptance coins.  It is part of the model, not a tuning knob: raising
+#: the rate clips configurations pushed above one (exactly the most
+#: under-represented ones, which the paper's supremum normalisation already
+#: pins to one), so changing it changes ``A``.
 _MIN_EXPECTED_ACCEPTANCE = 0.1
 
 

@@ -33,7 +33,8 @@ class EdgeAcceptance:
     Attributes
     ----------
     probabilities:
-        Array indexed by edge-configuration code, values in ``[0, 1]``.
+        Array indexed by edge-configuration code, finite values in
+        ``[0, 1]``.
     node_codes:
         Array of length ``n`` giving the attribute-configuration code of each
         synthetic node.
@@ -53,6 +54,14 @@ class EdgeAcceptance:
                 f"probabilities must have length {encoder.num_configurations}, "
                 f"got shape {probs.shape}"
             )
+        non_finite = np.flatnonzero(~np.isfinite(probs))
+        if non_finite.size:
+            config = int(non_finite[0])
+            raise ValueError(
+                f"acceptance probability of edge configuration {config} "
+                f"(node codes {encoder.decode(config)}) is {probs[config]}; "
+                "entries must be finite"
+            )
         if np.any(probs < 0) or np.any(probs > 1):
             raise ValueError("acceptance probabilities must lie in [0, 1]")
         codes = np.asarray(self.node_codes, dtype=np.int64)
@@ -60,15 +69,29 @@ class EdgeAcceptance:
             raise ValueError("node_codes must be one-dimensional")
         if codes.size and (codes.min() < 0 or codes.max() >= (1 << self.num_attributes)):
             raise ValueError("node_codes contain values outside the configuration range")
+        # The symmetric q x q view over node codes: (a, b) and (b, a) both
+        # read the unordered configuration {a, b}.
+        q = 1 << self.num_attributes
+        # int64: the encoder's a * q - a * (a - 1) // 2 wraps at narrow widths.
+        rows, cols = np.divmod(np.arange(q * q, dtype=np.int64), q)
+        matrix = probs[encoder.encode_codes_array(rows, cols)].reshape(q, q)
+        matrix.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "node_codes", codes)
-        object.__setattr__(self, "_encoder", encoder)
+        object.__setattr__(self, "_matrix", matrix)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Read-only ``2^w x 2^w`` acceptance matrix indexed by node codes.
+
+        ``matrix[a, b] == matrix[b, a]`` is the probability of the unordered
+        configuration ``{a, b}``: the same floats as ``probabilities``.
+        """
+        return object.__getattribute__(self, "_matrix")
 
     def probability(self, u: int, v: int) -> float:
         """Acceptance probability for the proposed edge ``{u, v}``."""
-        encoder: EdgeConfigurationEncoder = object.__getattribute__(self, "_encoder")
-        code = encoder.encode_codes(int(self.node_codes[u]), int(self.node_codes[v]))
-        return float(self.probabilities[code])
+        return float(self.matrix[self.node_codes[u], self.node_codes[v]])
 
     def accepts(self, u: int, v: int, rng: np.random.Generator) -> bool:
         """Randomly decide whether to accept the proposed edge ``{u, v}``."""
@@ -76,10 +99,8 @@ class EdgeAcceptance:
 
     def pair_probabilities(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized acceptance probabilities for parallel endpoint arrays."""
-        encoder: EdgeConfigurationEncoder = object.__getattribute__(self, "_encoder")
         codes = self.node_codes
-        pair_codes = encoder.encode_codes_array(codes[us], codes[vs])
-        return self.probabilities[pair_codes]
+        return self.matrix[codes[us], codes[vs]]
 
 
 class StructuralModel(abc.ABC):

@@ -4,6 +4,11 @@ Each production phase has exactly one engine.  The per-proposal and
 per-attempt loops it replaced live on here, unchanged, so tests can pin the
 production engines against them:
 
+* :class:`RejectionChungLuModel` — Chung-Lu whose acceptance filter flips
+  one coin per π×π proposal, as the production sampler did before it drew
+  the accepted pairs from their exact law; unfiltered generations are
+  bit-identical to :class:`~repro.models.chung_lu.ChungLuModel`, filtered
+  ones agree in distribution, not per seed;
 * :class:`SequentialTriCycLeModel` — TriCycLe whose exact rewiring runs
   the per-proposal reference loop on the live graph, with the sorted-row
   neighbour picks :func:`pick` and :func:`pick_excluding`; its outputs are
@@ -27,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from itertools import islice
-from typing import Deque, List, Optional, Set
+from typing import Deque, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -46,12 +51,47 @@ from repro.metrics.distributions import (
 from repro.metrics.evaluation import EvaluationReport
 from repro.metrics.graph_metrics import degree_hellinger, degree_ks
 from repro.models.base import EdgeAcceptance
+from repro.models.chung_lu import ChungLuModel, _Proposals
 from repro.models.postprocess import _STALL_LIMIT, _warn_infeasible
 from repro.models.rewiring import Edge, _SortedAdjacency
 from repro.models.tricycle import TriCycLeModel
 from repro.params.correlations import connection_probabilities
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sampling import WeightedSampler
+
+
+# ----------------------------------------------------------------------
+# Chung-Lu acceptance: one coin per proposal
+# ----------------------------------------------------------------------
+class RejectionChungLuModel(ChungLuModel):
+    """Chung-Lu whose acceptance filter is one coin per π×π proposal.
+
+    Everything but the pair helper is inherited.  Its rows are proposals
+    (``rate`` 1), so a round spends as many proposals as it wants rows and
+    keeps those whose coin lands under ``A(c_u, c_v)``: the rejection
+    sampler the accepted-pair join replaced, stream for stream.
+    """
+
+    def _pair_source(self, acceptance: Optional[EdgeAcceptance]
+                     ) -> _Proposals:
+        if acceptance is None:
+            return super()._pair_source(acceptance)
+        return _CoinProposals(self.pi_distribution(), acceptance)
+
+
+class _CoinProposals(_Proposals):
+    """π×π proposals filtered by one acceptance coin each."""
+
+    def __init__(self, pi: np.ndarray, acceptance: EdgeAcceptance) -> None:
+        super().__init__(pi)
+        self._acceptance = acceptance
+
+    def draw(self, rows: int, generator: np.random.Generator
+             ) -> Tuple[np.ndarray, np.ndarray]:
+        us, vs = super().draw(rows, generator)
+        coins = generator.random(rows)
+        keep = coins <= self._acceptance.pair_probabilities(us, vs)
+        return us[keep], vs[keep]
 
 
 # ----------------------------------------------------------------------

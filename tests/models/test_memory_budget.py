@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.attributed import AttributedGraph
+from repro.models.base import EdgeAcceptance
 from repro.models.chung_lu import ChungLuModel
 from repro.models.tricycle import TriCycLeModel
 from repro.utils.memory import BUDGET_ENV_VAR, MemoryBudgetError
@@ -31,6 +32,28 @@ def _degree_sequence(n, average, seed=0):
     if degrees.sum() % 2:
         degrees[0] += 1
     return degrees
+
+
+def _acceptance(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return EdgeAcceptance(rng.uniform(0.1, 1.0, 10),
+                          rng.integers(0, 4, n), num_attributes=2)
+
+
+class _RecordedDraws(ChungLuModel):
+    """Records the rows of every draw a generation makes."""
+
+    def _pair_source(self, acceptance):
+        source = super()._pair_source(acceptance)
+        self.draws = []
+        draw = source.draw
+
+        def recorded(rows, generator):
+            self.draws.append(rows)
+            return draw(rows, generator)
+
+        source.draw = recorded
+        return source
 
 
 class TestChungLuBudget:
@@ -60,6 +83,33 @@ class TestChungLuBudget:
         assert graph.num_edges == model.effective_target_edges()
         us, vs = graph.edge_arrays()
         assert np.all(us < vs)  # simple, canonical
+
+    @pytest.mark.parametrize("bias_correction", [True, False])
+    def test_unbinding_budget_with_acceptance_is_bit_identical(
+            self, bias_correction):
+        degrees = _degree_sequence(500, 6)
+        acceptance = _acceptance(degrees.size)
+        plain = ChungLuModel(degrees, bias_correction=bias_correction)\
+            .generate(rng=13, acceptance=acceptance)
+        budgeted = ChungLuModel(
+            degrees, bias_correction=bias_correction, memory_budget_mb=256
+        ).generate(rng=13, acceptance=acceptance)
+        assert budgeted == plain
+
+    def test_binding_cap_with_acceptance_bounds_accepted_rows(self):
+        # As above, with an acceptance vector: the cap bounds the accepted
+        # rows of every draw (a round whose Binomial count overshoots the
+        # cap is split into shards), and the target is still hit.
+        degrees = _degree_sequence(8000, 8, seed=3)
+        model = _RecordedDraws(degrees, memory_budget_mb=2)
+        cap = model._memory_budget.shard_rows(96, minimum=2048)
+        assert cap < model.effective_target_edges()
+        graph = model.generate(rng=7, acceptance=_acceptance(degrees.size))
+        assert graph.num_edges == model.effective_target_edges()
+        assert max(model.draws) <= cap
+        assert model.draws[0] == cap  # this seed's first round overshoots
+        us, vs = graph.edge_arrays()
+        assert np.all(us < vs)
 
     def test_binding_cap_plain_fcl_matches_unbudgeted_edge_budgets(self):
         degrees = _degree_sequence(5000, 8, seed=3)
