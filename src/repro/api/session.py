@@ -56,7 +56,9 @@ def _default_cache_size() -> int:
     try:
         size = int(raw)
     except ValueError:
-        return DEFAULT_CACHE_SIZE
+        raise ValueError(
+            f"{CACHE_SIZE_ENV_VAR}={raw!r} is not an integer"
+        ) from None
     return max(1, size)
 
 
@@ -67,7 +69,8 @@ class ReleaseSession:
     ----------
     max_artifacts:
         Upper bound on cached artifacts (LRU eviction).  Defaults to the
-        ``REPRO_ARTIFACT_CACHE_SIZE`` environment variable, or 64.
+        ``REPRO_ARTIFACT_CACHE_SIZE`` environment variable, or 64; a value
+        there that is not an integer raises :class:`ValueError`.
     ledger_store:
         Optional :class:`~repro.privacy.ledger.LedgerStore`.  When set,
         every *private* fit runs as a durable two-phase spend against the
@@ -350,12 +353,6 @@ class ReleaseSession:
             "report": outcome.report.as_paper_row(),
             "spends": outcome.spend_summary(),
             "manifest": manifest.to_dict() if manifest is not None else None,
-            # Maintained-vs-recomputed counters of the first trial's
-            # metrics accelerator (diagnosability of the evaluation leg).
-            "metrics_accelerator": (
-                manifest.extra.get("metrics_accelerator")
-                if manifest is not None else None
-            ),
         }
 
     # ------------------------------------------------------------------

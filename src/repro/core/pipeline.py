@@ -335,14 +335,11 @@ class EvaluateStage(PipelineStage):
     def run(self, context: PipelineContext) -> None:
         if not context.pipeline.evaluate:
             return
-        from repro.metrics.incremental import (
-            accelerator_stats,
-            prepare_original_graph,
-        )
+        from repro.metrics.incremental import prepare_original_graph
 
         # Prime the input side once (idempotent across trials sharing the
         # graph object): every report below then reads the original's
-        # triangle census, wedge count and Θ_F probabilities in O(1).
+        # triangle census and Θ_F probabilities from its statistics memo.
         prepare_original_graph(context.graph)
         context.reports = [
             evaluate_synthetic_graph(context.graph, synthetic)
@@ -350,9 +347,6 @@ class EvaluateStage(PipelineStage):
         ]
         if context.reports:
             context.report = average_reports(context.reports)
-        stats = accelerator_stats(context.graph)
-        if stats is not None:
-            context.manifest.extra["metrics_accelerator"] = stats
 
 
 # ----------------------------------------------------------------------

@@ -251,10 +251,10 @@ def run_trials_detailed(graph: AttributedGraph, config: ExperimentConfig,
 
         parameters = learn_agm(graph, backend=config.backend)
 
-    # Warm the evaluation baseline once: the accelerator's primed counts
-    # and memoized Θ_F probabilities ride into every serial trial directly
-    # and into every worker process through the pool initializer's pickled
-    # graph, so per-trial evaluation touches the original in O(1).
+    # Warm the evaluation baseline once: its memoized triangle census and
+    # Θ_F probabilities ride into every serial trial directly and into
+    # every worker process through the pool initializer's pickled graph,
+    # so per-trial evaluation never rescans the original.
     from repro.metrics.incremental import prepare_original_graph
 
     prepare_original_graph(graph)

@@ -7,7 +7,6 @@ truncation operator from Definition 2 of the paper, connected-component
 utilities and simple edge-list / attribute-table I/O.
 """
 
-from repro.graphs.accel import MetricsAccelerator
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.components import (
     BudgetedReachability,
@@ -31,7 +30,6 @@ from repro.graphs.truncation import truncate_edges
 
 __all__ = [
     "AttributedGraph",
-    "MetricsAccelerator",
     "BudgetedReachability",
     "component_labels",
     "connected_components",

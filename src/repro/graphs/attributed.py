@@ -37,11 +37,26 @@ caller asks for set semantics, and once built they are kept in sync by the
 mutation methods (and double as an O(1) accelerator for scalar membership
 probes).  Pipelines that stick to the CSR/overlay API never pay the
 per-edge Python ``set`` construction cost.
+
+Statistics memo
+---------------
+A graph that is scored many times without changing (an evaluation
+baseline, a released sample) can opt in to a statistics memo with
+:meth:`AttributedGraph.enable_statistics_memo`.  While it is on, the
+public kernels of :mod:`repro.graphs.statistics` and the evaluation
+helpers keep what they compute there — the triangle census, the
+common-neighbour maximum, the Θ_F probabilities — and read it back
+instead of rescanning.  Every edge or attribute write clears it, copies
+and derived graphs start without it, and pickling keeps it.  A graph that
+never turned it on computes every statistic afresh and stores nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+    Set, Tuple,
+)
 
 import numpy as np
 
@@ -110,9 +125,8 @@ class AttributedGraph:
         self._mmap_store = None
         # Lazily materialized adjacency-set compatibility view.
         self._adj_sets: Optional[Dict[int, Set[int]]] = None
-        # Attached incremental metrics accelerator (repro.graphs.accel),
-        # notified of every structural mutation / fold / adoption event.
-        self._accel = None
+        # Opt-in statistics memo (None while off; see the module docstring).
+        self._memo: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -138,13 +152,26 @@ class AttributedGraph:
         return self._attributes
 
     @property
-    def metrics_accelerator(self):
-        """The attached :class:`repro.graphs.accel.MetricsAccelerator`, if any.
+    def statistics_memo(self) -> Optional[Dict[str, object]]:
+        """The statistics memo dict (do not mutate), or ``None`` while off."""
+        return self._memo
 
-        Attach one with ``MetricsAccelerator.attach(graph)``; copies and
-        derived graphs never inherit the attachment.
+    def enable_statistics_memo(self) -> None:
+        """Turn the statistics memo on (idempotent; see the module doc)."""
+        if self._memo is None:
+            self._memo = {}
+
+    def memoized(self, key: str, compute: Callable[[], object]) -> object:
+        """``compute()``, kept under ``key`` while the statistics memo is on.
+
+        With the memo off this is just ``compute()``: nothing is stored.
         """
-        return self._accel
+        memo = self._memo
+        if memo is None:
+            return compute()
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def nodes(self) -> range:
         """Iterate over node identifiers ``0 .. n-1``."""
@@ -183,8 +210,7 @@ class AttributedGraph:
         if np.any((arr != 0) & (arr != 1)):
             raise ValueError("attribute values must be binary (0 or 1)")
         self._attributes[node] = arr.astype(np.uint8)
-        if self._accel is not None:
-            self._accel._on_attributes()
+        self._clear_memo()
 
     def set_all_attributes(self, matrix: np.ndarray) -> None:
         """Replace the whole attribute matrix at once (shape ``(n, w)``)."""
@@ -196,8 +222,7 @@ class AttributedGraph:
         if np.any((arr != 0) & (arr != 1)):
             raise ValueError("attribute values must be binary (0 or 1)")
         self._attributes = arr.astype(np.uint8)
-        if self._accel is not None:
-            self._accel._on_attributes()
+        self._clear_memo()
 
     # ------------------------------------------------------------------
     # Edge manipulation (overlay writes)
@@ -231,8 +256,7 @@ class AttributedGraph:
             self._adj_sets[u].add(v)
             self._adj_sets[v].add(u)
         self._maybe_compact()
-        if self._accel is not None:
-            self._accel._on_edge_added(u, v)
+        self._clear_memo()
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
@@ -262,8 +286,7 @@ class AttributedGraph:
             self._adj_sets[u].discard(v)
             self._adj_sets[v].discard(u)
         self._maybe_compact()
-        if self._accel is not None:
-            self._accel._on_edge_removed(u, v)
+        self._clear_memo()
         return True
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -299,14 +322,6 @@ class AttributedGraph:
             return
         if int(min(us.min(), vs.min())) < 0 or int(max(us.max(), vs.max())) >= self._n:
             raise KeyError("edge endpoint out of range")
-        if self._accel is not None and self._accel.maintains_structure:
-            # A primed accelerator needs the sequential per-edge delta
-            # stream: inserting the batch wholesale and intersecting
-            # afterwards would double-count triangles formed *among* the
-            # batch edges.
-            for u, v in zip(us.tolist(), vs.tolist()):
-                self.add_edge(u, v)
-            return
         n = self._n
         sets = self._adj_sets
         for u, v in zip(us.tolist(), vs.tolist()):
@@ -326,8 +341,7 @@ class AttributedGraph:
         self._m += us.size
         self._generation += 1
         self._maybe_compact()
-        if self._accel is not None:
-            self._accel._on_bulk_mutation()
+        self._clear_memo()
 
     def clear_edges(self) -> None:
         """Remove every edge, keeping nodes and attributes."""
@@ -342,8 +356,7 @@ class AttributedGraph:
         self._adj_sets = None
         self._m = 0
         self._generation += 1
-        if self._accel is not None:
-            self._accel._on_clear()
+        self._clear_memo()
 
     # ------------------------------------------------------------------
     # Neighbourhood queries (overlay-aware reads)
@@ -531,8 +544,6 @@ class AttributedGraph:
         self._install_base_from_directed_keys(
             fold_sorted_keys(keys, added, removed)
         )
-        if self._accel is not None:
-            self._accel._on_fold()
 
     def _install_base_from_directed_keys(self, directed_keys: np.ndarray) -> None:
         """Adopt sorted directed edge keys as the new immutable base CSR.
@@ -841,8 +852,7 @@ class AttributedGraph:
         self._adj_sets = None
         self._m = int(num_edges)
         self._generation += 1
-        if self._accel is not None:
-            self._accel._on_adopt()
+        self._clear_memo()
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges: Iterable[Edge],
@@ -885,6 +895,11 @@ class AttributedGraph:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
+    def _clear_memo(self) -> None:
+        """Drop every memoized statistic (the memo stays on if it was on)."""
+        if self._memo:
+            self._memo.clear()
+
     def _check_node(self, node: int) -> None:
         if not (0 <= node < self._n):
             raise KeyError(f"node {node} is out of range [0, {self._n})")

@@ -23,19 +23,20 @@ cached CSR view (:meth:`repro.graphs.attributed.AttributedGraph.csr`):
 * ``degree_ccdf`` is a single ``searchsorted`` over the sorted degree
   sequence.
 
-When a :class:`repro.graphs.accel.MetricsAccelerator` is attached to the
-graph, the public triangle/wedge/histogram kernels serve its incrementally
-maintained counts (bit-equal by contract) instead of rescanning, and
-``max_common_neighbours`` memoizes through it until the next mutation.  The
-``*_reference`` kernels never consult the accelerator.
+On a graph whose statistics memo is on
+(:meth:`~repro.graphs.attributed.AttributedGraph.enable_statistics_memo`),
+the triangle kernels share one per-node census kept in the memo and
+``max_common_neighbours`` keeps its result there, until the next edge or
+attribute write clears it.  On any other graph every call scans afresh and
+stores nothing: ``triangle_count`` runs the totals-only scan.
 
 Wedge/pair enumeration is chunked (``_MAX_PAIRS_PER_CHUNK``) so peak memory
 stays bounded on skewed degree sequences.
 
-The original pure-Python implementations are kept under ``*_reference``
-names; the equivalence tests in ``tests/graphs/test_statistics_equivalence``
-and the perf harness (``scripts/bench_perf.py``) pin the vectorized kernels
-to them.
+The original pure-Python implementations live on as test-only oracles in
+:mod:`repro.testing.reference` (``triangle_count_reference`` and friends);
+the equivalence tests in ``tests/graphs/test_statistics_equivalence`` and
+the perf harness (``scripts/bench_perf.py``) pin the kernels to them.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ def degree_histogram(graph: AttributedGraph) -> np.ndarray:
     The histogram has length ``max_degree + 1`` (or length one for an empty
     graph).
     """
-    accel = graph.metrics_accelerator
-    if accel is not None:
-        return accel.degree_histogram()
     degrees = graph.degrees()
     max_degree = int(degrees.max()) if degrees.size else 0
     return np.bincount(degrees, minlength=max_degree + 1)
@@ -219,37 +217,49 @@ def _triangle_scan(graph: AttributedGraph, per_node: bool):
     return (total, counts)
 
 
+def _triangle_census(graph: AttributedGraph) -> Tuple[int, np.ndarray]:
+    """``(total, per-node counts)`` from one per-node scan, memoized."""
+    return graph.memoized(
+        "triangles", lambda: _triangle_scan(graph, per_node=True)
+    )
+
+
 def triangle_count(graph: AttributedGraph) -> int:
     """Count the triangles in ``graph`` exactly.
 
     Vectorized over the CSR view: every triangle is discovered exactly once
     as a closed pair of forward neighbours under the degree orientation.
-    An attached :class:`~repro.graphs.accel.MetricsAccelerator` serves its
-    maintained count instead (bit-equal by contract).
+    With the statistics memo on, the count comes from the memoized per-node
+    census; otherwise the totals-only scan runs.
     """
-    accel = graph.metrics_accelerator
-    if accel is not None:
-        return accel.triangle_count()
-    total, _counts = _triangle_scan(graph, per_node=False)
-    return total
+    if graph.statistics_memo is None:
+        return _triangle_scan(graph, per_node=False)[0]
+    return _triangle_census(graph)[0]
 
 
 def triangles_per_node(graph: AttributedGraph) -> np.ndarray:
     """Return the number of triangles incident to every node."""
-    accel = graph.metrics_accelerator
-    if accel is not None:
-        return accel.triangles_per_node()
-    _total, counts = _triangle_scan(graph, per_node=True)
-    return counts
+    return _triangle_census(graph)[1].copy()
 
 
 def wedge_count(graph: AttributedGraph) -> int:
     """Count wedges (paths of length two), ``sum_v d_v * (d_v - 1) / 2``."""
-    accel = graph.metrics_accelerator
-    if accel is not None:
-        return accel.wedge_count()
     degrees = graph.degrees().astype(np.int64)
     return int((degrees * (degrees - 1) // 2).sum())
+
+
+def _clustering_from_triangles(graph: AttributedGraph,
+                               triangles: np.ndarray) -> np.ndarray:
+    """Local clustering coefficients from per-node triangle counts.
+
+    ``C_i = triangles_i / C(deg i, 2)``, and ``C_i = 0`` below degree two.
+    Every clustering figure in the library goes through these float
+    operations, so they agree bit for bit.
+    """
+    degrees = graph.degrees().astype(np.float64)
+    possible = degrees * (degrees - 1) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(possible > 0, triangles / possible, 0.0)
 
 
 def local_clustering_coefficients(graph: AttributedGraph) -> np.ndarray:
@@ -258,12 +268,7 @@ def local_clustering_coefficients(graph: AttributedGraph) -> np.ndarray:
     ``C_i`` is the fraction of pairs of neighbours of ``i`` that are
     themselves connected; nodes with degree below two have ``C_i = 0``.
     """
-    triangles = triangles_per_node(graph)
-    degrees = graph.degrees().astype(np.float64)
-    possible = degrees * (degrees - 1) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coefficients = np.where(possible > 0, triangles / possible, 0.0)
-    return coefficients
+    return _clustering_from_triangles(graph, triangles_per_node(graph))
 
 
 def average_local_clustering(graph: AttributedGraph) -> float:
@@ -309,17 +314,14 @@ def max_common_neighbours(graph: AttributedGraph) -> int:
        stops there.
 
     Each chunk is compressed with a sort plus boundary-diff pass.  The
-    result is pinned to :func:`max_common_neighbours_reference`.
+    result is pinned to the oracle
+    :func:`repro.testing.reference.max_common_neighbours_reference`.
 
-    An attached accelerator memoizes the result until the next mutation.
+    With the statistics memo on, the result is kept there.
     """
-    accel = graph.metrics_accelerator
-    if accel is not None:
-        return accel.cached(
-            "max_common_neighbours",
-            lambda: _max_common_neighbours_scan(graph),
-        )
-    return _max_common_neighbours_scan(graph)
+    return graph.memoized(
+        "max_common_neighbours", lambda: _max_common_neighbours_scan(graph)
+    )
 
 
 def _max_common_neighbours_scan(graph: AttributedGraph) -> int:
@@ -391,12 +393,12 @@ def batched_common_neighbours(num_nodes: int, indptr: np.ndarray,
                               indices: np.ndarray, sorted_keys: np.ndarray,
                               us: np.ndarray, vs: np.ndarray, *,
                               skip: np.ndarray = None,
-                              collect_members: bool = False,
-                              max_probes: int = _MAX_PAIRS_PER_CHUNK):
+                              max_probes: int = _MAX_PAIRS_PER_CHUNK
+                              ) -> np.ndarray:
     """Common-neighbour counts ``|Γ(u_p) ∩ Γ(v_p)|`` for parallel pair arrays.
 
-    The shared kernel behind the speculative rewiring engine and the
-    accelerator's batched-delta ingestion.  For every pair the *shorter*
+    The shared kernel behind the speculative rewiring engine and the hub
+    seed of :func:`max_common_neighbours`.  For every pair the *shorter*
     sorted row is probed against the *longer* row through one global
     ``searchsorted`` over ``sorted_keys`` (the directed edge keys
     ``owner * num_nodes + neighbour`` in globally sorted order — exactly a
@@ -410,16 +412,11 @@ def batched_common_neighbours(num_nodes: int, indptr: np.ndarray,
         Optional boolean mask: pairs with ``skip[p]`` are not probed at all
         and report count 0 — the hook for pessimistic upper-bound pruning
         (``min(deg u, deg v) < threshold`` proves the count can't matter).
-    collect_members:
-        Also return the intersection members, CSR-style: a flat array of
-        member nodes (each pair's segment ascending) plus an indptr of
-        length ``P + 1``.
     max_probes:
         Probe-volume budget per vectorized chunk; bounds peak memory on
         hub-dominated pair blocks.
 
-    Returns ``counts`` (``int64``, one entry per pair), or
-    ``(counts, members, member_indptr)`` with ``collect_members=True``.
+    Returns ``counts`` (``int64``, one entry per pair).
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
@@ -427,9 +424,6 @@ def batched_common_neighbours(num_nodes: int, indptr: np.ndarray,
     counts = np.zeros(num_pairs, dtype=np.int64)
     lengths = np.diff(np.asarray(indptr, dtype=np.int64))
     if num_pairs == 0 or sorted_keys.size == 0:
-        if collect_members:
-            return counts, np.empty(0, dtype=np.int64), \
-                np.zeros(num_pairs + 1, dtype=np.int64)
         return counts
     du = lengths[us]
     dv = lengths[vs]
@@ -439,14 +433,10 @@ def batched_common_neighbours(num_nodes: int, indptr: np.ndarray,
     probe_lengths = np.minimum(du, dv)
     if skip is not None:
         probe_lengths = np.where(skip, 0, probe_lengths)
-    member_chunks = []
     for block in _iter_row_chunks(probe_lengths, max_probes):
         rows = probe_side[block]
         row_lengths = probe_lengths[block]
-        total = int(row_lengths.sum())
-        if total == 0:
-            if collect_members:
-                member_chunks.append(np.empty(0, dtype=np.int64))
+        if int(row_lengths.sum()) == 0:
             continue
         candidates = indices[_segment_positions(indptr[rows], row_lengths)]
         pair_offsets = np.repeat(block, row_lengths)
@@ -458,15 +448,6 @@ def batched_common_neighbours(num_nodes: int, indptr: np.ndarray,
         counts[block] = np.bincount(
             pair_offsets[hits] - int(block[0]), minlength=block.size
         )
-        if collect_members:
-            member_chunks.append(candidates[hits])
-    if collect_members:
-        members = np.concatenate(member_chunks) if member_chunks \
-            else np.empty(0, dtype=np.int64)
-        member_indptr = np.concatenate(
-            ([0], np.cumsum(counts))
-        ).astype(np.int64)
-        return counts, members, member_indptr
     return counts
 
 
@@ -500,14 +481,8 @@ def summary(graph: AttributedGraph) -> GraphSummary:
     degrees = graph.degrees()
     max_degree = int(degrees.max()) if degrees.size else 0
     average_degree = float(degrees.mean()) if degrees.size else 0.0
-    accel = graph.metrics_accelerator
-    if accel is not None:
-        num_triangles, per_node = accel.triangle_count(), accel.triangles_per_node()
-    else:
-        num_triangles, per_node = _triangle_scan(graph, per_node=True)
-    possible = degrees.astype(np.float64) * (degrees - 1) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coefficients = np.where(possible > 0, per_node / possible, 0.0)
+    num_triangles, per_node = _triangle_census(graph)
+    coefficients = _clustering_from_triangles(graph, per_node)
     average_clustering = float(coefficients.mean()) if degrees.size else 0.0
     wedges = wedge_count(graph)
     global_clustering = 3.0 * num_triangles / wedges if wedges else 0.0
@@ -556,81 +531,3 @@ def clustering_ccdf(graph: AttributedGraph, num_points: int = 101) -> List[tuple
     return [
         (float(t), float(count) / n) for t, count in zip(thresholds, exceeding)
     ]
-
-
-# ----------------------------------------------------------------------
-# Reference implementations (pre-CSR pure-Python kernels)
-# ----------------------------------------------------------------------
-# Kept verbatim for the equivalence tests and the perf benchmark harness:
-# the vectorized kernels above must agree with these exactly on every input.
-
-def triangle_count_reference(graph: AttributedGraph) -> int:
-    """Pure-Python neighbour-intersection triangle count (reference)."""
-    total = 0
-    for u, v in graph.edges():
-        nu = graph.neighbor_set(u)
-        nv = graph.neighbor_set(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        for w in nu:
-            if w > v and w in nv:
-                total += 1
-    return total
-
-
-def triangles_per_node_reference(graph: AttributedGraph) -> np.ndarray:
-    """Pure-Python per-node triangle counts (reference)."""
-    counts = np.zeros(graph.num_nodes, dtype=np.int64)
-    for u, v in graph.edges():
-        nu = graph.neighbor_set(u)
-        nv = graph.neighbor_set(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        for w in nu:
-            if w > v and w in nv:
-                counts[u] += 1
-                counts[v] += 1
-                counts[w] += 1
-    return counts
-
-
-def local_clustering_coefficients_reference(graph: AttributedGraph) -> np.ndarray:
-    """Pure-Python local clustering coefficients (reference)."""
-    triangles = triangles_per_node_reference(graph)
-    degrees = graph.degrees().astype(np.float64)
-    possible = degrees * (degrees - 1) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coefficients = np.where(possible > 0, triangles / possible, 0.0)
-    return coefficients
-
-
-def max_common_neighbours_reference(graph: AttributedGraph) -> int:
-    """Pure-Python wedge-pair common-neighbour maximum (reference)."""
-    best = 0
-    for centre in graph.nodes():
-        neighbours = sorted(graph.neighbor_set(centre))
-        if len(neighbours) < 2:
-            continue
-        # Pairs of neighbours of ``centre`` share at least ``centre``; count
-        # exact common-neighbour sizes for pairs seen through this centre.
-        for i, u in enumerate(neighbours):
-            nu = graph.neighbor_set(u)
-            for v in neighbours[i + 1:]:
-                common = len(nu & graph.neighbor_set(v))
-                if common > best:
-                    best = common
-    return best
-
-
-def degree_ccdf_reference(graph: AttributedGraph) -> List[tuple]:
-    """Pure-Python O(unique · n) degree CCDF (reference)."""
-    degrees = np.sort(graph.degrees())
-    n = degrees.size
-    if n == 0:
-        return []
-    unique = np.unique(degrees)
-    points = []
-    for value in unique:
-        fraction = float(np.count_nonzero(degrees > value)) / n
-        points.append((int(value), fraction))
-    return points

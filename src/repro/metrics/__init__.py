@@ -29,11 +29,7 @@ from repro.metrics.evaluation import (
     average_reports,
     evaluate_synthetic_graph,
 )
-from repro.metrics.incremental import (
-    accelerator_stats,
-    ensure_accelerator,
-    prepare_original_graph,
-)
+from repro.metrics.incremental import prepare_original_graph
 
 __all__ = [
     "attribute_assortativity",
@@ -50,7 +46,5 @@ __all__ = [
     "EvaluationReport",
     "evaluate_synthetic_graph",
     "average_reports",
-    "accelerator_stats",
-    "ensure_accelerator",
     "prepare_original_graph",
 ]

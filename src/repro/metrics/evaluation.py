@@ -13,6 +13,13 @@ For every synthetic graph the paper reports, relative to the input graph:
   the global and average-local clustering coefficients (columns ``C`` and
   ``C̄``);
 * ``edge_count_mre`` — relative error of the edge count (column ``m``).
+
+:func:`evaluate_synthetic_graph` turns both graphs' statistics memos on
+(:mod:`repro.graphs.attributed`), so each graph's triangle census and Θ_F
+probabilities are computed once however often it is scored.  The
+from-scratch oracle
+:func:`repro.testing.reference.evaluate_synthetic_graph_reference` rescans
+on every call and pins the rows bit for bit.
 """
 
 from __future__ import annotations
@@ -23,13 +30,18 @@ from typing import Dict, Iterable, List
 import numpy as np
 
 from repro.graphs.attributed import AttributedGraph
+from repro.graphs.statistics import (
+    average_local_clustering,
+    global_clustering_coefficient,
+    triangle_count,
+)
 from repro.metrics.distributions import (
     hellinger_distance,
     mean_relative_error,
     relative_error,
 )
 from repro.metrics.graph_metrics import degree_hellinger, degree_ks
-from repro.params.correlations import connection_probabilities
+from repro.metrics.incremental import cached_connection_probabilities
 
 
 @dataclass(frozen=True)
@@ -66,51 +78,39 @@ class EvaluationReport:
         return {label: getattr(self, name) for name, label in self.PAPER_COLUMNS.items()}
 
 
-def _structural_metrics(graph: AttributedGraph
-                        ) -> tuple:  # (triangles, avg local C, global C)
-    """One-scan triangle/clustering metrics through the graph's accelerator.
+def _graph_metrics(graph: AttributedGraph) -> tuple:
+    """Θ_F probabilities, triangle count, C̄ and C of one graph.
 
-    Attaches an accelerator if needed (so the triangle census runs once and
-    the wedge count is O(1)) and derives the two clustering coefficients
-    with the exact float operations of :func:`average_local_clustering` and
-    :func:`global_clustering_coefficient` — the results are bit-identical
-    to calling those kernels individually.
+    Turns the graph's statistics memo on first, so the triangle census runs
+    once per graph (the three figures share it) and a graph scored again
+    scans nothing.  The figures are the public kernels' own, so the report
+    is bit-identical to the from-scratch row.
     """
-    from repro.metrics.incremental import ensure_accelerator
-
-    accel = ensure_accelerator(graph)
-    triangles = accel.triangle_count()
-    per_node = accel.triangles_per_node()
-    wedges = accel.wedge_count()
-    degrees = graph.degrees().astype(np.float64)
-    possible = degrees * (degrees - 1) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coefficients = np.where(possible > 0, per_node / possible, 0.0)
-    average = float(coefficients.mean()) if coefficients.size else 0.0
-    global_coefficient = 3.0 * triangles / wedges if wedges else 0.0
-    return triangles, average, global_coefficient
+    graph.enable_statistics_memo()
+    return (
+        cached_connection_probabilities(graph),
+        triangle_count(graph),
+        average_local_clustering(graph),
+        global_clustering_coefficient(graph),
+    )
 
 
 def evaluate_synthetic_graph(original: AttributedGraph,
                              synthetic: AttributedGraph) -> EvaluationReport:
     """Compute the full Table 2-5 metric row for one synthetic graph.
 
-    The structural metrics of both graphs are served through attached
-    :class:`~repro.graphs.accel.MetricsAccelerator` instances — one
-    triangle census per graph instead of three, O(1) when already primed —
-    and the original's Θ_F probabilities are memoized across calls.  The
-    report is bit-identical to the from-scratch evaluation in
+    Both graphs keep their Θ_F probabilities and triangle census in their
+    statistics memos, so a primed original
+    (:func:`~repro.metrics.incremental.prepare_original_graph`) costs no
+    scan and each new synthetic graph costs one.  The report is
+    bit-identical to the from-scratch evaluation in
     :mod:`repro.testing.reference` (pinned by
     ``tests/metrics/test_incremental.py``).
     """
-    from repro.metrics.incremental import cached_connection_probabilities
-
-    original_correlations = cached_connection_probabilities(original)
-    synthetic_correlations = connection_probabilities(synthetic)
-    original_triangles, original_average, original_global = \
-        _structural_metrics(original)
-    synthetic_triangles, synthetic_average, synthetic_global = \
-        _structural_metrics(synthetic)
+    original_correlations, original_triangles, original_average, \
+        original_global = _graph_metrics(original)
+    synthetic_correlations, synthetic_triangles, synthetic_average, \
+        synthetic_global = _graph_metrics(synthetic)
     return EvaluationReport(
         theta_f_mre=mean_relative_error(
             original_correlations, synthetic_correlations

@@ -1,66 +1,46 @@
-"""Accelerator-aware evaluation glue: O(δ) metric maintenance for trials.
+"""The evaluation baseline: prime the input graph once, score many samples.
 
 The Monte-Carlo runner and the pipeline's evaluate stage compare every
-sampled graph against the *same* original, and the original never mutates
-between trials — yet the historical evaluation path recomputed all of its
-Table 2-5 statistics per sample.  This module wires the
-:class:`repro.graphs.accel.MetricsAccelerator` into that loop:
+sampled graph against the *same* original, and the original never changes
+between trials.  :func:`prepare_original_graph` turns the original's
+statistics memo on
+(:meth:`~repro.graphs.attributed.AttributedGraph.enable_statistics_memo`)
+and fills it with the triangle census (one per-node scan) and the Θ_F
+connection probabilities, so every later report reads them back instead
+of recomputing them.
 
-* :func:`prepare_original_graph` attaches an accelerator to the evaluation
-  baseline, primes it with one triangle scan, and memoizes the Θ_F
-  connection probabilities — after which every per-trial query on the
-  original is O(1);
-* :func:`ensure_accelerator` is the per-graph attach helper used for the
-  synthetic side (one scan on first query, maintained afterwards);
-* :func:`accelerator_stats` surfaces the maintained-vs-recomputed counters
-  and fallback reasons for run manifests, keeping evaluation regressions
-  diagnosable.
-
-A primed accelerator is plain picklable state (ints, an ``int64`` array, a
-memo dict of arrays), so the runner's worker processes inherit the primed
-original for free through the pool initializer.
+The memo is plain picklable state (an int, an ``int64`` array, a float
+array), so the runner's worker processes receive the primed original
+through the pool initializer, and a pickled copy of a primed graph is
+primed too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
-from repro.graphs.accel import MetricsAccelerator
 from repro.graphs.attributed import AttributedGraph
+from repro.graphs.statistics import triangle_count
 from repro.params.correlations import connection_probabilities
 
-#: Memo key under which the original's Θ_F probabilities are cached.
+#: Memo key under which a graph's Θ_F probabilities are kept.
 CORRELATIONS_KEY = "connection_probabilities"
 
 
-def ensure_accelerator(graph: AttributedGraph) -> MetricsAccelerator:
-    """Attach (idempotently) and return the graph's metrics accelerator."""
-    return MetricsAccelerator.attach(graph)
-
-
 def cached_connection_probabilities(graph: AttributedGraph) -> np.ndarray:
-    """The graph's Θ_F probabilities, memoized on its accelerator."""
-    accel = MetricsAccelerator.attach(graph)
-    return accel.cached(
+    """The graph's Θ_F probabilities, kept while its statistics memo is on."""
+    return graph.memoized(
         CORRELATIONS_KEY, lambda: connection_probabilities(graph)
     )
 
 
-def prepare_original_graph(graph: AttributedGraph) -> MetricsAccelerator:
+def prepare_original_graph(graph: AttributedGraph) -> None:
     """Make ``graph`` a warm evaluation baseline (idempotent).
 
-    Attaches an accelerator, primes the triangle and degree tiers, and
-    memoizes the Θ_F probabilities, so every subsequent per-trial
-    evaluation query against this graph is served in O(1).
+    Turns the statistics memo on and fills it with the triangle census and
+    the Θ_F probabilities; calling it again on an unchanged graph scans
+    nothing.
     """
-    accel = MetricsAccelerator.attach(graph).prime()
-    accel.cached(CORRELATIONS_KEY, lambda: connection_probabilities(graph))
-    return accel
-
-
-def accelerator_stats(graph: AttributedGraph) -> Optional[Dict[str, object]]:
-    """The attached accelerator's stats dict, or ``None`` when detached."""
-    accel = graph.metrics_accelerator
-    return None if accel is None else accel.stats()
+    graph.enable_statistics_memo()
+    triangle_count(graph)
+    cached_connection_probabilities(graph)

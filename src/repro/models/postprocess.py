@@ -131,14 +131,6 @@ def post_process_graph(graph: AttributedGraph, desired_degrees: np.ndarray,
         raise ValueError(f"pi must have length {graph.num_nodes}, got {pi.size}")
 
     result = graph.copy()
-    source_accel = graph.metrics_accelerator
-    if source_accel is not None and source_accel.maintains_structure:
-        # Copies never inherit the accelerator attachment, but the copy is
-        # structurally identical right now, so the primed counts carry over
-        # verbatim.  A repair that mutates adopts its edge set wholesale,
-        # which invalidates them (recompute on next query); one with no
-        # orphans leaves them primed.
-        source_accel.clone_to(result)
     target_edges = int(desired.sum() // 2)
     if max_rounds is None:
         max_rounds = 4 * max(1, graph.num_nodes)

@@ -50,17 +50,15 @@ One round of the engine:
 5. fold the snapshot forward and restore ``tau`` to the *exact* triangle
    count of the new edge set: with the round's cancellation guarantees (an
    added edge is never in the old snapshot, a removed edge always is, and
-   the sets are disjoint), the gained triangles are exactly the
-   new-snapshot triangles containing an added edge and the lost ones the
-   old-snapshot triangles containing a removed edge — one batched kernel
-   pass per side, plus an inclusion–exclusion correction for triangles
-   containing two or three toggled edges.  The same pieces feed an
-   attached :class:`~repro.graphs.accel.MetricsAccelerator` in one batch.
+   the sets are disjoint), the round's triangle delta is a pure function of
+   the old snapshot and the toggles.  Step 3's counts against the old
+   snapshot are its single-toggle terms, and one wedge-pair enumeration
+   over the round's toggles adds the terms for triangles containing two or
+   three toggled edges.
 
 The round-delta accounting is order-independent, so ``tau`` is exact at
 every round boundary (a stale running estimate places the triangle-target
-stop *inside* a round) and the accelerator's maintained tiers survive the
-final wholesale adoption.  Only the per-proposal *verdicts* (and the walks
+stop *inside* a round).  Only the per-proposal *verdicts* (and the walks
 they ride on) consult stale structure — the accepted distributional
 deviation, pinned by the closeness suites.
 """
@@ -276,8 +274,7 @@ class SpeculativeRewiring:
                  tau: int, target: int, max_iterations: int,
                  sampler: WeightedSampler, generator: np.random.Generator,
                  acceptance: Optional[EdgeAcceptance],
-                 block_size: int = _SPECULATION_BLOCK,
-                 accel=None) -> None:
+                 block_size: int = _SPECULATION_BLOCK) -> None:
         self._graph = graph
         self._edge_age = edge_age
         self.tau = int(tau)
@@ -293,7 +290,6 @@ class SpeculativeRewiring:
         self._capacity = max(
             _MIN_ROUND, min(self._block_size, graph.num_edges // 8)
         )
-        self._accel = accel
         n = graph.num_nodes
         self._n = n
         self.snapshot = _Snapshot.from_graph(graph)
@@ -333,8 +329,6 @@ class SpeculativeRewiring:
             if dried:
                 break
         if self._swapped:
-            if self._accel is not None:
-                self._accel.expect_maintained_adoption()
             graph._adopt_directed_keys(self.snapshot.keys, graph.num_edges)
 
     # ------------------------------------------------------------------
@@ -554,71 +548,23 @@ class SpeculativeRewiring:
         The triangle delta of a round is order-independent: with the
         cancellation guarantees (an added edge is never in the old snapshot,
         a removed edge always is, and the two sets are disjoint), it is a
-        pure function of the old snapshot and the toggle sets.  The fast
-        path (:meth:`_signed_round_delta`) reuses the verdict kernels'
-        stale counts and pays only a wedge-pair enumeration over the
-        round's toggles — no extra common-neighbour kernel at all.  When an
-        attached accelerator maintains per-node triangle counts it needs
-        the actual member lists (lost triangles vs the old snapshot,
-        gained vs the new), so that path runs the collect-members kernels
-        plus the E1-side inclusion–exclusion corrections
-        (:meth:`_pair_triangles`); both paths produce the identical exact
-        delta.
+        pure function of the old snapshot and the toggle sets.  The verdict
+        kernels' stale counts are its single-toggle terms, so restoring the
+        exact count costs only :meth:`_signed_round_delta`'s wedge-pair
+        enumeration over the round's toggles — no extra common-neighbour
+        kernel at all.
         """
         n = self._n
-        stats = self.stats
         self._swapped = True
         added_keys = added[:, 0] * n + added[:, 1]
         removed_keys = removed[:, 0] * n + removed[:, 1]
-
-        folded = snapshot.folded(set(added_keys.tolist()),
-                                 set(removed_keys.tolist()))
-        self.snapshot = folded
-        stats["folds"] += 1
-
-        accel = self._accel
-        feed = accel is not None and accel.maintains_structure
-        need_members = feed and accel.tracks_triangles
-        if need_members:
-            lost_counts, lost_members, lost_indptr = \
-                batched_common_neighbours(
-                    n, snapshot.indptr, snapshot.flat, snapshot.keys,
-                    removed[:, 0], removed[:, 1], collect_members=True,
-                )
-            gained_counts, gained_members, gained_indptr = \
-                batched_common_neighbours(
-                    n, folded.indptr, folded.flat, folded.keys,
-                    added[:, 0], added[:, 1], collect_members=True,
-                )
-            removed_over, removed_triples = self._pair_triangles(
-                removed, snapshot, np.sort(removed_keys)
-            )
-            added_over, added_triples = self._pair_triangles(
-                added, folded, np.sort(added_keys)
-            )
-            gained = int(gained_counts.sum()) - len(added_over) \
-                + len(added_triples)
-            lost = int(lost_counts.sum()) - len(removed_over) \
-                + len(removed_triples)
-            # Replace the stale running estimate with the exact delta.
-            self.tau = tau_before + gained - lost
-        else:
-            # The verdict kernels already counted every committed edge
-            # against the old snapshot — those ARE the single-toggle terms.
-            self.tau = tau_before + int(gained_stale.sum()) \
-                - int(lost_stale.sum()) \
-                + self._signed_round_delta(added, removed, snapshot)
-            empty = np.empty((0, 3), dtype=np.int64)
-            removed_over = removed_triples = empty
-            added_over = added_triples = empty
-            lost_members = lost_indptr = None
-            gained_members = gained_indptr = None
-        if feed:
-            self._feed_accelerator(
-                snapshot, removed, added,
-                lost_members, lost_indptr, gained_members, gained_indptr,
-                removed_over, removed_triples, added_over, added_triples,
-            )
+        self.snapshot = snapshot.folded(set(added_keys.tolist()),
+                                        set(removed_keys.tolist()))
+        self.stats["folds"] += 1
+        # Replace the stale running estimate with the exact delta.
+        self.tau = tau_before + int(gained_stale.sum()) \
+            - int(lost_stale.sum()) \
+            + self._signed_round_delta(added, removed, snapshot)
 
     @staticmethod
     def _enumerate_wedges(edges: np.ndarray
@@ -715,95 +661,3 @@ class SpeculativeRewiring:
              * signs[t_order[pos[is_third_toggled]]]).sum()
         )
         return pair_sum + triple_sum
-
-    def _pair_triangles(self, edges: np.ndarray, snapshot: _Snapshot,
-                        toggled_keys: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Triangles containing two or three of one toggle set's edges.
-
-        Enumerates, per shared endpoint, every unordered pair of toggled
-        edges and probes the closing third edge against ``snapshot``.
-        Returns ``(overcounts, triples)``: the ``(t, 3)`` node arrays of
-        triangles counted once per contained pair (every multi-toggle
-        triangle, once per C(k, 2) pairs) and of triangles whose three
-        edges are all toggled (one canonical row each — the row whose
-        shared endpoint is the triangle's minimum node).  These are the
-        E1-side inclusion–exclusion corrections the accelerator feed
-        needs; the kernel-free tau fast path uses
-        :meth:`_signed_round_delta` instead.
-        """
-        empty = np.empty((0, 3), dtype=np.int64)
-        if edges.shape[0] < 2:
-            return empty, empty
-        n = self._n
-        x, b, c, _, _ = self._enumerate_wedges(edges)
-        if x.size == 0:
-            return empty, empty
-        third_keys = b * n + c
-        keys = snapshot.keys
-        positions = np.searchsorted(keys, third_keys)
-        positions[positions >= keys.size] = keys.size - 1 if keys.size else 0
-        closed = keys.size > 0
-        hits = (keys[positions] == third_keys) if closed \
-            else np.zeros(third_keys.size, dtype=bool)
-        if not hits.any():
-            return empty, empty
-        x = x[hits]
-        b = b[hits]
-        c = c[hits]
-        overcounts = np.stack((x, b, c), axis=1)
-        canonical_third = np.where(b < c, b * n + c, c * n + b)
-        positions = np.searchsorted(toggled_keys, canonical_third)
-        positions[positions >= toggled_keys.size] = \
-            toggled_keys.size - 1 if toggled_keys.size else 0
-        in_toggled = toggled_keys[positions] == canonical_third \
-            if toggled_keys.size else np.zeros(canonical_third.size,
-                                               dtype=bool)
-        triple_rows = in_toggled & (x < b) & (x < c)
-        return overcounts, overcounts[triple_rows]
-
-    # ------------------------------------------------------------------
-    # Accelerator feeding
-    # ------------------------------------------------------------------
-    def _feed_accelerator(self, snapshot: _Snapshot, removed: np.ndarray,
-                          added: np.ndarray,
-                          lost_members: Optional[np.ndarray],
-                          lost_indptr: Optional[np.ndarray],
-                          gained_members: Optional[np.ndarray],
-                          gained_indptr: Optional[np.ndarray],
-                          removed_over: np.ndarray,
-                          removed_triples: np.ndarray,
-                          added_over: np.ndarray,
-                          added_triples: np.ndarray) -> None:
-        """Stream the round's committed toggles to the accelerator in bulk.
-
-        Triangle members come from the same round-delta kernels (lost
-        triangles vs the old snapshot, gained vs the new), with the
-        multi-toggle triangles handed over as explicit correction rows.
-        Degree transitions come from the old snapshot's lengths and the
-        round's net endpoint deltas — exact even for multi-touched nodes,
-        because histogram and wedge updates telescope over intermediate
-        degrees.
-        """
-        accel = self._accel
-        changed_nodes = None
-        old_degrees = new_degrees = None
-        if accel.tracks_degrees:
-            deltas = np.zeros(self._n, dtype=np.int64)
-            np.add.at(deltas, added.ravel(), 1)
-            np.subtract.at(deltas, removed.ravel(), 1)
-            changed_nodes = np.unique(
-                np.concatenate((added.ravel(), removed.ravel()))
-            )
-            old_degrees = snapshot.lengths[changed_nodes].astype(np.int64)
-            new_degrees = old_degrees + deltas[changed_nodes]
-        accel.apply_swap_batch(
-            removed, added,
-            removed_members=lost_members, removed_indptr=lost_indptr,
-            added_members=gained_members, added_indptr=gained_indptr,
-            removed_overcounts=removed_over,
-            removed_triples=removed_triples,
-            added_overcounts=added_over, added_triples=added_triples,
-            changed_nodes=changed_nodes, old_degrees=old_degrees,
-            new_degrees=new_degrees,
-        )

@@ -23,6 +23,11 @@ The orphan extension of Section 3.3 is supported: degree-one nodes can be
 excluded from the π distribution and wired up afterwards by
 :func:`repro.models.postprocess.post_process_graph`.
 
+The starting count τ₀ is one totals-only ``triangle_count`` scan of the
+seed graph, which is fresh and so has no statistics memo.  Both rewiring
+engines then track τ themselves, and the graph sees no edge change until
+the final rows are adopted in one pass.
+
 The exact rewiring loop
 -----------------------
 Exact rewiring is one plain per-proposal loop over the sorted neighbour
@@ -220,23 +225,7 @@ class TriCycLeModel(StructuralModel):
                 graph, self._degrees, pi, rng=generator, acceptance=acceptance,
             )
 
-        accel = graph.metrics_accelerator
         self._last_rewiring_stats = None
-        if accel is not None:
-            if self._equivalence == "distributional":
-                # The speculative engine's batched kernels already compute
-                # every intersection maintenance needs, so the accelerator
-                # stays attached and is fed per-round swap batches.
-                accel.record_rewiring_policy("kept")
-            else:
-                # The exact loop maintains its own incremental triangle
-                # count and already pay two common-neighbour probes per
-                # proposal; piggybacking full per-edge metric maintenance
-                # would double that cost for counts nobody reads mid-loop.
-                # Use the escape hatch — the consumer re-primes afterwards.
-                accel.record_rewiring_policy("detached")
-                accel.detach()
-                accel = None
         # Admit the rewiring phase's dominant resident structures before
         # building any of them: the edge-age queue, the set-mirrored
         # adjacency (or its speculative-engine equivalent), and the
@@ -267,7 +256,7 @@ class TriCycLeModel(StructuralModel):
         if self._equivalence == "distributional":
             engine = SpeculativeRewiring(
                 graph, edge_age, tau, target, max_iterations, sampler,
-                generator, acceptance, accel=accel,
+                generator, acceptance,
             )
             engine.run()
             self._last_rewiring_stats = dict(engine.stats)

@@ -17,8 +17,14 @@ production engines against them:
   repair loop; it consumes the RNG differently from the production engine,
   so the two agree in distribution, not per seed;
 * :func:`evaluate_synthetic_graph_reference` — the from-scratch evaluation
-  row, bit-identical to the accelerated
-  :func:`~repro.metrics.evaluation.evaluate_synthetic_graph`;
+  row, bit-identical to the memoized
+  :func:`~repro.metrics.evaluation.evaluate_synthetic_graph`; it rescans
+  on every call and never reads a graph's statistics memo;
+* :func:`triangle_count_reference`, :func:`triangles_per_node_reference`,
+  :func:`local_clustering_coefficients_reference`,
+  :func:`max_common_neighbours_reference` and
+  :func:`degree_ccdf_reference` — the pure-Python structural kernels,
+  equal to the vectorized ones in :mod:`repro.graphs.statistics`;
 * :func:`isotonic_regression_reference` — the PAVA on scalar-indexed NumPy
   arrays, bit-identical to
   :func:`~repro.privacy.constrained_inference.isotonic_regression`.
@@ -36,13 +42,9 @@ from typing import Deque, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.graphs import statistics as graph_statistics
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.components import connected_components
-from repro.graphs.statistics import (
-    average_local_clustering,
-    global_clustering_coefficient,
-    triangle_count,
-)
 from repro.metrics.distributions import (
     hellinger_distance,
     mean_relative_error,
@@ -234,8 +236,7 @@ def post_process_graph_scalar(graph: AttributedGraph,
     """Algorithm 2 through the scalar loop.
 
     Same contract as :func:`~repro.models.postprocess.post_process_graph`,
-    except that the input lengths are not validated and a metrics
-    accelerator attached to ``graph`` is not carried into the copy.
+    except that the input lengths are not validated.
     """
     generator = ensure_rng(rng)
     desired = np.asarray(desired_degrees, dtype=np.int64)
@@ -492,8 +493,10 @@ def evaluate_synthetic_graph_reference(original: AttributedGraph,
                                        ) -> EvaluationReport:
     """The Table 2-5 metric row recomputed from scratch.
 
-    The public kernels it calls still consult an *already attached*
-    accelerator, so timings of this path should use graphs without one.
+    Every call rescans both graphs, whatever their statistics memos hold:
+    per graph, a totals-only triangle scan for ``n_∆``, a per-node scan for
+    ``C̄`` and another totals-only scan for ``C``, as the public kernels
+    run on a graph whose memo is off.
     """
     original_correlations = connection_probabilities(original)
     synthetic_correlations = connection_probabilities(synthetic)
@@ -506,17 +509,119 @@ def evaluate_synthetic_graph_reference(original: AttributedGraph,
         degree_ks=degree_ks(original, synthetic),
         degree_hellinger=degree_hellinger(original, synthetic),
         triangle_mre=relative_error(
-            triangle_count(original), triangle_count(synthetic)
+            _scanned_triangle_count(original),
+            _scanned_triangle_count(synthetic),
         ),
         average_clustering_mre=relative_error(
-            average_local_clustering(original), average_local_clustering(synthetic)
+            _scanned_average_clustering(original),
+            _scanned_average_clustering(synthetic),
         ),
         global_clustering_mre=relative_error(
-            global_clustering_coefficient(original),
-            global_clustering_coefficient(synthetic),
+            _scanned_global_clustering(original),
+            _scanned_global_clustering(synthetic),
         ),
         edge_count_mre=relative_error(original.num_edges, synthetic.num_edges),
     )
+
+
+def _scanned_triangle_count(graph: AttributedGraph) -> int:
+    """``triangle_count`` as the totals-only scan, memo or not."""
+    return graph_statistics._triangle_scan(graph, per_node=False)[0]
+
+
+def _scanned_average_clustering(graph: AttributedGraph) -> float:
+    """``average_local_clustering`` from a per-node scan, memo or not."""
+    if graph.num_nodes == 0:
+        return 0.0
+    per_node = graph_statistics._triangle_scan(graph, per_node=True)[1]
+    coefficients = graph_statistics._clustering_from_triangles(graph, per_node)
+    return float(coefficients.mean())
+
+
+def _scanned_global_clustering(graph: AttributedGraph) -> float:
+    """``global_clustering_coefficient`` from a totals-only scan."""
+    wedges = graph_statistics.wedge_count(graph)
+    if wedges == 0:
+        return 0.0
+    return 3.0 * _scanned_triangle_count(graph) / wedges
+
+
+# ----------------------------------------------------------------------
+# Structural statistics: the pre-CSR pure-Python kernels
+# ----------------------------------------------------------------------
+# The vectorized kernels of repro.graphs.statistics must agree with these
+# exactly on every input.  They walk the adjacency-set view.
+
+def triangle_count_reference(graph: AttributedGraph) -> int:
+    """Pure-Python neighbour-intersection triangle count (reference)."""
+    total = 0
+    for u, v in graph.edges():
+        nu = graph.neighbor_set(u)
+        nv = graph.neighbor_set(v)
+        if len(nu) > len(nv):
+            nu, nv = nv, nu
+        for w in nu:
+            if w > v and w in nv:
+                total += 1
+    return total
+
+
+def triangles_per_node_reference(graph: AttributedGraph) -> np.ndarray:
+    """Pure-Python per-node triangle counts (reference)."""
+    counts = np.zeros(graph.num_nodes, dtype=np.int64)
+    for u, v in graph.edges():
+        nu = graph.neighbor_set(u)
+        nv = graph.neighbor_set(v)
+        if len(nu) > len(nv):
+            nu, nv = nv, nu
+        for w in nu:
+            if w > v and w in nv:
+                counts[u] += 1
+                counts[v] += 1
+                counts[w] += 1
+    return counts
+
+
+def local_clustering_coefficients_reference(graph: AttributedGraph) -> np.ndarray:
+    """Pure-Python local clustering coefficients (reference)."""
+    triangles = triangles_per_node_reference(graph)
+    degrees = graph.degrees().astype(np.float64)
+    possible = degrees * (degrees - 1) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coefficients = np.where(possible > 0, triangles / possible, 0.0)
+    return coefficients
+
+
+def max_common_neighbours_reference(graph: AttributedGraph) -> int:
+    """Pure-Python wedge-pair common-neighbour maximum (reference)."""
+    best = 0
+    for centre in graph.nodes():
+        neighbours = sorted(graph.neighbor_set(centre))
+        if len(neighbours) < 2:
+            continue
+        # Pairs of neighbours of ``centre`` share at least ``centre``; count
+        # exact common-neighbour sizes for pairs seen through this centre.
+        for i, u in enumerate(neighbours):
+            nu = graph.neighbor_set(u)
+            for v in neighbours[i + 1:]:
+                common = len(nu & graph.neighbor_set(v))
+                if common > best:
+                    best = common
+    return best
+
+
+def degree_ccdf_reference(graph: AttributedGraph) -> List[tuple]:
+    """Pure-Python O(unique · n) degree CCDF (reference)."""
+    degrees = np.sort(graph.degrees())
+    n = degrees.size
+    if n == 0:
+        return []
+    unique = np.unique(degrees)
+    points = []
+    for value in unique:
+        fraction = float(np.count_nonzero(degrees > value)) / n
+        points.append((int(value), fraction))
+    return points
 
 
 # ----------------------------------------------------------------------

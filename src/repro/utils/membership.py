@@ -17,10 +17,10 @@ table (same O(1) probes, a fraction of the memory); above it, it keeps
 bitmap probes available as long as the key *density* allows.
 
 Memory stays bounded: building is subject to a byte budget
-(``REPRO_MEMBERSHIP_BUDGET_MB``, default 256) that counts the bitmaps and
-the slot table, and callers fall back to
-:func:`repro.utils.arrays.sorted_membership` when scattered keys would
-allocate too many blocks or span too wide a block range.
+(``REPRO_MEMBERSHIP_BUDGET_MB``, default 256; a value that is not a number
+fails the import) that counts the bitmaps and the slot table, and callers
+fall back to :func:`repro.utils.arrays.sorted_membership` when scattered
+keys would allocate too many blocks or span too wide a block range.
 :func:`membership_probe` packages that decision; :class:`DynamicKeySet`
 adds incremental insertion (with block growth and a transparent downgrade
 to the sorted representation) for the batched generators' cross-round
@@ -53,11 +53,14 @@ BLOCK_BYTES = BLOCK_KEYS >> 3
 
 
 def _default_budget_bytes() -> int:
-    megabytes = os.environ.get("REPRO_MEMBERSHIP_BUDGET_MB", "256")
+    raw = os.environ.get("REPRO_MEMBERSHIP_BUDGET_MB", "256")
     try:
-        return max(0, int(float(megabytes) * (1 << 20)))
-    except ValueError:
-        return 256 << 20
+        return max(0, int(float(raw) * (1 << 20)))
+    except (ValueError, OverflowError):
+        raise ValueError(
+            f"REPRO_MEMBERSHIP_BUDGET_MB={raw!r} is not a finite number "
+            f"of MiB"
+        ) from None
 
 
 #: Byte budget for bitmap allocation; module-level so tests can force the

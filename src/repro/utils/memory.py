@@ -94,14 +94,21 @@ class MemoryBudget:
         """Build a ledger from an explicit budget or the environment.
 
         Explicit ``megabytes`` wins; otherwise ``REPRO_MEMORY_BUDGET_MB``
-        is consulted; otherwise the ledger is unlimited.
+        is consulted (a value that is not an integer raises
+        :class:`ValueError`); otherwise the ledger is unlimited.
         """
         if megabytes is not None:
             return cls(megabytes)
         raw = os.environ.get(BUDGET_ENV_VAR, "").strip()
-        if raw:
-            return cls(int(raw))
-        return cls(None)
+        if not raw:
+            return cls(None)
+        try:
+            megabytes = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{BUDGET_ENV_VAR}={raw!r} is not an integer number of MiB"
+            ) from None
+        return cls(megabytes)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -116,7 +116,9 @@ class TestBoundedCache:
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE_SIZE", "3")
         assert ReleaseSession().max_artifacts == 3
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE_SIZE", "not-a-number")
-        assert ReleaseSession().max_artifacts == 64
+        with pytest.raises(ValueError,
+                           match="REPRO_ARTIFACT_CACHE_SIZE='not-a-number'"):
+            ReleaseSession()
         monkeypatch.delenv("REPRO_ARTIFACT_CACHE_SIZE")
         assert ReleaseSession().max_artifacts == 64
         assert ReleaseSession(max_artifacts=5).max_artifacts == 5

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.synthetic import attributed_social_graph
+from repro.graphs import statistics
 from repro.graphs.attributed import AttributedGraph
 
 
@@ -71,3 +72,28 @@ def medium_social_graph() -> AttributedGraph:
 def rng() -> np.random.Generator:
     """A deterministic random generator for test bodies."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def scan_log(monkeypatch) -> list:
+    """Every triangle and common-neighbour scan run, as ``(kind, graph)``.
+
+    ``kind`` is ``"totals"`` or ``"per-node"`` for the triangle scan and
+    ``"max-cn"`` for the common-neighbour maximum.
+    """
+    log = []
+    triangle_scan = statistics._triangle_scan
+    max_cn_scan = statistics._max_common_neighbours_scan
+
+    def counted_triangle_scan(graph, per_node):
+        log.append(("per-node" if per_node else "totals", graph))
+        return triangle_scan(graph, per_node)
+
+    def counted_max_cn_scan(graph):
+        log.append(("max-cn", graph))
+        return max_cn_scan(graph)
+
+    monkeypatch.setattr(statistics, "_triangle_scan", counted_triangle_scan)
+    monkeypatch.setattr(statistics, "_max_common_neighbours_scan",
+                        counted_max_cn_scan)
+    return log

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import repro.graphs.statistics as stats
 from repro.graphs.attributed import AttributedGraph
+from repro.testing import reference
 
 #: Chunk budgets: the production default, tiny chunks, one partner a chunk.
 CHUNK_SIZES = [stats._MAX_PAIRS_PER_CHUNK, 8, 1]
@@ -51,7 +52,7 @@ def _assert_exact(graph, chunk_size):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stats, "_MAX_PAIRS_PER_CHUNK", chunk_size)
         assert stats.max_common_neighbours(graph) == \
-            stats.max_common_neighbours_reference(graph)
+            reference.max_common_neighbours_reference(graph)
 
 
 def _stars(num_stars, leaves, first_node=0):
@@ -135,7 +136,7 @@ ADVERSARIAL = {
 def test_adversarial_cases(case, chunk_size):
     build, expected = ADVERSARIAL[case]
     graph = build()
-    assert stats.max_common_neighbours_reference(graph) == expected
+    assert reference.max_common_neighbours_reference(graph) == expected
     _assert_exact(graph, chunk_size)
 
 

@@ -12,7 +12,7 @@ cumsum offsets) wraps silently.  This suite pins, at
   pure-Python ``*_reference`` kernels (counts bit-identical);
 * the binary codec round-trip, with wire bytes identical no matter which
   input dtype the caller handed in;
-* accelerator maintenance across mutations at a boundary width.
+* the statistics memo across mutations at a boundary width.
 """
 
 import numpy as np
@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from repro.graphs import codec, dtypes
 from repro.graphs import statistics as stats
-from repro.graphs.accel import MetricsAccelerator
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.components import component_labels, is_connected
+from repro.testing import reference
 
 #: The ladder's rung boundaries (and one on each side of the uint8 rung).
 BOUNDARY_NS = [254, 255, 256, 65535, 65536]
@@ -56,13 +56,14 @@ def _boundary_edges(n, rng):
 
 
 def _assert_counts_match_reference(graph):
-    assert stats.triangle_count(graph) == stats.triangle_count_reference(graph)
+    assert stats.triangle_count(graph) == \
+        reference.triangle_count_reference(graph)
     assert np.array_equal(
         stats.triangles_per_node(graph),
-        stats.triangles_per_node_reference(graph),
+        reference.triangles_per_node_reference(graph),
     )
     assert stats.max_common_neighbours(graph) == \
-        stats.max_common_neighbours_reference(graph)
+        reference.max_common_neighbours_reference(graph)
     assert graph.degrees().dtype == np.int64  # boundary API stays widened
 
 
@@ -226,8 +227,8 @@ class TestUint16Boundary:
         assert count > 1
 
 
-class TestAcceleratorAtBoundary:
-    """Incremental maintenance stays bit-identical at a boundary width."""
+class TestMemoAtBoundary:
+    """A filled statistics memo stays exact across mutations at a boundary."""
 
     @given(
         n=st.sampled_from([255, 256]),
@@ -237,10 +238,11 @@ class TestAcceleratorAtBoundary:
         ),
     )
     @settings(max_examples=20, deadline=None)
-    def test_maintained_counts_match_reference(self, n, ops):
+    def test_memoized_counts_match_reference(self, n, ops):
         us, vs = _boundary_edges(n, np.random.default_rng(n))
         graph = AttributedGraph.from_edge_arrays(n, us, vs)
-        MetricsAccelerator.attach(graph)
+        graph.enable_statistics_memo()
+        _assert_counts_match_reference(graph)  # fills the memo
         for u, v in ops:
             u, v = u % n, v % n
             if u == v:
@@ -249,7 +251,7 @@ class TestAcceleratorAtBoundary:
                 graph.remove_edge(u, v)
             else:
                 graph.add_edge(u, v)
-        assert graph.metrics_accelerator is not None
+        assert graph.statistics_memo is not None
         _assert_counts_match_reference(graph)
         graph._compact()
         _assert_counts_match_reference(graph)

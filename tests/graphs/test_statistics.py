@@ -188,49 +188,25 @@ class TestBatchedCommonNeighbours:
         assert np.array_equal(counts[~skip], reference[~skip])
         assert not counts[skip].any()
 
-    def test_collect_members_returns_sorted_csr_segments(self):
-        graph, us, vs = _random_pair_workload(seed=3)
-        indptr, indices, keys = _csr_with_keys(graph)
-        counts, members, member_indptr = batched_common_neighbours(
-            graph.num_nodes, indptr, indices, keys, us, vs,
-            collect_members=True,
-        )
-        assert member_indptr.size == us.size + 1
-        assert np.array_equal(np.diff(member_indptr), counts)
-        assert members.size == int(counts.sum())
-        adjacency = {
-            u: set(graph.neighbors(u)) for u in range(graph.num_nodes)
-        }
-        for p in range(us.size):
-            segment = members[member_indptr[p]:member_indptr[p + 1]]
-            assert np.array_equal(segment, np.sort(segment))
-            assert set(segment.tolist()) \
-                == adjacency[int(us[p])] & adjacency[int(vs[p])]
-
     def test_small_probe_budget_chunks_identically(self):
         graph, us, vs = _random_pair_workload(seed=5)
         indptr, indices, keys = _csr_with_keys(graph)
         full = batched_common_neighbours(
             graph.num_nodes, indptr, indices, keys, us, vs
         )
-        chunked, members, member_indptr = batched_common_neighbours(
-            graph.num_nodes, indptr, indices, keys, us, vs,
-            collect_members=True, max_probes=7,
+        chunked = batched_common_neighbours(
+            graph.num_nodes, indptr, indices, keys, us, vs, max_probes=7,
         )
         assert np.array_equal(full, chunked)
-        assert np.array_equal(np.diff(member_indptr), chunked)
-        assert members.size == int(chunked.sum())
 
     def test_empty_pairs_and_edgeless_graph(self):
         graph, us, vs = _random_pair_workload(seed=1)
         indptr, indices, keys = _csr_with_keys(graph)
         none = np.empty(0, dtype=np.int64)
-        counts, members, member_indptr = batched_common_neighbours(
+        counts = batched_common_neighbours(
             graph.num_nodes, indptr, indices, keys, none, none,
-            collect_members=True,
         )
-        assert counts.size == 0 and members.size == 0
-        assert np.array_equal(member_indptr, np.zeros(1, dtype=np.int64))
+        assert counts.size == 0
         bare = AttributedGraph(6, 0)
         indptr, indices, keys = _csr_with_keys(bare)
         counts = batched_common_neighbours(

@@ -12,14 +12,16 @@ import repro.graphs.statistics as stats
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.statistics import (
     degree_ccdf,
-    degree_ccdf_reference,
     local_clustering_coefficients,
-    local_clustering_coefficients_reference,
     max_common_neighbours,
-    max_common_neighbours_reference,
     triangle_count,
-    triangle_count_reference,
     triangles_per_node,
+)
+from repro.testing.reference import (
+    degree_ccdf_reference,
+    local_clustering_coefficients_reference,
+    max_common_neighbours_reference,
+    triangle_count_reference,
     triangles_per_node_reference,
 )
 

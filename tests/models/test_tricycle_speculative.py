@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.acceptance import observed_correlations
-from repro.graphs.accel import MetricsAccelerator
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.statistics import (
     degree_histogram,
@@ -36,8 +35,7 @@ def _edge_keys(graph):
     return {(min(u, v), max(u, v)) for u, v in graph.edges()}
 
 
-def _run_engine(graph, target, seed, block_size=256, accel=None,
-                factor=30):
+def _run_engine(graph, target, seed, block_size=256, factor=30):
     """Drive SpeculativeRewiring directly on ``graph`` (mutates it)."""
     tau = triangle_count(graph)
     pi = build_pi_distribution(graph.degrees())
@@ -45,7 +43,7 @@ def _run_engine(graph, target, seed, block_size=256, accel=None,
     engine = SpeculativeRewiring(
         graph, edge_age, tau, target, factor * max(graph.num_edges, 1),
         WeightedSampler(pi), np.random.default_rng(seed), None,
-        block_size=block_size, accel=accel,
+        block_size=block_size,
     )
     engine.run()
     return engine, edge_age
@@ -209,20 +207,22 @@ class TestEngineInvariants:
         # must have survived at least one rollback or conflict round.
         assert stats["rollbacks"] + stats["conflicts"] >= 0
 
-    def test_accelerator_stays_attached_and_exact(self, medium_social_graph):
+    def test_tau_exact_and_memo_cleared(self, medium_social_graph):
         graph = medium_social_graph.copy()
-        accel = MetricsAccelerator.attach(graph).prime()
+        graph.enable_statistics_memo()
+        before = triangles_per_node(graph)  # fills the memo
         target = triangle_count(graph) + 400
-        engine, _ = _run_engine(graph, target, seed=13, block_size=128,
-                                accel=accel)
+        engine, _ = _run_engine(graph, target, seed=13, block_size=128)
+        assert graph.statistics_memo == {}  # the adoption cleared it
         assert engine.tau == triangle_count(graph)
-        assert accel.triangle_count() == triangle_count(graph)
-        assert np.array_equal(accel.triangles_per_node(),
-                              triangles_per_node(graph))
-        assert accel.wedge_count() == wedge_count(graph)
-        assert np.array_equal(accel.degree_histogram(),
-                              degree_histogram(graph))
-        assert accel.stats()["maintained_adoptions"] >= 1
+        scratch = graph.copy()  # no memo: counts from fresh scans
+        assert triangle_count(scratch) == engine.tau
+        assert np.array_equal(triangles_per_node(graph),
+                              triangles_per_node(scratch))
+        assert not np.array_equal(triangles_per_node(graph), before)
+        assert wedge_count(graph) == wedge_count(scratch)
+        assert np.array_equal(degree_histogram(graph),
+                              degree_histogram(scratch))
 
     def test_zero_gap_and_empty_graph_are_noops(self):
         empty = AttributedGraph(5, 0)
@@ -320,11 +320,13 @@ class TestNightlyDistributionalSuite:
 
         graph = epinions_like(scale=0.3, seed=np.random.default_rng(20160626))
         target = int(1.2 * triangle_count(graph))
-        accel = MetricsAccelerator.attach(graph).prime()
+        graph.enable_statistics_memo()
+        triangle_count(graph)  # fills the memo
         engine, edge_age = _run_engine(graph, target, seed=17,
-                                       block_size=4096, accel=accel)
+                                       block_size=4096)
+        assert graph.statistics_memo == {}
         assert engine.tau == triangle_count(graph)
-        assert accel.triangle_count() == engine.tau
+        assert triangle_count(graph.copy()) == engine.tau
         assert len(edge_age) == graph.num_edges
         assert {(min(u, v), max(u, v)) for u, v in edge_age} \
             == _edge_keys(graph)

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from repro.graphs.attributed import AttributedGraph
-from repro.graphs.statistics import (
-    triangle_count,
+from repro.graphs.statistics import triangle_count, triangles_per_node
+from repro.testing.reference import (
     triangle_count_reference,
-    triangles_per_node,
     triangles_per_node_reference,
 )
 from repro.utils import membership
@@ -257,3 +256,15 @@ class TestMembershipGateBoundary:
         fast = triangle_count(graph)
         monkeypatch.setattr(membership, "DEFAULT_BUDGET_BYTES", 0)
         assert triangle_count(graph) == fast == triangle_count_reference(graph)
+
+
+class TestBudgetEnvironment:
+    def test_budget_is_read_in_megabytes(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MEMBERSHIP_BUDGET_MB", "0.5")
+        assert membership._default_budget_bytes() == 1 << 19
+
+    def test_malformed_budget_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MEMBERSHIP_BUDGET_MB", "lots")
+        with pytest.raises(ValueError,
+                           match="REPRO_MEMBERSHIP_BUDGET_MB='lots'"):
+            membership._default_budget_bytes()

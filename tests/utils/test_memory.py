@@ -36,6 +36,13 @@ class TestResolve:
         monkeypatch.setenv(BUDGET_ENV_VAR, "  ")
         assert MemoryBudget.resolve().unlimited
 
+    def test_malformed_environment_budget_names_the_variable(self,
+                                                              monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "lots")
+        with pytest.raises(ValueError,
+                           match="REPRO_MEMORY_BUDGET_MB='lots'"):
+            MemoryBudget.resolve()
+
     @pytest.mark.parametrize("bad", [0, -1])
     def test_budget_must_be_at_least_one_megabyte(self, bad):
         with pytest.raises(ValueError):
