@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.attributes.encoding import AttributeEncoder
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.components import largest_connected_component
 from repro.models.tricycle import TriCycLeModel
@@ -105,9 +106,8 @@ def _induce_homophily(graph: AttributedGraph, strength: float,
 
     Random pairs of nodes exchange their whole attribute vectors when the
     swap increases the number of edges whose endpoints agree on attributes;
-    ``strength`` controls how many swap proposals are made (as a multiple of
-    the node count per pass).  Swapping preserves the attribute marginals
-    exactly.
+    each pass makes ``4 · strength · n`` swap proposals.  Swapping preserves
+    the attribute marginals exactly.
     """
     strength = check_fraction(strength, "strength")
     n = graph.num_nodes
@@ -116,42 +116,43 @@ def _induce_homophily(graph: AttributedGraph, strength: float,
     attributes = graph.attributes
     proposals_per_pass = int(strength * 4 * n)
 
-    # The structure is static here (only attributes move), so the CSR view
-    # is built once; comparing integer attribute *codes* along CSR rows
-    # replaces the per-neighbour array_equal calls of the original loop.
-    from repro.attributes.encoding import AttributeEncoder
-
-    codes = AttributeEncoder(graph.num_attributes).encode_matrix(
-        attributes
-    ).tolist()
+    # Only attributes move, so the structure is read once.  hist[x][c]
+    # counts x's neighbours whose attribute code is c, which makes a
+    # proposal's gain four lookups; only an accepted swap walks the two
+    # rows, to move its endpoints' codes in their neighbours' histograms.
+    encoder = AttributeEncoder(graph.num_attributes)
+    code_array = encoder.encode_matrix(attributes)
+    q = encoder.num_configurations
     indptr, indices = graph.csr()
+    owners = np.repeat(np.arange(n), np.diff(indptr))
+    hist = np.bincount(
+        owners * q + code_array[indices], minlength=n * q
+    ).reshape(n, q).tolist()
+    codes = code_array.tolist()
     flat = indices.tolist()
     bounds = indptr.tolist()
-    rows = [flat[bounds[i]:bounds[i + 1]] for i in range(n)]
+    holder = list(range(n))
 
     for _ in range(num_passes):
         proposals = rng.integers(n, size=(proposals_per_pass, 2))
         for u, v in proposals.tolist():
             code_u = codes[u]
             code_v = codes[v]
-            if u == v or code_u == code_v:
+            if code_u == code_v:
                 continue
-            gain = 0
-            for w in rows[u]:
-                code_w = codes[w]
-                if code_w == code_u:
-                    gain -= 1
-                elif code_w == code_v:
-                    gain += 1
-            for w in rows[v]:
-                code_w = codes[w]
-                if code_w == code_v:
-                    gain -= 1
-                elif code_w == code_u:
-                    gain += 1
-            if gain > 0:
+            hist_u = hist[u]
+            hist_v = hist[v]
+            if (hist_u[code_v] - hist_u[code_u]
+                    + hist_v[code_u] - hist_v[code_v]) > 0:
                 codes[u], codes[v] = code_v, code_u
-                attributes[[u, v]] = attributes[[v, u]]
+                holder[u], holder[v] = holder[v], holder[u]
+                for w in flat[bounds[u]:bounds[u + 1]]:
+                    hist[w][code_u] -= 1
+                    hist[w][code_v] += 1
+                for w in flat[bounds[v]:bounds[v + 1]]:
+                    hist[w][code_v] -= 1
+                    hist[w][code_u] += 1
+    attributes[:] = attributes[holder]
 
 
 def attributed_social_graph(num_nodes: int, average_degree: float,

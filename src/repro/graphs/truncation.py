@@ -2,63 +2,62 @@
 
 The truncation operator µ(G, k) projects an arbitrary graph onto the set of
 k-bounded graphs (maximum degree at most ``k``) by scanning the edges in a
-fixed canonical order and deleting any edge whose endpoints *currently* have
-degree above ``k``.  The paper (Proposition 1) shows that computing the
-attribute-edge correlation counts on the truncated graph has global
-sensitivity exactly ``2k`` under edge adjacency — the property that makes the
-EdgeTruncation approach to Θ_F work.
+fixed canonical order, lexicographic by ``(min, max)`` endpoints, and
+deleting any edge whose endpoints *currently* have degree above ``k``.  The
+paper (Proposition 1) shows that computing the attribute-edge correlation
+counts on the truncated graph has global sensitivity ``2k`` under edge
+adjacency — the property that makes the EdgeTruncation approach to Θ_F work.
+
+The scan has a closed form.  In canonical order a node meets its incident
+edges in ascending neighbour id.  A node of degree ``d > k`` therefore
+loses its first ``d - k`` edges whatever their other endpoints do: while
+all of them are deleted its current degree is still above ``k``.  From then
+on its degree is at most ``k``, so it deletes no other edge.  An edge
+survives exactly when each endpoint ranks the other among its ``k``
+highest-id neighbours: µ(G, k) is the join of two per-node top-k relations.
+
+Neighbouring graphs.  Toggling the edge ``(a, b)`` changes only the top-k
+lists of ``a`` and ``b``.  Each gains or loses the other, which moves at
+most one other neighbour across its list's boundary.  So at most three
+edges change survival: ``(a, b)`` and one edge at each endpoint, and the
+truncated count vector moves by at most 3 in L1.  Changing one node's
+attribute vector re-encodes at most its ``k`` surviving edges, each moving
+two counts by one: at most ``2k``.  Both are within Proposition 1's ``2k``
+for ``k >= 2``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.graphs import dtypes
 from repro.graphs.attributed import AttributedGraph
 
-Edge = Tuple[int, int]
 
+def truncated_edge_arrays(graph: AttributedGraph, k: int
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """The canonical edge arrays ``(us, vs)`` of µ(G, k), in one pass.
 
-def canonical_edge_order(graph: AttributedGraph) -> List[Edge]:
-    """Return the canonical ordering over edges used by the truncation operator.
-
-    We order edges lexicographically by their ``(min, max)`` endpoints.  Any
-    fixed, data-independent ordering satisfies Definition 2; lexicographic
-    order is deterministic and cheap.
+    ``floor[x]`` is ``x``'s k-th highest-id neighbour when its degree
+    exceeds ``k``, and 0 otherwise; the edge ``(u, v)`` of
+    :meth:`~repro.graphs.attributed.AttributedGraph.edge_arrays` survives
+    iff ``v >= floor[u]`` and ``u >= floor[v]`` (see the module doc).
     """
-    return sorted(graph.edges())
-
-
-def _truncate_canonical_order(graph: AttributedGraph, k: int
-                              ) -> AttributedGraph:
-    """Array fast path of :func:`truncate_edges` for the default ordering.
-
-    Walks the canonical edge arrays once with a plain degree ledger —
-    deleting an edge only changes two degrees, so no per-edge graph
-    mutations (or CSR invalidations) are needed; the survivors are adopted
-    into a fresh graph in one vectorized pass.
-    """
+    if k < 1:
+        raise ValueError(f"truncation parameter k must be >= 1, got {k}")
+    indptr, indices = graph.csr()
+    heavy = np.flatnonzero(graph.degrees() > k)
+    floor = np.zeros(graph.num_nodes, dtype=indices.dtype)
+    # Widen before subtracting: a narrow indptr minus k can overflow.
+    floor[heavy] = indices[dtypes.widen(indptr[heavy + 1]) - k]
     us, vs = graph.edge_arrays()
-    degrees = graph.degrees().tolist()
-    keep = np.ones(us.size, dtype=bool)
-    position = 0
-    for u, v in zip(us.tolist(), vs.tolist()):
-        if degrees[u] > k or degrees[v] > k:
-            keep[position] = False
-            degrees[u] -= 1
-            degrees[v] -= 1
-        position += 1
-    truncated = AttributedGraph.from_edge_arrays(
-        graph.num_nodes, us[keep], vs[keep], graph.num_attributes
-    )
-    if graph.num_attributes:
-        truncated.set_all_attributes(graph.attributes)
-    return truncated
+    keep = (vs >= floor[us]) & (us >= floor[vs])
+    return us[keep], vs[keep]
 
 
-def truncate_edges(graph: AttributedGraph, k: int,
-                   order: Optional[Iterable[Edge]] = None) -> AttributedGraph:
+def truncate_edges(graph: AttributedGraph, k: int) -> AttributedGraph:
     """Apply the truncation operator µ(G, k) and return the truncated graph.
 
     Parameters
@@ -67,37 +66,19 @@ def truncate_edges(graph: AttributedGraph, k: int,
         Input attributed graph; it is not modified.
     k:
         Truncation (degree-bound) parameter, ``k >= 1``.
-    order:
-        Optional explicit canonical edge ordering.  Defaults to the
-        lexicographic ordering of :func:`canonical_edge_order`.
 
     Returns
     -------
     AttributedGraph
         A new graph whose maximum degree is at most ``k``.  Node attributes
         are copied unchanged: truncation only ever looks at degrees.
-
-    Notes
-    -----
-    Following Definition 2, an edge is deleted when, at the moment it is
-    processed, either endpoint has degree greater than ``k``.  Degrees are
-    therefore evaluated against the *partially truncated* graph, which is the
-    reading used by the paper's Proposition 1 proof.
     """
-    if k < 1:
-        raise ValueError(f"truncation parameter k must be >= 1, got {k}")
-    if order is None:
-        # The default (lexicographic) ordering admits a vectorized-adoption
-        # fast path; explicit orderings keep the general mutation loop.
-        return _truncate_canonical_order(graph, k)
-
-    truncated = graph.copy()
-    for u, v in order:
-        if not truncated.has_edge(u, v):
-            continue
-        if truncated.degree(u) > k or truncated.degree(v) > k:
-            truncated.remove_edge(u, v)
-
+    us, vs = truncated_edge_arrays(graph, k)
+    truncated = AttributedGraph.from_edge_arrays(
+        graph.num_nodes, us, vs, graph.num_attributes
+    )
+    if graph.num_attributes:
+        truncated.set_all_attributes(graph.attributes)
     return truncated
 
 

@@ -31,7 +31,10 @@ import numpy as np
 
 from repro.attributes.encoding import EdgeConfigurationEncoder
 from repro.graphs.attributed import AttributedGraph
-from repro.graphs.truncation import default_truncation_parameter, truncate_edges
+from repro.graphs.truncation import (
+    default_truncation_parameter,
+    truncated_edge_arrays,
+)
 from repro.privacy.accountant import EpsilonLike, charge_epsilon
 from repro.privacy.mechanisms import laplace_noise, normalize_counts
 from repro.privacy.sensitivity import (
@@ -98,7 +101,18 @@ def uniform_correlation_distribution(num_attributes: int) -> CorrelationDistribu
 
 
 def connection_counts(graph: AttributedGraph) -> np.ndarray:
-    """The exact edge-configuration counts Q_F for ``graph``.
+    """The exact edge-configuration counts Q_F for ``graph``."""
+    return _configuration_counts(graph, *graph.edge_arrays())
+
+
+def truncated_connection_counts(graph: AttributedGraph, k: int) -> np.ndarray:
+    """Q_F of µ(G, k)'s edges, before noise (Proposition 1's transform)."""
+    return _configuration_counts(graph, *truncated_edge_arrays(graph, k))
+
+
+def _configuration_counts(graph: AttributedGraph, us: np.ndarray,
+                          vs: np.ndarray) -> np.ndarray:
+    """Edge-configuration counts of the edges ``(us, vs)`` of ``graph``.
 
     Under a memory budget (``REPRO_MEMORY_BUDGET_MB``) the counting pass
     runs over byte-bounded edge blocks; per-block ``bincount`` results are
@@ -107,7 +121,6 @@ def connection_counts(graph: AttributedGraph) -> np.ndarray:
     """
     encoder = EdgeConfigurationEncoder(graph.num_attributes)
     node_codes = encoder.node_encoder.encode_matrix(graph.attributes)
-    us, vs = graph.edge_arrays()
     if us.size == 0:
         return np.zeros(encoder.num_configurations, dtype=float)
     block = MemoryBudget.resolve().shard_rows(
@@ -162,7 +175,7 @@ def learn_correlations_dp(graph: AttributedGraph, epsilon: EpsilonLike,
     -----
     The composed transform "truncate, then count" has global sensitivity
     ``2k`` (Proposition 1), so ``Lap(2k/ε)`` noise per count yields ε-DP
-    (Theorem 7).  The noisy counts are clamped to ``[0, n]`` and normalised,
+    (Theorem 7).  The noisy counts are floored at zero and normalised,
     which is post-processing.
     """
     epsilon = charge_epsilon(epsilon)
@@ -173,8 +186,7 @@ def learn_correlations_dp(graph: AttributedGraph, epsilon: EpsilonLike,
             f"truncation_k must be >= 2 so Proposition 1 applies, got {truncation_k}"
         )
 
-    truncated = truncate_edges(graph, truncation_k)
-    counts = connection_counts(truncated)
+    counts = truncated_connection_counts(graph, truncation_k)
     sensitivity = 2.0 * truncation_k
     noisy = counts + laplace_noise(sensitivity / epsilon, size=counts.shape, rng=rng)
     # Clamp below at zero before normalising (Algorithm 4).  No upper clamp is

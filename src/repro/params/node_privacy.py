@@ -32,8 +32,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.graphs.attributed import AttributedGraph
-from repro.graphs.truncation import default_truncation_parameter, truncate_edges
-from repro.params.correlations import CorrelationDistribution, connection_counts
+from repro.graphs.truncation import default_truncation_parameter
+from repro.params.correlations import (
+    CorrelationDistribution,
+    truncated_connection_counts,
+)
 from repro.privacy.accountant import EpsilonLike, charge_epsilon
 from repro.privacy.mechanisms import normalize_counts
 from repro.privacy.sensitivity import (
@@ -102,8 +105,7 @@ def learn_correlations_node_dp(graph: AttributedGraph, epsilon: EpsilonLike,
     if truncation_k is None:
         truncation_k = default_truncation_parameter(graph.num_nodes)
 
-    truncated = truncate_edges(graph, truncation_k)
-    counts = connection_counts(truncated)
+    counts = truncated_connection_counts(graph, truncation_k)
     smooth = node_dp_correlation_smooth_sensitivity(
         max(graph.num_nodes, 2), truncation_k, epsilon, delta
     )

@@ -27,7 +27,15 @@ production engines against them:
   equal to the vectorized ones in :mod:`repro.graphs.statistics`;
 * :func:`isotonic_regression_reference` — the PAVA on scalar-indexed NumPy
   arrays, bit-identical to
-  :func:`~repro.privacy.constrained_inference.isotonic_regression`.
+  :func:`~repro.privacy.constrained_inference.isotonic_regression`;
+* :func:`truncate_edges_reference` — µ(G, k) by Definition 2's per-edge
+  scan, in :func:`canonical_edge_order` or an explicit order; in canonical
+  order it equals the closed form
+  :func:`~repro.graphs.truncation.truncate_edges`;
+* :func:`induce_homophily_reference` — the dataset generators'
+  attribute-swap hill-climb with a per-neighbour gain scan, bit-identical
+  (attributes and generator state) to the histogram loop in
+  :mod:`repro.datasets.synthetic`.
 
 No production module imports this one (a guard test walks ``src/repro``),
 and :mod:`repro.testing` does not import it either.
@@ -38,10 +46,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from itertools import islice
-from typing import Deque, List, Optional, Set, Tuple
+from typing import Deque, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.attributes.encoding import AttributeEncoder
 from repro.graphs import statistics as graph_statistics
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.components import connected_components
@@ -60,6 +69,7 @@ from repro.models.tricycle import TriCycLeModel
 from repro.params.correlations import connection_probabilities
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sampling import WeightedSampler
+from repro.utils.validation import check_fraction
 
 
 # ----------------------------------------------------------------------
@@ -666,3 +676,123 @@ def isotonic_regression_reference(values: np.ndarray) -> np.ndarray:
         end = block_start[b + 1] if b + 1 < num_blocks else n
         result[start:end] = block_total[b] / block_count[b]
     return result
+
+
+# ----------------------------------------------------------------------
+# Edge truncation: the per-edge scan of Definition 2
+# ----------------------------------------------------------------------
+def canonical_edge_order(graph: AttributedGraph) -> List[Edge]:
+    """Return the canonical ordering over edges used by the truncation operator.
+
+    We order edges lexicographically by their ``(min, max)`` endpoints.  Any
+    fixed, data-independent ordering satisfies Definition 2; lexicographic
+    order is deterministic and cheap.
+    """
+    return sorted(graph.edges())
+
+
+def _truncate_canonical_order(graph: AttributedGraph, k: int
+                              ) -> AttributedGraph:
+    """Array fast path of :func:`truncate_edges_reference` for the default ordering.
+
+    Walks the canonical edge arrays once with a plain degree ledger —
+    deleting an edge only changes two degrees, so no per-edge graph
+    mutations (or CSR invalidations) are needed; the survivors are adopted
+    into a fresh graph in one vectorized pass.
+    """
+    us, vs = graph.edge_arrays()
+    degrees = graph.degrees().tolist()
+    keep = np.ones(us.size, dtype=bool)
+    position = 0
+    for u, v in zip(us.tolist(), vs.tolist()):
+        if degrees[u] > k or degrees[v] > k:
+            keep[position] = False
+            degrees[u] -= 1
+            degrees[v] -= 1
+        position += 1
+    truncated = AttributedGraph.from_edge_arrays(
+        graph.num_nodes, us[keep], vs[keep], graph.num_attributes
+    )
+    if graph.num_attributes:
+        truncated.set_all_attributes(graph.attributes)
+    return truncated
+
+
+def truncate_edges_reference(graph: AttributedGraph, k: int,
+                             order: Optional[Iterable[Edge]] = None
+                             ) -> AttributedGraph:
+    """Apply the truncation operator µ(G, k) by the per-edge scan (reference).
+
+    ``order`` is an optional explicit canonical edge ordering; it defaults
+    to the lexicographic ordering of :func:`canonical_edge_order`, for which
+    the result equals :func:`~repro.graphs.truncation.truncate_edges`.  An
+    edge is deleted when, at the moment it is processed, either endpoint has
+    degree greater than ``k`` in the partially truncated graph.
+    """
+    if k < 1:
+        raise ValueError(f"truncation parameter k must be >= 1, got {k}")
+    if order is None:
+        # The default (lexicographic) ordering admits a vectorized-adoption
+        # fast path; explicit orderings keep the general mutation loop.
+        return _truncate_canonical_order(graph, k)
+
+    truncated = graph.copy()
+    for u, v in order:
+        if not truncated.has_edge(u, v):
+            continue
+        if truncated.degree(u) > k or truncated.degree(v) > k:
+            truncated.remove_edge(u, v)
+
+    return truncated
+
+
+# ----------------------------------------------------------------------
+# Dataset homophily: the per-neighbour gain scan
+# ----------------------------------------------------------------------
+def induce_homophily_reference(graph: AttributedGraph, strength: float,
+                               rng: np.random.Generator,
+                               num_passes: int = 4) -> None:
+    """Attribute-vector swaps judged by scanning both rows (reference).
+
+    Bit-identical, in the attributes it leaves and in the generator state,
+    to :func:`repro.datasets.synthetic._induce_homophily`, which reads each
+    proposal's gain from per-node histograms of neighbour codes instead.
+    """
+    strength = check_fraction(strength, "strength")
+    n = graph.num_nodes
+    if n < 2 or graph.num_attributes == 0 or strength == 0.0:
+        return
+    attributes = graph.attributes
+    proposals_per_pass = int(strength * 4 * n)
+
+    codes = AttributeEncoder(graph.num_attributes).encode_matrix(
+        attributes
+    ).tolist()
+    indptr, indices = graph.csr()
+    flat = indices.tolist()
+    bounds = indptr.tolist()
+    rows = [flat[bounds[i]:bounds[i + 1]] for i in range(n)]
+
+    for _ in range(num_passes):
+        proposals = rng.integers(n, size=(proposals_per_pass, 2))
+        for u, v in proposals.tolist():
+            code_u = codes[u]
+            code_v = codes[v]
+            if u == v or code_u == code_v:
+                continue
+            gain = 0
+            for w in rows[u]:
+                code_w = codes[w]
+                if code_w == code_u:
+                    gain -= 1
+                elif code_w == code_v:
+                    gain += 1
+            for w in rows[v]:
+                code_w = codes[w]
+                if code_w == code_v:
+                    gain -= 1
+                elif code_w == code_u:
+                    gain += 1
+            if gain > 0:
+                codes[u], codes[v] = code_v, code_u
+                attributes[[u, v]] = attributes[[v, u]]

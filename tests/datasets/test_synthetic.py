@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import (
+    _induce_homophily,
     attributed_social_graph,
     epinions_like,
     lastfm_like,
@@ -11,9 +14,11 @@ from repro.datasets.synthetic import (
     pokec_like,
     powerlaw_degree_sequence,
 )
+from repro.graphs.attributed import AttributedGraph
 from repro.graphs.components import is_connected
 from repro.graphs.statistics import average_local_clustering, triangle_count
 from repro.params.correlations import connection_probabilities
+from repro.testing.reference import induce_homophily_reference
 
 
 class TestPowerlawDegreeSequence:
@@ -133,3 +138,53 @@ class TestNamedDatasets:
         small = lastfm_like(scale=0.05, seed=2)
         larger = lastfm_like(scale=0.15, seed=2)
         assert larger.num_nodes > small.num_nodes
+
+
+homophily_cases = st.integers(min_value=2, max_value=16).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=4 * n,
+        ),
+        st.integers(1, 3),
+        st.sampled_from([0.25, 0.7, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+class TestHomophilyOracle:
+    """The histogram hill-climb against the per-neighbour gain scan."""
+
+    @staticmethod
+    def _assert_matches_scan(graph, strength, seed):
+        expected = graph.copy()
+        generator = np.random.default_rng(seed)
+        reference_generator = np.random.default_rng(seed)
+        _induce_homophily(graph, strength, generator)
+        induce_homophily_reference(expected, strength, reference_generator)
+        assert np.array_equal(graph.attributes, expected.attributes)
+        assert (generator.bit_generator.state
+                == reference_generator.bit_generator.state)
+
+    @settings(max_examples=120, deadline=None)
+    @given(homophily_cases)
+    def test_bit_identical_to_the_scan(self, case):
+        num_nodes, edges, width, strength, seed = case
+        graph = AttributedGraph(num_nodes, width)
+        for u, v in edges:
+            if u != v:
+                graph.add_edge(u, v)
+        graph.set_all_attributes(np.random.default_rng(seed).integers(
+            0, 2, size=(num_nodes, width)).astype(np.uint8))
+        self._assert_matches_scan(graph, strength, seed)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_adjacent_proposals_on_a_clique(self, width):
+        # Every proposal of two distinct nodes is an adjacent pair.
+        graph = AttributedGraph(6, width)
+        graph.add_edges_from([(u, v) for u in range(6) for v in range(u + 1, 6)])
+        graph.set_all_attributes(np.random.default_rng(width).integers(
+            0, 2, size=(6, width)).astype(np.uint8))
+        self._assert_matches_scan(graph, 1.0, width)

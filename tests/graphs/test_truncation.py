@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.attributed import AttributedGraph
-from repro.graphs.truncation import (
-    canonical_edge_order,
-    default_truncation_parameter,
-    truncate_edges,
-)
+from repro.graphs.truncation import default_truncation_parameter, truncate_edges
 
 
 def star(n_leaves: int) -> AttributedGraph:
@@ -56,20 +52,6 @@ class TestTruncation:
         k = int(small_social_graph.degrees().max())
         truncated = truncate_edges(small_social_graph, k)
         assert truncated == small_social_graph
-
-    def test_respects_explicit_order(self):
-        # Path 0-1-2-3 with k=1: degrees are evaluated against the partially
-        # truncated graph, so the processing order decides which edge survives.
-        graph = AttributedGraph(4, 0)
-        graph.add_edges_from([(0, 1), (1, 2), (2, 3)])
-        forward = truncate_edges(graph, 1, order=[(0, 1), (1, 2), (2, 3)])
-        assert sorted(forward.edges()) == [(2, 3)]
-        backward = truncate_edges(graph, 1, order=[(2, 3), (1, 2), (0, 1)])
-        assert sorted(backward.edges()) == [(0, 1)]
-
-    def test_canonical_order_is_sorted(self, triangle_graph):
-        order = canonical_edge_order(triangle_graph)
-        assert order == sorted(order)
 
 
 class TestDefaultTruncationParameter:
