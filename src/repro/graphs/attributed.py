@@ -8,35 +8,31 @@ abstraction.
 Nodes are always the integers ``0 .. n-1``.  Datasets with arbitrary node
 labels are relabelled on load (see :mod:`repro.graphs.io`).
 
-Canonical edge store
---------------------
-The graph owns an immutable **base CSR** — ``(indptr, indices)`` with sorted
-neighbour rows — plus a bounded **delta overlay** of pending mutations:
-the sets of directed edge keys (``u * n + v``) inserted since the base was
-built and of base keys deleted since.  Every query answers from
-``base ⊕ overlay``:
+Edge store
+----------
+The graph keeps its edges in one **read form** and, once something writes
+edge by edge, one **write form**:
 
-* :meth:`has_edge` probes the overlay sets in O(1) and falls back to a
-  binary search of the base row;
-* :meth:`degrees` / :meth:`degree` read an incrementally maintained degree
-  array in O(1) per node;
-* :meth:`neighbors_array` merges a base row with its (tiny) overlay slice;
-* :meth:`csr` **compacts** the overlay into a new base with a handful of
-  vectorized array passes — O(n + m + δ) with *no sorting*, because the base
-  keys are already sorted and the overlay is merged at ``searchsorted``
-  positions.  While the overlay is empty, every call returns the same
-  read-only array objects.
+* the read form is an immutable **CSR** ``(indptr, indices)`` with sorted
+  neighbour rows, held at the storage-ladder widths of
+  :mod:`repro.graphs.dtypes` through checked casts.  Every bulk reader uses
+  it — :meth:`~AttributedGraph.csr`, :meth:`~AttributedGraph.neighbors_array`,
+  :meth:`~AttributedGraph.edge_arrays`, the statistics kernels, the codec
+  and :meth:`~AttributedGraph.copy` — and the bulk constructors and the
+  generators' wholesale adoption install it in one pass;
+* the write form is a dict of per-node neighbour **sets**.  The first
+  :meth:`~AttributedGraph.add_edge` / :meth:`~AttributedGraph.remove_edge`
+  (or :meth:`~AttributedGraph.materialize_neighbor_sets`) builds it from
+  the CSR, and it is kept from then on.  A write updates the sets, the
+  degree array and ``m``, clears the statistics memo and marks the CSR
+  stale; the next :meth:`~AttributedGraph.csr` rebuilds the CSR from the
+  sets with one key sort.
 
-The overlay is bounded: once it exceeds a fraction of the base it is folded
-in eagerly, so mutation-heavy loops pay amortized O(1) per edge and a
-long-lived graph can never accumulate an unbounded delta.
-
-The legacy per-node adjacency *sets* are demoted to a lazily materialized
-compatibility view (:meth:`neighbor_set`): nothing builds them until a
-caller asks for set semantics, and once built they are kept in sync by the
-mutation methods (and double as an O(1) accelerator for scalar membership
-probes).  Pipelines that stick to the CSR/overlay API never pay the
-per-edge Python ``set`` construction cost.
+No sets means the CSR is current.  While the sets exist, the scalar reads
+(``has_edge``, ``neighbors``, ``neighbor_set`` and the common-neighbour
+queries) answer from them.  A copy shares the current CSR and starts
+without sets or memo; a wholesale adoption drops the sets.  The release
+path builds every graph in bulk, so it never builds the sets.
 
 Statistics memo
 ---------------
@@ -53,6 +49,7 @@ never turned it on computes every statistic afresh and stores nothing.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
     Set, Tuple,
@@ -61,16 +58,9 @@ from typing import (
 import numpy as np
 
 from repro.graphs import dtypes
-from repro.utils.arrays import (
-    directed_keys_to_csr,
-    fold_sorted_keys,
-    sorted_intersect,
-)
+from repro.utils.arrays import directed_keys_to_csr, sorted_intersect
 
 Edge = Tuple[int, int]
-
-#: Directed-entry floor below which the overlay is never folded eagerly.
-_OVERLAY_COMPACT_MIN = 8192
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -107,24 +97,17 @@ class AttributedGraph:
         self._w = int(num_attributes)
         self._m = 0
         self._attributes = np.zeros((self._n, self._w), dtype=np.uint8)
-        # Structural mutation generation counter (bumped by every successful
-        # edge insertion/removal; attribute writes do not affect it).
-        self._generation = 0
-        # Canonical storage: immutable base CSR + delta overlay, held at the
-        # narrowest safe width (degrees and indices are < n, so both use the
-        # storage-ladder index dtype; indptr is re-sized at every install).
+        # Read form: the immutable CSR at the narrowest safe width (degrees
+        # and indices are < n, so both use the storage-ladder index dtype;
+        # indptr is re-sized at every install).
         self._index_dtype = dtypes.storage_index_dtype(self._n)
-        self._base_indptr = _read_only(np.zeros(self._n + 1, dtype=np.uint8))
-        self._base_indices = _read_only(np.empty(0, dtype=self._index_dtype))
-        self._added: Set[int] = set()
-        self._removed: Set[int] = set()
-        #: Cached sorted-array form of the overlay, tagged by generation.
-        self._overlay_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._indptr = _read_only(np.zeros(self._n + 1, dtype=np.uint8))
+        self._indices = _read_only(np.empty(0, dtype=self._index_dtype))
         self._degree_array = np.zeros(self._n, dtype=self._index_dtype)
-        # Optional mmap sidecar owning the immutable base arrays.
-        self._mmap_store = None
-        # Lazily materialized adjacency-set compatibility view.
+        # Write form: per-node neighbour sets, built by the first edge
+        # write; the CSR is stale while they hold writes it has not seen.
         self._adj_sets: Optional[Dict[int, Set[int]]] = None
+        self._csr_stale = False
         # Opt-in statistics memo (None while off; see the module docstring).
         self._memo: Optional[Dict[str, object]] = None
 
@@ -225,7 +208,7 @@ class AttributedGraph:
         self._clear_memo()
 
     # ------------------------------------------------------------------
-    # Edge manipulation (overlay writes)
+    # Edge writes (the write form)
     # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int) -> bool:
         """Add the undirected edge ``{u, v}``.
@@ -237,25 +220,16 @@ class AttributedGraph:
         self._check_node(v)
         if u == v:
             raise ValueError(f"self-loops are not allowed (node {u})")
-        key = u * self._n + v
-        if self._edge_present(key, u, v):
+        u, v = int(u), int(v)  # narrow NumPy scalars stay out of the sets
+        adj = self._adj
+        if v in adj[u]:
             return False
-        rkey = v * self._n + u
-        if key in self._removed:
-            # Re-inserting a base edge cancels its pending deletion.
-            self._removed.discard(key)
-            self._removed.discard(rkey)
-        else:
-            self._added.add(key)
-            self._added.add(rkey)
+        adj[u].add(v)
+        adj[v].add(u)
         self._m += 1
         self._degree_array[u] += 1
         self._degree_array[v] += 1
-        self._generation += 1
-        if self._adj_sets is not None:
-            self._adj_sets[u].add(v)
-            self._adj_sets[v].add(u)
-        self._maybe_compact()
+        self._csr_stale = True
         self._clear_memo()
         return True
 
@@ -267,25 +241,15 @@ class AttributedGraph:
         """
         self._check_node(u)
         self._check_node(v)
-        key = u * self._n + v
-        if not self._edge_present(key, u, v):
+        adj = self._adj
+        if v not in adj[u]:
             return False
-        rkey = v * self._n + u
-        if key in self._added:
-            # Deleting a pending insertion cancels it outright.
-            self._added.discard(key)
-            self._added.discard(rkey)
-        else:
-            self._removed.add(key)
-            self._removed.add(rkey)
+        adj[u].remove(v)
+        adj[v].remove(u)
         self._m -= 1
         self._degree_array[u] -= 1
         self._degree_array[v] -= 1
-        self._generation += 1
-        if self._adj_sets is not None:
-            self._adj_sets[u].discard(v)
-            self._adj_sets[v].discard(u)
-        self._maybe_compact()
+        self._csr_stale = True
         self._clear_memo()
         return True
 
@@ -295,7 +259,10 @@ class AttributedGraph:
             return False
         if self._adj_sets is not None:
             return v in self._adj_sets[u]
-        return self._edge_present(u * self._n + v, u, v)
+        # No sets: the CSR is current, so binary-search u's row.
+        row = self._indices[self._indptr[u]:self._indptr[u + 1]]
+        position = int(np.searchsorted(row, v))
+        return position < row.size and int(row[position]) == v
 
     def add_edges_from(self, edges: Iterable[Edge]) -> int:
         """Add many edges; returns the number of edges actually inserted."""
@@ -305,61 +272,8 @@ class AttributedGraph:
                 added += 1
         return added
 
-    def add_edges_arrays(self, us: np.ndarray, vs: np.ndarray) -> None:
-        """Bulk-insert pre-validated edges given as two parallel index arrays.
-
-        Bulk-insert utility for callers that have already validated their
-        edges: every pair must be a non-loop edge **not already present** in
-        the graph, and the pairs must be mutually distinct as undirected
-        edges.  No per-edge validation is performed beyond a range check on
-        the arrays — violating the contract silently corrupts ``num_edges``.
-        """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        if us.shape != vs.shape or us.ndim != 1:
-            raise ValueError("us and vs must be one-dimensional arrays of equal length")
-        if us.size == 0:
-            return
-        if int(min(us.min(), vs.min())) < 0 or int(max(us.max(), vs.max())) >= self._n:
-            raise KeyError("edge endpoint out of range")
-        n = self._n
-        sets = self._adj_sets
-        for u, v in zip(us.tolist(), vs.tolist()):
-            key = u * n + v
-            rkey = v * n + u
-            if key in self._removed:
-                self._removed.discard(key)
-                self._removed.discard(rkey)
-            else:
-                self._added.add(key)
-                self._added.add(rkey)
-            if sets is not None:
-                sets[u].add(v)
-                sets[v].add(u)
-        np.add.at(self._degree_array, us, 1)
-        np.add.at(self._degree_array, vs, 1)
-        self._m += us.size
-        self._generation += 1
-        self._maybe_compact()
-        self._clear_memo()
-
-    def clear_edges(self) -> None:
-        """Remove every edge, keeping nodes and attributes."""
-        self._install_base(
-            np.zeros(self._n + 1, dtype=np.uint8),
-            np.empty(0, dtype=self._index_dtype),
-        )
-        self._added.clear()
-        self._removed.clear()
-        self._overlay_cache = None
-        self._degree_array = np.zeros(self._n, dtype=self._index_dtype)
-        self._adj_sets = None
-        self._m = 0
-        self._generation += 1
-        self._clear_memo()
-
     # ------------------------------------------------------------------
-    # Neighbourhood queries (overlay-aware reads)
+    # Neighbourhood queries
     # ------------------------------------------------------------------
     def neighbors(self, node: int) -> FrozenSet[int]:
         """Return the neighbour set Γ(node) as a frozen set."""
@@ -371,7 +285,7 @@ class AttributedGraph:
     def neighbor_set(self, node: int) -> Set[int]:
         """Return the *live* neighbour set of ``node`` (do not mutate).
 
-        Materialises the adjacency-set compatibility view on first use.
+        Builds the write form's sets on first use.
         """
         self._check_node(node)
         return self._adj[node]
@@ -379,29 +293,14 @@ class AttributedGraph:
     def neighbors_array(self, node: int) -> np.ndarray:
         """Return the neighbours of ``node`` as a sorted integer array.
 
-        While the overlay is empty this is a zero-copy (read-only) view of
-        the base CSR row; otherwise the row's overlay slice is merged in.
-        The array carries the narrow storage-ladder dtype — widen
-        (:func:`repro.graphs.dtypes.widen`) before packing keys from it.
+        A zero-copy (read-only) view of the node's CSR row, rebuilt first
+        if edge writes made the CSR stale.  The array carries the narrow
+        storage-ladder dtype — widen (:func:`repro.graphs.dtypes.widen`)
+        before packing keys from it.
         """
         self._check_node(node)
-        indptr = self._base_indptr
-        row = self._base_indices[indptr[node]:indptr[node + 1]]
-        if not self._added and not self._removed:
-            return row
-        added, removed = self._overlay_arrays()
-        n = self._n
-        lo, hi = node * n, (node + 1) * n
-        r0, r1 = np.searchsorted(removed, (lo, hi))
-        if r1 > r0:
-            keep = np.ones(row.size, dtype=bool)
-            keep[np.searchsorted(row, removed[r0:r1] - lo)] = False
-            row = row[keep]
-        a0, a1 = np.searchsorted(added, (lo, hi))
-        if a1 > a0:
-            fresh = added[a0:a1] - lo
-            row = np.insert(row, np.searchsorted(row, fresh), fresh)
-        return row
+        indptr, indices = self.csr()
+        return indices[indptr[node]:indptr[node + 1]]
 
     def degree(self, node: int) -> int:
         """Return the degree of ``node`` (O(1))."""
@@ -430,7 +329,11 @@ class AttributedGraph:
         return view
 
     def common_neighbors(self, u: int, v: int) -> Set[int]:
-        """Return the set of common neighbours of ``u`` and ``v``."""
+        """Return the set of common neighbours of ``u`` and ``v``.
+
+        Intersects the sets when they exist, and merges the two sorted CSR
+        rows otherwise (without building the sets).
+        """
         self._check_node(u)
         self._check_node(v)
         if self._adj_sets is not None:
@@ -440,22 +343,8 @@ class AttributedGraph:
         ).tolist())
 
     def count_common_neighbors(self, u: int, v: int) -> int:
-        """Return ``|Γ(u) ∩ Γ(v)|`` without materialising the set view.
-
-        Uses the O(1)-update adjacency sets when the compatibility view is
-        live, and a vectorized merge of the two sorted neighbour rows
-        otherwise.
-        """
-        self._check_node(u)
-        self._check_node(v)
-        if self._adj_sets is not None:
-            a, b = self._adj_sets[u], self._adj_sets[v]
-            if len(a) > len(b):
-                a, b = b, a
-            return len(a & b)
-        return int(sorted_intersect(
-            self.neighbors_array(u), self.neighbors_array(v)
-        ).size)
+        """Return ``|Γ(u) ∩ Γ(v)|`` (never builds the write form)."""
+        return len(self.common_neighbors(u, v))
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return all edges as parallel canonical arrays ``(us, vs)``.
@@ -484,18 +373,8 @@ class AttributedGraph:
         return list(self.edges())
 
     # ------------------------------------------------------------------
-    # CSR view (compaction)
+    # Read form
     # ------------------------------------------------------------------
-    @property
-    def mutation_generation(self) -> int:
-        """Structural mutation counter.
-
-        Incremented by every successful edge insertion, removal, or bulk
-        update.  Attribute mutations do not affect it — the CSR view only
-        describes structure.
-        """
-        return self._generation
-
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return the compressed-sparse-row view ``(indptr, indices)``.
 
@@ -504,190 +383,89 @@ class AttributedGraph:
         narrowest storage-ladder dtype that fits their values (``indices``
         sized by ``n``, ``indptr`` by the directed entry count ``2m``).
 
-        While the overlay is empty, every call returns the *same* base
-        array objects; a structural mutation makes the next call fold the
-        overlay into a new base in O(n + m + δ) — a sort-free merge, not a
-        rebuild.
+        Until the next edge write every call returns the *same* array
+        objects; after one, the next call rebuilds them from the write
+        form's sets with one key sort.
         """
-        if self._added or self._removed:
-            self._compact()
-        return self._base_indptr, self._base_indices
+        if self._csr_stale:
+            n = self._n
+            owners = np.repeat(
+                # int64: directed-key packing owner * n + v overflows narrow widths.
+                np.arange(n, dtype=np.int64), self._degree_array
+            )
+            # The dict holds rows 0 .. n-1 in order (built once, never re-keyed).
+            neighbours = np.fromiter(
+                chain.from_iterable(self._adj_sets.values()),
+                dtype=np.int64, count=owners.size,
+            )
+            keys = owners * n + neighbours
+            keys.sort()
+            self._install_csr(keys)
+            self._csr_stale = False
+        return self._indptr, self._indices
 
-    def _overlay_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The overlay as sorted directed-key arrays (cached per generation)."""
-        cache = self._overlay_cache
-        if cache is not None and cache[0] == self._generation:
-            return cache[1], cache[2]
-        added = np.fromiter(self._added, dtype=np.int64, count=len(self._added))
-        removed = np.fromiter(
-            self._removed, dtype=np.int64, count=len(self._removed)
-        )
-        added.sort()
-        removed.sort()
-        self._overlay_cache = (self._generation, added, removed)
-        return added, removed
+    def _install_csr(self, directed_keys: np.ndarray) -> None:
+        """Install sorted directed edge keys as the immutable CSR.
 
-    def _maybe_compact(self) -> None:
-        """Fold the overlay into the base once it outgrows its bound."""
-        overlay = len(self._added) + len(self._removed)
-        if overlay > max(_OVERLAY_COMPACT_MIN, self._base_indices.size // 2):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Merge the overlay into a fresh immutable base CSR (sort-free)."""
-        n = self._n
-        keys = np.repeat(
-            # int64: directed-key packing u * n + v overflows narrow widths.
-            np.arange(n, dtype=np.int64), np.diff(self._base_indptr)
-        ) * n + self._base_indices
-        added, removed = self._overlay_arrays()
-        self._install_base_from_directed_keys(
-            fold_sorted_keys(keys, added, removed)
-        )
-
-    def _install_base_from_directed_keys(self, directed_keys: np.ndarray) -> None:
-        """Adopt sorted directed edge keys as the new immutable base CSR.
-
-        The CSR arrays are narrowed to the storage ladder on the way in —
+        The arrays are narrowed to the storage ladder on the way in —
         checked casts, so a key outside ``[0, n^2)`` fails loudly instead
         of wrapping.
         """
         indptr, indices = directed_keys_to_csr(self._n, directed_keys)
-        indices = dtypes.checked_cast(indices, self._index_dtype, "indices")
-        indptr = dtypes.checked_cast(
+        self._indices = _read_only(
+            dtypes.checked_cast(indices, self._index_dtype, "indices")
+        )
+        self._indptr = _read_only(dtypes.checked_cast(
             indptr,
             dtypes.storage_dtype_for_max(int(directed_keys.size)),
             "indptr",
-        )
-        self._install_base(indptr, indices)
-        self._added.clear()
-        self._removed.clear()
-        self._overlay_cache = None
-
-    def _install_base(self, indptr: np.ndarray,
-                      indices: np.ndarray) -> None:
-        """Install immutable base arrays, routing through the mmap sidecar.
-
-        With an attached :class:`~repro.graphs.mmapcsr.CsrMmapStore` the
-        arrays are persisted temp-and-swap and re-owned as read-only mmap
-        views; otherwise they stay heap-resident.
-        """
-        if self._mmap_store is not None:
-            indptr, indices = self._mmap_store.swap(indptr, indices)
-        self._base_indptr = _read_only(indptr)
-        self._base_indices = _read_only(indices)
+        ))
 
     # ------------------------------------------------------------------
-    # Memory-mapped base storage
-    # ------------------------------------------------------------------
-    @property
-    def mmap_base_enabled(self) -> bool:
-        """Whether the immutable base CSR lives in an mmap sidecar."""
-        return self._mmap_store is not None
-
-    def use_mmap_base(self, directory, name: str = "base_csr") -> None:
-        """Park the immutable base CSR in ``.npy`` sidecar files.
-
-        Any pending overlay is folded first; from then on every compaction
-        writes the fresh base arrays to the sidecar (temp-and-swap, the
-        ModelArtifact v2 protocol) and re-owns them as read-only
-        ``np.memmap`` views, so the base never has to be heap-resident.
-        Queries and mutations are unaffected — the overlay, degree array,
-        and adjacency-set view stay resident.
-        """
-        from repro.graphs.mmapcsr import CsrMmapStore
-
-        if self._added or self._removed:
-            self._compact()
-        self._mmap_store = CsrMmapStore(directory, name)
-        self._install_base(
-            np.asarray(self._base_indptr), np.asarray(self._base_indices)
-        )
-
-    # ------------------------------------------------------------------
-    # Adjacency-set compatibility view
+    # Write form
     # ------------------------------------------------------------------
     def materialize_neighbor_sets(self) -> None:
-        """Force the adjacency-set compatibility view into existence.
+        """Build the write form's per-node sets now (idempotent).
 
-        Mutation-heavy scalar loops (the rewiring generators, orphan repair)
-        call this up front so that ``has_edge`` / ``count_common_neighbors``
-        run on O(1)-update Python sets instead of re-deriving overlay-aware
-        answers per probe.
+        Edge-by-edge writers (TCL, the scalar oracles) call this up front,
+        so that their membership probes and common-neighbour counts run on
+        O(1)-update Python sets from the first proposal.
         """
         self._adj
 
     def adjacency_sets(self) -> Dict[int, Set[int]]:
-        """The live per-node neighbour sets (materialised on first use).
+        """The live per-node neighbour sets (built on first use).
 
         The scalar-hot loops index this dict directly instead of paying the
-        bounds-checked :meth:`neighbor_set` accessor per probe.  The dict and
-        its sets are kept in sync by the mutation methods — treat them as
+        bounds-checked :meth:`neighbor_set` accessor per probe.  The edge
+        writes keep the dict and its sets in sync, across CSR rebuilds
+        too, until a wholesale adoption drops them — treat them as
         read-only.
         """
         return self._adj
 
     @property
     def _adj(self) -> Dict[int, Set[int]]:
-        """The adjacency sets, lazily materialised from the canonical store.
-
-        Once built, the mutation methods keep the view in sync, so scalar
-        membership probes on mutation-heavy phases stay O(1).
-        """
+        """The write form's sets, built from the (current) CSR on first use."""
         if self._adj_sets is None:
-            indptr, indices = self.csr()
-            flat = indices.tolist()
-            bounds = indptr.tolist()
+            flat = self._indices.tolist()
+            bounds = self._indptr.tolist()
             self._adj_sets = {
                 v: set(flat[bounds[v]:bounds[v + 1]]) for v in range(self._n)
             }
         return self._adj_sets
 
     # ------------------------------------------------------------------
-    # Internal membership helpers
-    # ------------------------------------------------------------------
-    def _edge_present(self, key: int, u: int, v: int) -> bool:
-        """Membership of directed key ``u * n + v`` in base ⊕ overlay."""
-        if self._adj_sets is not None:
-            return v in self._adj_sets[u]
-        if key in self._added:
-            return True
-        if key in self._removed:
-            return False
-        indptr = self._base_indptr
-        row = self._base_indices[indptr[u]:indptr[u + 1]]
-        if row.size == 0:
-            return False
-        position = int(np.searchsorted(row, v))
-        return position < row.size and int(row[position]) == v
-
-    # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def _copy_structure_into(self, clone: "AttributedGraph") -> None:
-        """Copy the canonical store into ``clone`` (O(n + δ), base shared)."""
-        # The base arrays are immutable (compaction installs new arrays
-        # instead of writing in place), so clones share them safely.
-        clone._base_indptr = self._base_indptr
-        clone._base_indices = self._base_indices
-        clone._added = set(self._added)
-        clone._removed = set(self._removed)
-        clone._overlay_cache = None
-        clone._degree_array = self._degree_array.copy()
-        clone._adj_sets = None
-        clone._m = self._m
-
     def copy(self) -> "AttributedGraph":
-        """Return a deep copy of the graph (structure and attributes)."""
-        clone = AttributedGraph(self._n, self._w)
-        self._copy_structure_into(clone)
-        clone._attributes = self._attributes.copy()
-        return clone
+        """Return a deep copy of the graph (structure and attributes).
 
-    def structural_copy(self) -> "AttributedGraph":
-        """Return a copy of the structure with all attributes zeroed."""
-        clone = AttributedGraph(self._n, self._w)
-        self._copy_structure_into(clone)
+        The copy shares the current CSR (its arrays are immutable) and
+        starts without the write form's sets and without a memo.
+        """
+        clone = AttributedGraph.from_graph_structure(self, self._w)
+        clone._attributes = self._attributes.copy()
         return clone
 
     def induced_subgraph(self, nodes: Sequence[int]) -> "AttributedGraph":
@@ -705,6 +483,11 @@ class AttributedGraph:
         index = np.full(self._n, -1, dtype=np.int64)
         # int64: feeds lo * size + hi packing below.
         index[nodes] = np.arange(size, dtype=np.int64)
+        if np.count_nonzero(index >= 0) != size:
+            # A repeated id keeps one position, so another one mismatches.
+            repeated = next(node for position, node in enumerate(nodes)
+                            if index[node] != position)
+            raise ValueError(f"node {repeated} appears more than once in nodes")
         us, vs = self.edge_arrays()
         mapped_u = index[us]
         mapped_v = index[vs]
@@ -769,10 +552,9 @@ class AttributedGraph:
         """Build a graph from parallel endpoint arrays, CSR-first.
 
         The validated general-purpose counterpart of the batched
-        generators' internal :meth:`_from_canonical_keys` path: the base
-        CSR is built immediately with vectorized array operations and no
-        per-edge Python work.  A pipeline that only computes CSR-based
-        statistics on the result never pays for adjacency sets.
+        generators' internal :meth:`_from_canonical_keys` path: the CSR is
+        built immediately with vectorized array operations and no per-edge
+        Python work.
 
         The pairs must be loop-free and mutually distinct as undirected
         edges; duplicates or self-loops raise ``ValueError``.
@@ -827,45 +609,49 @@ class AttributedGraph:
         zeroed.
         """
         clone = cls(graph.num_nodes, num_attributes)
-        indptr, indices = graph.csr()
-        clone._base_indptr = indptr
-        clone._base_indices = indices
-        clone._degree_array = np.diff(dtypes.widen(indptr)).astype(
-            clone._index_dtype, copy=False
-        )
+        # The CSR arrays are immutable, so the clone shares them.
+        clone._indptr, clone._indices = graph.csr()
+        clone._degree_array = graph._degree_array.copy()
         clone._m = graph.num_edges
         return clone
 
     def _adopt_directed_keys(self, directed_keys: np.ndarray,
                              num_edges: int) -> None:
-        """Install sorted directed edge keys as the canonical base store.
+        """Install sorted directed edge keys as the graph's whole edge set.
 
-        Resets every derived structure (degrees, compat sets, overlay) and
-        bumps the mutation generation, so callers replacing the edge set
-        wholesale (the batched rewiring engine's adoption pass, the bulk
-        constructors) need no further invariant bookkeeping.
+        Resets the degrees, drops the write form's sets and clears the
+        memo, so callers replacing the edge set wholesale (the rewiring and
+        repair engines' adoption, the bulk constructors) need no further
+        invariant bookkeeping.
         """
-        self._install_base_from_directed_keys(directed_keys)
-        self._degree_array = np.diff(dtypes.widen(self._base_indptr)).astype(
+        self._install_csr(directed_keys)
+        self._degree_array = np.diff(dtypes.widen(self._indptr)).astype(
             self._index_dtype, copy=False
         )
         self._adj_sets = None
+        self._csr_stale = False
         self._m = int(num_edges)
-        self._generation += 1
         self._clear_memo()
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges: Iterable[Edge],
                    attributes: Optional[np.ndarray] = None) -> "AttributedGraph":
-        """Build a graph from an edge iterable and an optional attribute matrix."""
+        """Build a graph from an edge iterable and an optional attribute matrix.
+
+        ``attributes`` must be a 2-D ``(num_nodes, w)`` binary matrix.
+        """
+        num_attributes = 0
         if attributes is not None:
             attributes = np.asarray(attributes)
-            num_attributes = attributes.shape[1] if attributes.ndim == 2 else 0
-        else:
-            num_attributes = 0
+            if attributes.ndim != 2:
+                raise ValueError(
+                    "attributes must be a 2-D (num_nodes, w) matrix, got "
+                    f"shape {attributes.shape}"
+                )
+            num_attributes = attributes.shape[1]
         graph = cls(num_nodes, num_attributes)
         graph.add_edges_from(edges)
-        if attributes is not None and num_attributes:
+        if attributes is not None:
             graph.set_all_attributes(attributes)
         return graph
 
@@ -891,6 +677,13 @@ class AttributedGraph:
 
     def __hash__(self) -> int:  # pragma: no cover - graphs are mutable
         raise TypeError("AttributedGraph is mutable and unhashable")
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Unpickled arrays come back writeable; copies share the CSR, so
+        # it is re-frozen on the way in.
+        self.__dict__.update(state)
+        _read_only(self._indptr)
+        _read_only(self._indices)
 
     # ------------------------------------------------------------------
     # Internal helpers

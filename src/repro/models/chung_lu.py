@@ -209,7 +209,7 @@ class ChungLuModel(StructuralModel):
         max_attempts = self._max_attempt_factor * max(target_edges, 1)
         # Admit the durable output before any sampling: the accepted key
         # arrays (concat + sort scratch, ~4 int64 copies at peak) plus the
-        # base CSR the result graph will own (2m directed entries), and
+        # CSR the result graph will own (2m directed entries), and
         # with an acceptance vector the stub table (at most 2m node ids).
         # The shard cap below bounds the *transient* per-round footprint;
         # this bounds what generation holds for its whole length.

@@ -26,7 +26,7 @@ def directed_keys_to_csr(num_nodes: int, sorted_directed_keys: np.ndarray
     """Decode sorted directed edge keys ``u * n + v`` into CSR arrays.
 
     Returns ``(indptr, indices)`` with ``indices`` in per-row sorted order —
-    the shared kernel behind the canonical graph store and the rewiring
+    the shared kernel behind the graph's edge store and the rewiring
     engine's snapshots.
     """
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -62,7 +62,7 @@ def sorted_intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Common values of two *sorted* arrays, via a searchsorted merge.
 
     Enumerates the smaller side and tests membership in the larger with one
-    binary-search pass — the shared kernel behind the overlay-aware
+    binary-search pass — the shared kernel behind the graph's CSR
     common-neighbour counts and the rewiring engine's snapshot merges.
     """
     if a.size > b.size:

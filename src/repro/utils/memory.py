@@ -187,12 +187,12 @@ class MemoryBudget:
 # Pessimistic estimators for the library's dominant working sets
 # ----------------------------------------------------------------------
 def csr_bytes(num_nodes: int, num_edges: int, index_itemsize: int = 8) -> int:
-    """Upper bound on the bytes of a base CSR for ``n`` nodes, ``m`` edges."""
+    """Upper bound on the bytes of a CSR for ``n`` nodes, ``m`` edges."""
     return (int(num_nodes) + 1) * 8 + 2 * int(num_edges) * int(index_itemsize)
 
 
 def adjacency_set_bytes(num_nodes: int, num_edges: int) -> int:
-    """Upper bound on the adjacency-set compatibility view's heap cost.
+    """Upper bound on the heap cost of a graph's per-node neighbour sets.
 
     One dict row per node plus one Python-set entry per directed edge —
     the dominant resident structure of the mutation-heavy model phases.

@@ -82,14 +82,6 @@ class TestEdges:
         graph.add_edges_from([(2, 0), (3, 1)])
         assert sorted(graph.edges()) == [(0, 2), (1, 3)]
 
-    def test_clear_edges_keeps_attributes(self):
-        graph = AttributedGraph(3, 1)
-        graph.add_edge(0, 1)
-        graph.set_attributes(0, [1])
-        graph.clear_edges()
-        assert graph.num_edges == 0
-        assert graph.get_attributes(0)[0] == 1
-
 
 class TestNeighbourhoods:
     def test_degree_and_neighbors(self, triangle_graph):
@@ -155,9 +147,12 @@ class TestDerivedGraphs:
     def test_copy_equequality(self, triangle_graph):
         assert triangle_graph.copy() == triangle_graph
 
-    def test_structural_copy_zeroes_attributes(self, triangle_graph):
-        clone = triangle_graph.structural_copy()
+    def test_from_graph_structure_zeroes_attributes(self, triangle_graph):
+        clone = AttributedGraph.from_graph_structure(
+            triangle_graph, triangle_graph.num_attributes
+        )
         assert clone.num_edges == triangle_graph.num_edges
+        assert clone.num_attributes == triangle_graph.num_attributes
         assert not clone.attributes.any()
 
     def test_induced_subgraph(self, triangle_graph):
@@ -165,6 +160,13 @@ class TestDerivedGraphs:
         assert sub.num_nodes == 3
         assert sub.num_edges == 3
         assert np.array_equal(sub.attributes, triangle_graph.attributes[:3])
+
+    def test_induced_subgraph_rejects_repeated_nodes(self):
+        graph = AttributedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="node 1 appears more than once"):
+            graph.induced_subgraph([1, 2, 1])
+        with pytest.raises(ValueError, match="node 3 appears more than once"):
+            graph.induced_subgraph([3, 0, 3, 3])
 
     def test_induced_subgraph_relabels(self, triangle_graph):
         sub = triangle_graph.induced_subgraph([2, 3])
@@ -206,3 +208,17 @@ class TestConversion:
         graph = AttributedGraph.from_edges(3, [(0, 2)])
         assert graph.num_attributes == 0
         assert graph.has_edge(0, 2)
+
+    def test_from_edges_rejects_non_matrix_attributes(self):
+        with pytest.raises(ValueError, match="2-D"):
+            AttributedGraph.from_edges(3, [(0, 1)],
+                                       attributes=np.array([1, 0, 1]))
+        with pytest.raises(ValueError, match="2-D"):
+            AttributedGraph.from_edges(3, [(0, 1)], attributes=np.ones((3, 1, 1)))
+        with pytest.raises(ValueError, match="shape"):
+            AttributedGraph.from_edges(3, [(0, 1)], attributes=np.ones((2, 1)))
+
+    def test_from_edges_keeps_an_empty_attribute_matrix(self):
+        graph = AttributedGraph.from_edges(3, [(0, 1)],
+                                           attributes=np.zeros((3, 0)))
+        assert graph.num_attributes == 0

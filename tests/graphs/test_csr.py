@@ -56,14 +56,13 @@ class TestCsrInvalidation:
         assert first[0] is second[0]
         assert first[1] is second[1]
 
-    def test_add_edge_bumps_generation_and_recomputes(self):
+    def test_add_edge_recomputes(self):
         graph = random_graph(25, 0.2, seed=5)
         graph.remove_edge(0, 24)  # ensure absent (no-op if it already is)
-        before = graph.mutation_generation
         indptr, indices = graph.csr()
         assert graph.add_edge(0, 24)
-        assert graph.mutation_generation != before
         new_indptr, new_indices = graph.csr()
+        assert new_indices is not indices
         assert new_indices.size == indices.size + 2
         assert 24 in graph.neighbor_set(0)
         row = new_indices[new_indptr[0]:new_indptr[1]]
@@ -87,13 +86,20 @@ class TestCsrInvalidation:
         second = graph.csr()
         assert first[0] is second[0] and first[1] is second[1]
 
-    def test_clear_edges_invalidates(self):
+    def test_adoption_replaces_a_stale_csr(self):
+        # A wholesale adoption installs the new edge set and drops the sets
+        # that held the writes the CSR had not seen.
         graph = random_graph(10, 0.5, seed=6)
-        graph.csr()
-        graph.clear_edges()
+        graph.add_edge(*next(
+            (u, v) for u in range(10) for v in range(u + 1, 10)
+            if not graph.has_edge(u, v)
+        ))
+        graph._adopt_directed_keys(np.empty(0, dtype=np.int64), 0)
         indptr, indices = graph.csr()
         assert indices.size == 0
         assert list(indptr) == [0] * 11
+        assert graph.num_edges == 0 and not graph.degrees().any()
+        assert not graph.has_edge(0, 1) and graph.neighbor_set(0) == set()
 
 
 class TestFromEdgeArrays:
@@ -154,41 +160,31 @@ class TestFromEdgeArrays:
         assert not graph.has_edge(0, 3)
 
 
-class TestBulkInsert:
-    def test_add_edges_arrays(self):
-        graph = AttributedGraph(6, 0)
-        graph.add_edge(0, 1)
-        graph.add_edges_arrays(np.array([2, 3]), np.array([3, 4]))
-        assert graph.num_edges == 3
-        assert graph.has_edge(2, 3) and graph.has_edge(3, 4)
-        indptr, _ = graph.csr()
-        assert indptr[-1] == 6
+class TestWriteForm:
+    """The edge store: an immutable CSR plus neighbour sets for writers."""
 
-    def test_range_check(self):
-        graph = AttributedGraph(3, 0)
-        with pytest.raises(KeyError):
-            graph.add_edges_arrays(np.array([0]), np.array([9]))
-
-
-class TestDeltaOverlay:
-    """The canonical store: immutable base CSR + bounded delta overlay."""
-
-    def test_mutations_answer_from_overlay_without_compaction(self):
-        graph = random_graph(30, 0.2, seed=21)
-        base_indptr, base_indices = graph.csr()
+    def test_writes_answer_from_the_sets_until_csr_rebuilds(self):
+        graph = AttributedGraph.from_edge_arrays(
+            30, *random_graph(30, 0.2, seed=21).edge_arrays()
+        )
+        assert graph._adj_sets is None  # built in bulk: no write form
+        indptr, indices = graph.csr()
         fresh = [(u, v) for u in range(30) for v in range(u + 1, 30)
                  if not graph.has_edge(u, v)][:5]
         for u, v in fresh:
             graph.add_edge(u, v)
-        # Queries are exact before any csr() compaction happens.
+        # Queries are exact before csr() rebuilds the read form.
         for u, v in fresh:
             assert graph.has_edge(u, v)
-        assert graph._base_indices is base_indices  # base untouched so far
-        indptr, indices = graph.csr()               # compaction folds overlay
-        assert indptr[-1] == 2 * graph.num_edges
-        assert not graph._added and not graph._removed
+        assert np.array_equal(graph.degrees(), np.diff(indptr.astype(int))
+                              + np.bincount(np.ravel(fresh), minlength=30))
+        new_indptr, new_indices = graph.csr()
+        assert new_indptr[-1] == 2 * graph.num_edges
+        assert new_indices is not indices
+        assert graph.csr()[1] is new_indices  # current again until a write
+        assert graph._adj_sets is not None  # the writer's sets are kept
 
-    def test_neighbors_array_merges_overlay(self):
+    def test_neighbors_array_reads_the_rebuilt_csr(self):
         graph = random_graph(25, 0.25, seed=22)
         graph.csr()
         target = 7
@@ -218,7 +214,7 @@ class TestDeltaOverlay:
             assert np.array_equal(graph.degrees(), np.diff(indptr))
 
     def test_count_common_neighbors_array_path(self):
-        # A lazy (CSR-only) graph must count without materialising sets.
+        # A CSR-only graph must count without building the sets.
         graph = AttributedGraph.from_edge_arrays(
             8, np.array([0, 0, 1, 1, 2, 3]), np.array([2, 3, 2, 3, 4, 4])
         )
@@ -228,13 +224,19 @@ class TestDeltaOverlay:
         assert graph._adj_sets is None
         assert graph.common_neighbors(0, 1) == {2, 3}
 
-    def test_readd_of_removed_base_edge_cancels(self):
-        graph = AttributedGraph(4, 0)
-        graph.add_edges_from([(0, 1), (1, 2)])
-        graph.csr()
+    def test_readd_of_removed_edge_restores_equal_csr(self):
+        graph = AttributedGraph.from_edge_arrays(
+            4, np.array([0, 1]), np.array([1, 2])
+        )
+        indptr, indices = graph.csr()
         graph.remove_edge(0, 1)
-        graph.add_edge(0, 1)       # cancels the pending deletion
-        assert not graph._added and not graph._removed
+        assert graph.csr()[1].size == 2
+        graph.add_edge(0, 1)
+        new_indptr, new_indices = graph.csr()
+        assert new_indptr.dtype == indptr.dtype
+        assert new_indices.dtype == indices.dtype
+        assert np.array_equal(new_indptr, indptr)
+        assert np.array_equal(new_indices, indices)
         assert graph.has_edge(0, 1)
         assert graph.num_edges == 2
 

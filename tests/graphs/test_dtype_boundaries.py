@@ -8,8 +8,9 @@ unwidened arithmetic (``u * n + v`` packing, ``frontier + 1`` positions,
 cumsum offsets) wraps silently.  This suite pins, at
 ``n ∈ {254, 255, 256, 65535, 65536}`` and with non-int64 caller inputs:
 
-* construction, mutation, and overlay fold/compaction against the
-  pure-Python ``*_reference`` kernels (counts bit-identical);
+* construction, edge writes with narrow caller scalars, and the CSR
+  rebuild that follows them, against the pure-Python ``*_reference``
+  kernels (counts bit-identical, storage dtypes on the ladder);
 * the binary codec round-trip, with wire bytes identical no matter which
   input dtype the caller handed in;
 * the statistics memo across mutations at a boundary width.
@@ -65,6 +66,14 @@ def _assert_counts_match_reference(graph):
     assert stats.max_common_neighbours(graph) == \
         reference.max_common_neighbours_reference(graph)
     assert graph.degrees().dtype == np.int64  # boundary API stays widened
+
+
+def _assert_storage_dtypes(graph):
+    """The CSR (rebuilt if writes made it stale) sits on the storage ladder."""
+    indptr, indices = graph.csr()
+    assert indices.dtype == dtypes.storage_index_dtype(graph.num_nodes)
+    assert indptr.dtype == dtypes.storage_dtype_for_max(2 * graph.num_edges)
+    assert np.array_equal(np.diff(indptr.astype(np.int64)), graph.degrees())
 
 
 class TestLadder:
@@ -149,8 +158,10 @@ class TestUint8Boundary:
         pairs = sorted(dedup)
         us = np.array([u for u, _ in pairs], dtype=caller_dtype)
         vs = np.array([v for _, v in pairs], dtype=caller_dtype)
-        graph.add_edges_arrays(us, vs)
-        assert graph._base_indices.dtype == dtypes.storage_index_dtype(n)
+        for u, v in zip(us, vs):  # narrow NumPy scalars, not Python ints
+            assert graph.add_edge(u, v)
+        assert graph.edge_list() == pairs
+        _assert_storage_dtypes(graph)
 
         for u, v in ops:
             if u == v:
@@ -160,10 +171,7 @@ class TestUint8Boundary:
             else:
                 graph.add_edge(u, v)
         _assert_counts_match_reference(graph)
-
-        graph._compact()  # force the overlay fold at the boundary width
-        assert graph._base_indices.dtype == dtypes.storage_index_dtype(n)
-        _assert_counts_match_reference(graph)
+        _assert_storage_dtypes(graph)  # rebuilt at the boundary width
 
         labels, count = component_labels(graph)
         assert labels.shape == (n,)
@@ -201,13 +209,13 @@ class TestUint16Boundary:
         graph = AttributedGraph.from_edge_arrays(
             n, us.astype(caller_dtype), vs.astype(caller_dtype)
         )
-        assert graph._base_indices.dtype == dtypes.storage_index_dtype(n)
+        _assert_storage_dtypes(graph)
         _assert_counts_match_reference(graph)
 
-        # Mutate through the overlay, fold, and re-check.
+        # Write, rebuild the CSR, and re-check.
         graph.add_edge(1, n - 1)
         graph.remove_edge(n - 2, n - 1)
-        graph._compact()
+        _assert_storage_dtypes(graph)
         _assert_counts_match_reference(graph)
 
         blob = codec.encode_graph_block(graph)
@@ -252,6 +260,5 @@ class TestMemoAtBoundary:
             else:
                 graph.add_edge(u, v)
         assert graph.statistics_memo is not None
-        _assert_counts_match_reference(graph)
-        graph._compact()
+        _assert_storage_dtypes(graph)
         _assert_counts_match_reference(graph)

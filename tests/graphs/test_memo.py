@@ -6,10 +6,10 @@ per-node triangle counts, the common-neighbour maximum — plus the wedge
 count and degree histogram is bit-identical to the pure-Python oracles
 (and the direct degree formulas) at every point of an arbitrary mutation
 sequence, because every edge or attribute write clears the memo.
-That includes add/remove of the same edge, removal of base edges through
-the overlay, and mutations straddling overlay fold/compaction boundaries.
-Copies start without a memo, pickling keeps it, and a graph that never
-turned it on computes without storing.
+That includes add/remove of the same edge, the first write to a graph
+built in bulk, and writes interleaved with ``csr()`` rebuilds.  Copies
+start without a memo, pickling keeps it, and a graph that never turned it
+on computes without storing.
 """
 
 import pickle
@@ -19,7 +19,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import attributed as attributed_module
 from repro.graphs import statistics as stats
 from repro.graphs.attributed import AttributedGraph
 from repro.testing import reference
@@ -65,7 +64,7 @@ def toggle(graph, u, v):
         graph.add_edge(u, v)
 
 
-# (n, base edge list, mutation ops); "fold" ops force a compaction.
+# (n, base edge list, mutation ops); "rebuild" ops call csr().
 mutation_strategy = st.integers(min_value=2, max_value=14).flatmap(
     lambda n: st.tuples(
         st.just(n),
@@ -76,7 +75,7 @@ mutation_strategy = st.integers(min_value=2, max_value=14).flatmap(
         st.lists(
             st.one_of(
                 st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                st.just("fold"),
+                st.just("rebuild"),
             ),
             max_size=40,
         ),
@@ -89,7 +88,7 @@ def build_base(n, raw_edges) -> AttributedGraph:
     for u, v in raw_edges:
         if u != v:
             graph.add_edge(u, v)
-    graph.csr()  # fold the construction overlay into the base CSR
+    graph.csr()  # rebuild the CSR from the construction writes
     return graph
 
 
@@ -100,7 +99,7 @@ class TestRandomizedMutationSequences:
         n, raw_edges, ops = spec
         graph = filled(build_base(n, raw_edges))
         for op in ops:
-            if op == "fold":
+            if op == "rebuild":
                 graph.csr()
             else:
                 u, v = op
@@ -115,7 +114,7 @@ class TestRandomizedMutationSequences:
         n, raw_edges, ops = spec
         graph = filled(build_base(n, raw_edges))
         for index, op in enumerate(ops):
-            if op == "fold":
+            if op == "rebuild":
                 graph.csr()
             else:
                 u, v = op
@@ -143,44 +142,37 @@ class TestEdgeCases:
         assert np.array_equal(stats.degree_histogram(graph), before[3])
         assert_counts_bit_equal(graph)
 
-    def test_remove_base_edge_through_overlay(self, triangle_graph):
-        triangle_graph.csr()  # make {0,1,2} triangle part of the base
-        graph = filled(triangle_graph)
+    def test_first_write_to_a_bulk_built_graph(self, triangle_graph):
+        # Built in bulk, the graph has no sets until the first write.
+        graph = filled(AttributedGraph.from_graph_structure(triangle_graph))
         assert stats.triangle_count(graph) == 1
-        assert graph.remove_edge(0, 1)  # base edge, overlay delete
+        assert graph.remove_edge(0, 1)  # builds the sets, then writes
         assert stats.triangle_count(graph) == 0
         assert_counts_bit_equal(graph)
-        # Re-inserting cancels the pending deletion; counts must return.
+        # Re-inserting the edge must bring the counts back.
         assert graph.add_edge(0, 1)
         assert stats.triangle_count(graph) == 1
         assert_counts_bit_equal(graph)
 
-    def test_counts_exact_across_automatic_fold_boundary(self, monkeypatch):
-        # Shrink the fold threshold so the mutation stream crosses several
-        # automatic compactions while the memo is on.
-        monkeypatch.setattr(attributed_module, "_OVERLAY_COMPACT_MIN", 4)
-        folds = []
-        compact = AttributedGraph._compact
-
-        def counted_compact(graph):
-            folds.append(graph)
-            compact(graph)
-
-        monkeypatch.setattr(AttributedGraph, "_compact", counted_compact)
+    def test_memo_exact_across_csr_rebuilds_between_writes(self):
+        # Each check reads the CSR, so every batch of writes is followed by
+        # a rebuild while the memo is on.
         rng = np.random.default_rng(7)
         n = 30
-        graph = AttributedGraph(n)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for index in rng.choice(len(pairs), size=80, replace=False):
-            graph.add_edge(*pairs[index])
-        graph.csr()
-        filled(graph)
-        folds.clear()
-        for index in rng.choice(len(pairs), size=300, replace=True):
+        chosen = [pairs[index] for index in
+                  rng.choice(len(pairs), size=80, replace=False)]
+        graph = filled(AttributedGraph.from_edge_arrays(
+            n, np.array([u for u, _ in chosen]), np.array([v for _, v in chosen])
+        ))
+        for step, index in enumerate(
+                rng.choice(len(pairs), size=300, replace=True)):
             toggle(graph, *pairs[index])
-            if index % 50 == 0:
+            if step % 7 == 0:
+                indptr, _ = graph.csr()
+                assert np.array_equal(np.diff(indptr.astype(np.int64)),
+                                      graph.degrees())
                 assert_counts_bit_equal(graph)
-        assert folds
         assert_counts_bit_equal(graph)
 
     def test_degree_histogram_trims_trailing_zeros(self, star_graph):
@@ -190,15 +182,6 @@ class TestEdgeCases:
             graph.remove_edge(0, leaf)
         # Max degree dropped from 5 to 1: the histogram must shrink too.
         assert np.array_equal(stats.degree_histogram(graph), np.array([4, 2]))
-        assert_counts_bit_equal(graph)
-
-    def test_clear_edges_resets_counts(self, triangle_graph):
-        graph = filled(triangle_graph)
-        graph.clear_edges()
-        assert graph.statistics_memo == {}
-        assert stats.triangle_count(graph) == 0
-        assert stats.wedge_count(graph) == 0
-        assert np.array_equal(stats.degree_histogram(graph), np.array([4]))
         assert_counts_bit_equal(graph)
 
     def test_empty_graph(self, empty_graph):
@@ -256,23 +239,9 @@ class TestLifecycle:
         assert graph.statistics_memo == {}
         assert_counts_bit_equal(graph)
 
-    def test_bulk_insert_clears_the_memo(self):
-        graph = AttributedGraph(8)
-        graph.add_edges_from([(0, 1), (1, 2), (2, 3)])
-        filled(graph)
-        # The batch closes triangles both with existing edges and among its
-        # own members ({4,5,6} becomes a triangle entirely inside the batch).
-        graph.add_edges_arrays(
-            np.array([0, 4, 5, 4, 0]), np.array([2, 5, 6, 6, 4])
-        )
-        assert graph.statistics_memo == {}
-        assert stats.triangle_count(graph) == 2
-        assert_counts_bit_equal(graph)
-
     def test_copies_start_without_the_memo(self, triangle_graph):
         graph = filled(triangle_graph)
         assert graph.copy().statistics_memo is None
-        assert graph.structural_copy().statistics_memo is None
         assert AttributedGraph.from_graph_structure(graph, 1) \
             .statistics_memo is None
         assert graph.induced_subgraph([0, 1, 2]).statistics_memo is None
