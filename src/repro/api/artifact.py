@@ -21,6 +21,14 @@ store's index, ``GET /artifacts``) from touching array data at all.
 Version-1 documents (arrays inline in the JSON) still load.  Both layouts
 round-trip bit-exactly, so a loaded artifact samples graphs that are
 bit-identical to the in-memory model at the same seed.
+
+Format version 3 keeps version 2's layout and changes what a sample is: the
+first acceptance vector corrects the expected Θ'_F of the structural
+model's proposals instead of the Θ'_F of one unfiltered generation (see
+:mod:`repro.core.agm`), so ``num_iterations`` counts generations and
+samples at a given seed differ from version 2's.  The fitted parameters and
+their ε are unchanged.  Version-1 and version-2 documents still load, and
+they sample under the version-3 contract: this build has one sampler.
 """
 
 from __future__ import annotations
@@ -45,12 +53,12 @@ from repro.utils.rng import SeedLike, spawn_streams
 #: Identifying tag of the artifact JSON document.
 ARTIFACT_FORMAT = "repro.model-artifact"
 
-#: Current version of the artifact format this build writes (it also reads
-#: version 1, whose parameter arrays live inline in the JSON document).
-ARTIFACT_FORMAT_VERSION = 2
+#: Current version of the artifact format this build writes: version 2's
+#: layout, sampled with the closed-form first Θ'_F (see the module doc).
+ARTIFACT_FORMAT_VERSION = 3
 
-#: Artifact format versions this build can read.
-READABLE_FORMAT_VERSIONS = (1, 2)
+#: Artifact format versions this build can read (all sample as version 3).
+READABLE_FORMAT_VERSIONS = (1, 2, 3)
 
 #: Sidecar member names for the three large parameter arrays.
 SIDECAR_ATTRIBUTE_KEY = "attribute_probabilities"
@@ -131,8 +139,8 @@ def parameters_from_dict(data: Mapping[str, Any],
     """Rebuild :class:`AgmParameters` from :func:`parameters_to_dict` output.
 
     ``arrays`` supplies the large arrays when the document stores them in an
-    ``.npz`` sidecar (format version 2) instead of inline; it may be a lazy
-    :class:`numpy.lib.npyio.NpzFile`.
+    ``.npz`` sidecar (format version 2 and later) instead of inline; it may
+    be a lazy :class:`numpy.lib.npyio.NpzFile`.
     """
     try:
         backend = data["backend"]
@@ -181,9 +189,10 @@ class ModelArtifact:
         fit-relevant fields; the service's cache key.
     num_iterations / handle_orphans / rewire_equivalence:
         Generation knobs recorded at fit time so sampling needs nothing but
-        the artifact, a count and a seed.  ``rewire_equivalence`` pins the
-        rewiring contract the samples are drawn under (``"exact"`` or
-        ``"distributional"``).
+        the artifact, a count and a seed.  ``num_iterations`` is the
+        number of refinement rounds, one generation each.
+        ``rewire_equivalence`` pins the rewiring contract the samples are
+        drawn under (``"exact"`` or ``"distributional"``).
     accountant:
         Serialisable snapshot of the fit's privacy ledger
         (:meth:`~repro.privacy.accountant.PrivacyAccountant.as_dict`), or
@@ -345,9 +354,9 @@ class ModelArtifact:
                   ) -> "ModelArtifact":
         """Rebuild an artifact, checking the format tag and version first.
 
-        ``arrays`` supplies the sidecar members for a version-2 document
-        whose manifest references an ``.npz`` sidecar (:meth:`load` passes
-        the lazily opened file); a sidecar-referencing document without
+        ``arrays`` supplies the sidecar members for a document whose
+        manifest references an ``.npz`` sidecar (:meth:`load` passes the
+        lazily opened file); a sidecar-referencing document without
         ``arrays`` is rejected because the arrays are unreachable from the
         document alone.
         """
@@ -399,11 +408,11 @@ class ModelArtifact:
     def save(self, path: Union[str, Path], sidecar: bool = True) -> Path:
         """Write the artifact to ``path``, atomically.
 
-        With ``sidecar=True`` (the default, format version 2) the large
-        parameter arrays go to ``<path-stem>.npz`` next to the manifest and
-        the manifest references it by file name; with ``sidecar=False`` the
-        arrays are inlined into the JSON document (still a version-2
-        document, readable without the sidecar).
+        With ``sidecar=True`` (the default) the large parameter arrays go
+        to ``<path-stem>.npz`` next to the manifest and the manifest
+        references it by file name; with ``sidecar=False`` the arrays are
+        inlined into the JSON document (still a current-version document,
+        readable without the sidecar).
 
         Every file lands in a temporary name in the same directory, is
         fsync'd, then renamed over its target (``os.replace``) — and the
@@ -466,7 +475,7 @@ class ModelArtifact:
     def load(cls, path: Union[str, Path]) -> "ModelArtifact":
         """Load an artifact written by :meth:`save` (format-checked).
 
-        A version-2 manifest referencing an ``.npz`` sidecar opens the
+        A manifest referencing an ``.npz`` sidecar opens the
         sidecar with :func:`numpy.load` (``allow_pickle=False``); members
         are read from the zip lazily, on first access.
         """

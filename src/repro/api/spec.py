@@ -108,7 +108,8 @@ class ReleaseSpec:
     truncation_k:
         Truncation parameter for Θ_F (``None``: the ``n^(1/3)`` heuristic).
     num_iterations:
-        Acceptance-refinement rounds used when sampling.
+        Acceptance-refinement rounds used when sampling, one generation
+        each.
     handle_orphans:
         Forwarded to the structural backend's model builder.
     rewire_equivalence:

@@ -2,7 +2,7 @@
 
 The store is a flat directory keyed by ``spec_hash``: each fitted model is a
 ``<spec_hash>.json`` manifest plus its ``<spec_hash>.npz`` array sidecar
-(format version 2, see :mod:`repro.api.artifact`).  Writes go through
+(see :mod:`repro.api.artifact`).  Writes go through
 :meth:`ModelArtifact.save`'s fsync-then-rename protocol, so concurrent
 readers in other worker processes observe either the previous complete
 artifact or the new one — never a torn file.

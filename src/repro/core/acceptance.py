@@ -10,6 +10,10 @@ the per-configuration probability of accepting a proposed edge in the next
 round.  Configurations the target says should be rarer than observed receive
 acceptance below one; the most under-represented configuration is always
 accepted.
+
+The first round's Θ'_F is :func:`expected_correlations`, the closed-form
+expectation over the structural model's unfiltered proposals; later rounds
+observe the previous round's graph with :func:`observed_correlations`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.attributes.encoding import EdgeConfigurationEncoder
 from repro.graphs.attributed import AttributedGraph
 from repro.params.correlations import connection_probabilities
 
@@ -127,3 +132,34 @@ def compute_acceptance_probabilities(target: np.ndarray, observed: np.ndarray,
 def observed_correlations(graph: AttributedGraph) -> np.ndarray:
     """Measure Θ'_F on a synthetic graph whose attributes are already assigned."""
     return connection_probabilities(graph)
+
+
+def expected_correlations(pi: np.ndarray, node_codes: np.ndarray,
+                          num_attributes: int) -> np.ndarray:
+    """Θ'_F in expectation over unfiltered π×π proposals, self-loops dropped.
+
+    With ``Π_a`` and ``S_a`` the sums of ``π_u`` and ``π_u²`` over the nodes
+    of code ``a``, configuration ``{a, b}`` with ``a < b`` has mass
+    ``2 · Π_a · Π_b`` and ``{a, a}`` has ``Π_a² − S_a``: the acyclic join
+    ``R(u, a) ⋈ R(b, v)`` of the ordered proposals, marginalised over the
+    node codes.  The masses are normalised like
+    :func:`~repro.params.correlations.connection_probabilities`, which
+    returns the uniform vector for an edgeless graph; so does this when
+    there is no mass (all of π on one node).  Costs ``O(n + q²)``.
+    """
+    encoder = EdgeConfigurationEncoder(num_attributes)
+    q = encoder.node_encoder.num_configurations
+    pi = np.asarray(pi, dtype=float)
+    codes = np.asarray(node_codes, dtype=np.int64)
+    mass = np.bincount(codes, weights=pi, minlength=q)
+    squares = np.bincount(codes, weights=pi * pi, minlength=q)
+    a, b = np.triu_indices(q)
+    cells = np.where(a == b, mass[a] * mass[a] - squares[a],
+                     2.0 * mass[a] * mass[b])
+    expected = np.zeros(encoder.num_configurations)
+    # Rounding can leave Π_a² − S_a a hair below zero; it is a mass.
+    expected[encoder.encode_codes_array(a, b)] = np.maximum(cells, 0.0)
+    total = expected.sum()
+    if total <= 0:
+        return np.full(expected.shape, 1.0 / expected.size)
+    return expected / total

@@ -15,6 +15,18 @@ The differentially private variant in :mod:`repro.core.agm_dp` reuses this
 synthesizer with privately learned parameters — after the learning step the
 raw input graph is never touched again, so everything here is
 post-processing.
+
+One deviation from the paper: Algorithm 3 (line 7) draws a temporary edge
+set from the structural model alone, only to read its Θ'_F for the first
+acceptance vector.  Here that first Θ'_F is its expectation under the
+model's Chung-Lu proposal law instead of one draw
+(:func:`~repro.core.acceptance.expected_correlations`): the structural
+model's π and the sample's own attribute draw determine it in closed form,
+so a sample runs ``num_iterations`` generations, not one more.  It reads
+only the DP parameters and the sample's attributes, so it is
+post-processing too and spends no ε (Theorem 2).  The draw-based line 7
+lives on as the reference contract
+:class:`repro.testing.reference.LoopCalibratedSynthesizer`.
 """
 
 from __future__ import annotations
@@ -25,7 +37,11 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.attributes.encoding import AttributeEncoder
-from repro.core.acceptance import compute_acceptance_probabilities, observed_correlations
+from repro.core.acceptance import (
+    compute_acceptance_probabilities,
+    expected_correlations,
+    observed_correlations,
+)
 from repro.core.registry import get_backend
 from repro.graphs.attributed import AttributedGraph
 from repro.models.base import EdgeAcceptance, StructuralModel
@@ -106,9 +122,10 @@ class AgmSynthesizer:
     parameters:
         The learned (exactly or privately) AGM parameters.
     num_iterations:
-        Number of acceptance-probability refinement rounds (Algorithm 3's
-        outer loop).  The paper observes convergence "after just a few
-        iterations"; the default of 3 matches that.
+        Refinement rounds, one generation each (Algorithm 3's outer loop):
+        each round computes the acceptance vector from the latest Θ'_F and
+        generates through it, and the last round's graph is the sample.
+        The paper observes convergence "after just a few iterations".
     handle_orphans:
         Forwarded to the TriCycLe backend's orphan-repair extension.
     rewire_equivalence:
@@ -156,10 +173,11 @@ class AgmSynthesizer:
         """Sample one synthetic attributed graph.
 
         The procedure follows Algorithm 3, lines 6-18: draw attribute
-        vectors from Θ_X, generate a temporary edge set from the structural
-        model alone, then iteratively recompute acceptance probabilities and
-        regenerate the edge set through the acceptance-aware sampler until
-        the configured number of iterations has run.
+        vectors from Θ_X, take the first Θ'_F from the structural model
+        alone (in expectation, see the module doc), then in each round
+        recompute the acceptance probabilities and generate the edge set
+        through the acceptance-aware sampler, observing its Θ'_F for the
+        next round.
         """
         generator = ensure_rng(rng)
         params = self._parameters
@@ -173,14 +191,12 @@ class AgmSynthesizer:
         encoder = AttributeEncoder(w)
         node_codes = encoder.encode_matrix(attributes) if w else np.zeros(n, dtype=np.int64)
 
-        # Line 7: temporary edge set sampled independently of the attributes.
-        graph = self._build_model().generate(num_nodes=n, rng=generator)
-        graph = self._with_attributes(graph, attributes)
+        # Line 7: Θ'_F of the structural model alone, in expectation.
+        observed = self._initial_correlations(attributes, node_codes, generator)
 
         # Lines 9-18: refine acceptance probabilities and resample.
         acceptance_vector: Optional[np.ndarray] = None
-        for _ in range(self._num_iterations):
-            observed = observed_correlations(graph)
+        for round_index in range(self._num_iterations):
             acceptance_vector = compute_acceptance_probabilities(
                 params.correlations.probabilities, observed, previous=acceptance_vector
             )
@@ -193,6 +209,8 @@ class AgmSynthesizer:
                 num_nodes=n, rng=generator, acceptance=acceptance
             )
             graph = self._with_attributes(graph, attributes)
+            if round_index + 1 < self._num_iterations:
+                observed = observed_correlations(graph)
 
         return graph
 
@@ -205,6 +223,20 @@ class AgmSynthesizer:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
+    def _initial_correlations(self, attributes: np.ndarray,
+                              node_codes: np.ndarray,
+                              generator: np.random.Generator) -> np.ndarray:
+        """The Θ'_F the first round's acceptance vector corrects.
+
+        Its expectation over the structural model's unfiltered proposals,
+        from the model's π and the sample's node codes; it draws nothing.
+        """
+        params = self._parameters
+        return expected_correlations(
+            self._build_model().pi_distribution(params.num_nodes),
+            node_codes, params.num_attributes,
+        )
+
     def _build_model(self) -> StructuralModel:
         """Instantiate a fresh structural model through the backend registry."""
         params = self._parameters

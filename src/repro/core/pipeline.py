@@ -387,7 +387,8 @@ class SynthesisPipeline:
     budget_split:
         Optional custom :class:`BudgetSplit` for private runs.
     num_iterations:
-        Acceptance-refinement rounds used when sampling.
+        Acceptance-refinement rounds used when sampling, one generation
+        each.
     handle_orphans:
         Forwarded to the structural backend's model builder.
     rewire_equivalence:

@@ -80,7 +80,8 @@ class ExperimentConfig:
     trials:
         Number of synthetic graphs to average over.
     num_iterations:
-        Acceptance-refinement rounds used when sampling.
+        Acceptance-refinement rounds used when sampling, one generation
+        each.
     truncation_k:
         Truncation parameter for Θ_F (``None`` for the ``n^(1/3)`` heuristic).
     budget_split:

@@ -19,6 +19,13 @@ from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_fraction, check_positive_int
 
 
+def _uniform_pi(num_nodes: Optional[int]) -> np.ndarray:
+    """The uniform π over ``num_nodes`` nodes (required: these models have
+    no node count of their own)."""
+    n = check_positive_int(num_nodes, "num_nodes")
+    return np.full(n, 1.0 / n)
+
+
 class UniformEdgeModel(StructuralModel):
     """G(n, m): exactly ``num_edges`` edges placed uniformly at random."""
 
@@ -32,6 +39,10 @@ class UniformEdgeModel(StructuralModel):
     def target_num_edges(self) -> int:
         """The requested edge count ``m``."""
         return self._num_edges
+
+    def pi_distribution(self, num_nodes: Optional[int] = None) -> np.ndarray:
+        """Uniform π: both endpoints of a proposal are uniform node draws."""
+        return _uniform_pi(num_nodes)
 
     def generate(self, num_nodes: int, rng: RngLike = None,
                  acceptance: Optional[EdgeAcceptance] = None) -> AttributedGraph:
@@ -73,6 +84,10 @@ class ErdosRenyiModel(StructuralModel):
     def target_num_edges(self) -> int:
         """Expected edge count is not fixed; returns 0 by convention."""
         return 0
+
+    def pi_distribution(self, num_nodes: Optional[int] = None) -> np.ndarray:
+        """Uniform π: every pair of distinct nodes is equally likely."""
+        return _uniform_pi(num_nodes)
 
     def generate(self, num_nodes: int, rng: RngLike = None,
                  acceptance: Optional[EdgeAcceptance] = None) -> AttributedGraph:

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.graphs.attributed import AttributedGraph
 from repro.models.base import EdgeAcceptance, StructuralModel
-from repro.models.chung_lu import ChungLuModel, build_pi_distribution
+from repro.models.chung_lu import ChungLuModel, degree_pi_distribution
 from repro.models.postprocess import post_process_graph
 from repro.models.rewiring import _SortedAdjacency
 from repro.utils.rng import RngLike, ensure_rng
@@ -130,6 +130,12 @@ class TclModel(StructuralModel):
         """Target number of edges ``m = sum(d_i) / 2``."""
         return int(self._degrees.sum() // 2)
 
+    def pi_distribution(self, num_nodes: Optional[int] = None) -> np.ndarray:
+        """The Chung-Lu seed's π (degree-one nodes zeroed under
+        ``handle_orphans``), which the transitive walk also starts from."""
+        return degree_pi_distribution(self._degrees, self._handle_orphans,
+                                      num_nodes)
+
     def generate(self, num_nodes: Optional[int] = None, rng: RngLike = None,
                  acceptance: Optional[EdgeAcceptance] = None) -> AttributedGraph:
         """Generate a TCL graph: Chung-Lu seed followed by ρ-controlled rewiring."""
@@ -147,9 +153,7 @@ class TclModel(StructuralModel):
             exclude_degree_one=self._handle_orphans,
         )
         graph = seed_model.generate(rng=generator, acceptance=acceptance)
-        pi = build_pi_distribution(
-            self._degrees, exclude_degree_one=self._handle_orphans
-        )
+        pi = self.pi_distribution()
 
         seed_edges: Deque[Edge] = deque(graph.edges())
         replacements_remaining = len(seed_edges)

@@ -73,7 +73,7 @@ import numpy as np
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.statistics import triangle_count
 from repro.models.base import EdgeAcceptance, StructuralModel
-from repro.models.chung_lu import ChungLuModel, build_pi_distribution
+from repro.models.chung_lu import ChungLuModel, degree_pi_distribution
 from repro.models.postprocess import post_process_graph
 from repro.models.rewiring import Edge, SpeculativeRewiring, _SortedAdjacency
 from repro.utils.memory import (
@@ -167,6 +167,12 @@ class TriCycLeModel(StructuralModel):
         """Target number of edges ``m = sum(d_i) / 2``."""
         return int(self._degrees.sum() // 2)
 
+    def pi_distribution(self, num_nodes: Optional[int] = None) -> np.ndarray:
+        """The Chung-Lu seed's π (degree-one nodes zeroed under
+        ``handle_orphans``), which rewiring and repair also draw from."""
+        return degree_pi_distribution(self._degrees, self._handle_orphans,
+                                      num_nodes)
+
     @property
     def equivalence(self) -> str:
         """The rewiring equivalence contract (``exact``/``distributional``)."""
@@ -214,9 +220,7 @@ class TriCycLeModel(StructuralModel):
             memory_budget_mb=self._memory_budget_mb,
         )
         graph = seed_model.generate(rng=generator, acceptance=acceptance)
-        pi = build_pi_distribution(
-            self._degrees, exclude_degree_one=self._handle_orphans
-        )
+        pi = self.pi_distribution()
         if self._handle_orphans:
             # The paper applies the orphan repair to the Chung-Lu seed graph
             # as well as to the final output (Section 3.3), so the rewiring

@@ -29,10 +29,7 @@ from repro.privacy.sensitivity import (
     smooth_sensitivity_laplace_noise,
     beta_for_smooth_sensitivity,
 )
-from repro.privacy.constrained_inference import (
-    constrained_inference,
-    private_degree_sequence,
-)
+from repro.privacy.constrained_inference import private_degree_sequence
 from repro.privacy.ladder import (
     ladder_triangle_count,
     naive_laplace_triangle_count,
@@ -53,7 +50,6 @@ __all__ = [
     "smooth_sensitivity_degree_bounded",
     "smooth_sensitivity_laplace_noise",
     "beta_for_smooth_sensitivity",
-    "constrained_inference",
     "private_degree_sequence",
     "ladder_triangle_count",
     "naive_laplace_triangle_count",

@@ -4,6 +4,12 @@ Each production phase has exactly one engine.  The per-proposal and
 per-attempt loops it replaced live on here, unchanged, so tests can pin the
 production engines against them:
 
+* :class:`LoopCalibratedSynthesizer` — AGM sampling whose first Θ'_F is
+  observed on one unfiltered generation (Algorithm 3, line 7, as printed)
+  instead of taken in expectation; bit-identical to the production
+  sampler before it took the closed form, it is the reference contract
+  the paired non-inferiority gate (:mod:`repro.testing.fidelity`) holds
+  :class:`~repro.core.agm.AgmSynthesizer` to;
 * :class:`RejectionChungLuModel` — Chung-Lu whose acceptance filter flips
   one coin per π×π proposal, as the production sampler did before it drew
   the accepted pairs from their exact law; unfiltered generations are
@@ -51,6 +57,8 @@ from typing import Deque, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.attributes.encoding import AttributeEncoder
+from repro.core.acceptance import observed_correlations
+from repro.core.agm import AgmSynthesizer
 from repro.graphs import statistics as graph_statistics
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.components import connected_components
@@ -70,6 +78,27 @@ from repro.params.correlations import connection_probabilities
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sampling import WeightedSampler
 from repro.utils.validation import check_fraction
+
+
+# ----------------------------------------------------------------------
+# AGM calibration: the first Θ'_F from one unfiltered generation
+# ----------------------------------------------------------------------
+class LoopCalibratedSynthesizer(AgmSynthesizer):
+    """AGM sampling with Algorithm 3's line 7 as one unfiltered generation.
+
+    Everything but the first Θ'_F is inherited: it is observed on a graph
+    the structural model generates without an acceptance vector, with the
+    sample's attributes attached, so a sample runs ``num_iterations + 1``
+    generations and returns the last.
+    """
+
+    def _initial_correlations(self, attributes: np.ndarray,
+                              node_codes: np.ndarray,
+                              generator: np.random.Generator) -> np.ndarray:
+        graph = self._build_model().generate(
+            num_nodes=self.parameters.num_nodes, rng=generator
+        )
+        return observed_correlations(self._with_attributes(graph, attributes))
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.api import (
     ReleaseSession,
     ReleaseSpec,
 )
+from repro.api.artifact import READABLE_FORMAT_VERSIONS
 
 
 @pytest.fixture(scope="module", params=["tricycle", "fcl"])
@@ -78,6 +79,19 @@ class TestFormatChecks:
         path.write_text(json.dumps(payload))
         with pytest.raises(ArtifactFormatError, match="format_version"):
             ModelArtifact.load(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_versions_load_and_sample_under_the_current_contract(
+            self, fitted, tmp_path, version):
+        _spec, artifact = fitted
+        assert READABLE_FORMAT_VERSIONS == (1, 2, ARTIFACT_FORMAT_VERSION)
+        payload = artifact.to_dict()
+        payload["format_version"] = version
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps(payload))
+        loaded = ModelArtifact.load(path)
+        assert loaded.sample(count=1, seed=9) == artifact.sample(count=1,
+                                                                  seed=9)
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

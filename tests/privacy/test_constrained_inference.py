@@ -1,5 +1,7 @@
 """Unit tests for the constrained-inference degree-sequence estimator."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,17 @@ class TestIsotonicRegression:
         values = np.array([3.0, 1.0, 2.0])
         assert np.allclose(constrained_inference(values),
                            isotonic_regression(values))
+
+
+def test_submodule_name_binds_the_module():
+    # A package attribute named like the submodule would shadow it for
+    # ``import ... as`` and for dotted monkeypatch targets.
+    import repro.privacy.constrained_inference as module
+    from repro.privacy import constrained_inference as attribute
+
+    assert isinstance(module, types.ModuleType)
+    assert attribute is module
+    assert module.constrained_inference is constrained_inference
 
 
 def _assert_bit_identical(values):

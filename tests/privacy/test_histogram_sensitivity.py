@@ -18,7 +18,6 @@ production counting paths, before any noise:
 Both bounds are attained.
 """
 
-import importlib
 import itertools
 
 import numpy as np
@@ -33,12 +32,8 @@ from repro.params.attribute_distribution import (
     ATTRIBUTE_HISTOGRAM_SENSITIVITY,
     attribute_configuration_counts,
 )
+from repro.privacy import constrained_inference
 from repro.privacy.constrained_inference import DEGREE_SEQUENCE_SENSITIVITY
-
-# The package re-exports a function of the same name, so fetch the module.
-constrained_inference = importlib.import_module(
-    "repro.privacy.constrained_inference"
-)
 
 graph_specs = st.integers(min_value=2, max_value=9).flatmap(
     lambda n: st.tuples(
