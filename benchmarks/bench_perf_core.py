@@ -450,126 +450,3 @@ class TestGenerationBudget:
         assert not offenders, (
             f"generation entries exceeded their declared budget: {offenders}"
         )
-
-
-class TestSpeculativeRewiring:
-    """Speculative block rewiring vs the exact rewiring loop.
-
-    Times the rewiring phase alone at a full epinions-like tier — the
-    shared bench fixtures run at tiny CI scales where the phase does not
-    dominate.  Each timed leg includes the setup that ``generate()`` pays
-    inside its phase: the exact loop builds ``_SortedAdjacency`` rows and
-    set mirrors, the speculative engine builds its frozen snapshot.  The floor
-    is gated together with the distributional-equivalence contract: the
-    speculative engine's triangle bookkeeping stays exact, both engines
-    stop just past the same target, and speculation hits the prescribed
-    degree sequence as well as the exact engine does.
-    """
-
-    MIN_REWIRING_SPEEDUP = 1.5
-
-    @pytest.fixture(scope="class")
-    def rewiring_workload(self):
-        from collections import deque
-        import copy
-
-        from repro.datasets.synthetic import epinions_like
-        from repro.models.chung_lu import build_pi_distribution
-        from repro.models.postprocess import post_process_graph
-        from repro.models.tricycle import TriCycLeModel
-
-        base = epinions_like(scale=1.0, seed=np.random.default_rng(20160626))
-        degrees = base.degrees()
-        target = stats.triangle_count(base)
-        generator = np.random.default_rng(11)
-        seed_graph = ChungLuModel(
-            degrees, bias_correction=True, exclude_degree_one=True
-        ).generate(rng=generator)
-        pi = build_pi_distribution(degrees, exclude_degree_one=True)
-        seed_graph = post_process_graph(seed_graph, degrees, pi,
-                                        rng=generator)
-        tau = stats.triangle_count(seed_graph)
-        workload = {
-            "model": TriCycLeModel(degrees, target),
-            "seed_graph": seed_graph,
-            "degrees": degrees,
-            "pi": pi,
-            "tau": tau,
-            "target": target,
-            "max_iterations": 30 * max(seed_graph.num_edges, 1),
-            "copy": copy.deepcopy,
-            "deque": deque,
-        }
-        return workload
-
-    def _run_exact(self, workload, rng_seed=99):
-        from repro.models.rewiring import _SortedAdjacency
-        from repro.utils.sampling import WeightedSampler
-
-        graph = workload["copy"](workload["seed_graph"])
-        generator = np.random.default_rng(rng_seed)
-        edge_age = workload["deque"](graph.edges())
-        start = time.perf_counter()
-        adjacency = _SortedAdjacency(graph)
-        workload["model"]._rewire_exact(
-            graph, adjacency, edge_age, workload["tau"], workload["target"],
-            workload["max_iterations"], WeightedSampler(workload["pi"]),
-            generator, None,
-        )
-        return time.perf_counter() - start, graph
-
-    def _run_speculative(self, workload, rng_seed=99):
-        from repro.models.rewiring import SpeculativeRewiring
-        from repro.utils.sampling import WeightedSampler
-
-        graph = workload["copy"](workload["seed_graph"])
-        generator = np.random.default_rng(rng_seed)
-        edge_age = workload["deque"](graph.edges())
-        start = time.perf_counter()
-        engine = SpeculativeRewiring(
-            graph, edge_age, workload["tau"], workload["target"],
-            workload["max_iterations"], WeightedSampler(workload["pi"]),
-            generator, None,
-        )
-        engine.run()
-        return time.perf_counter() - start, graph, engine
-
-    def test_phase_speedup_and_distributional_closeness(self,
-                                                        rewiring_workload):
-        target = rewiring_workload["target"]
-        desired = np.sort(rewiring_workload["degrees"])
-
-        exact_t, exact_graph = self._run_exact(rewiring_workload)
-        spec_t, spec_graph, engine = self._run_speculative(rewiring_workload)
-        for _ in range(2):  # best-of-3; first runs above double as warmup
-            exact_t = min(exact_t, self._run_exact(rewiring_workload)[0])
-            spec_t = min(spec_t,
-                         self._run_speculative(rewiring_workload)[0])
-
-        # Equivalence contract: speculation's incremental triangle count is
-        # exact, both engines stop just past the same target, and the
-        # prescribed degree sequence is hit at least as well.
-        tri_exact = stats.triangle_count(exact_graph)
-        tri_spec = stats.triangle_count(spec_graph)
-        assert engine.tau == tri_spec
-        assert tri_exact >= target and tri_spec >= target
-        assert tri_exact <= 1.05 * target + 100
-        assert tri_spec <= 1.05 * target + 100
-        exact_gap = np.abs(
-            np.sort(exact_graph.degrees()) - desired
-        ).mean()
-        spec_gap = np.abs(np.sort(spec_graph.degrees()) - desired).mean()
-        assert spec_gap <= exact_gap + 0.1
-
-        speedup = exact_t / spec_t
-        print(f"\nspeculative_rewiring: exact {exact_t:.4f}s "
-              f"speculative {spec_t:.4f}s -> {speedup:.2f}x "
-              f"(rounds={engine.stats['rounds']} "
-              f"conflicts={engine.stats['conflicts']} "
-              f"rollbacks={engine.stats['rollbacks']})")
-        assert speedup >= self.MIN_REWIRING_SPEEDUP
-
-    def test_speculative_phase_is_deterministic(self, rewiring_workload):
-        _, first, _ = self._run_speculative(rewiring_workload, rng_seed=5)
-        _, second, _ = self._run_speculative(rewiring_workload, rng_seed=5)
-        assert first == second

@@ -225,102 +225,6 @@ def bench_orphan_repair(scale: float, repeats: int) -> dict:
     }
 
 
-def bench_rewiring(tier: str, repeats: int) -> dict:
-    """Serial (exact) vs speculative rewiring phase at a generation tier.
-
-    ``tier`` is ``dataset-scale`` (e.g. ``epinions`` or ``pokec-0.1``).
-    Both engines start from one shared Chung-Lu-plus-repair seed graph and
-    rewire toward the same triangle target; each timed leg includes its
-    own phase setup (the exact loop's ``_SortedAdjacency`` rows and set
-    mirrors, the speculative engine's frozen snapshot), mirroring what
-    ``generate()``
-    pays.  Alongside best-of wall times the entry records the speculative
-    engine's acceptance/conflict/rollback rates and the
-    distributional-equivalence invariants: the incremental triangle count
-    must equal a full recount and both engines must stop just past the
-    shared target.
-    """
-    import copy
-    from collections import deque
-
-    from repro.models.chung_lu import build_pi_distribution
-    from repro.models.postprocess import post_process_graph
-    from repro.models.rewiring import SpeculativeRewiring, _SortedAdjacency
-    from repro.utils.sampling import WeightedSampler
-
-    parts = tier.split("-")
-    dataset = parts[0]
-    scale = float(parts[1]) if len(parts) > 1 else 1.0
-    base = _tier_graph(tier, scale)
-    degrees = base.degrees()
-    target = stats.triangle_count(base)
-    generator = np.random.default_rng(11)
-    seed_graph = ChungLuModel(
-        degrees, bias_correction=True, exclude_degree_one=True
-    ).generate(rng=generator)
-    pi = build_pi_distribution(degrees, exclude_degree_one=True)
-    seed_graph = post_process_graph(seed_graph, degrees, pi, rng=generator)
-    tau = stats.triangle_count(seed_graph)
-    max_iterations = 30 * max(seed_graph.num_edges, 1)
-    model = TriCycLeModel(degrees, target)
-
-    def run_exact():
-        graph = copy.deepcopy(seed_graph)
-        rng = np.random.default_rng(99)
-        edge_age = deque(graph.edges())
-        start = time.perf_counter()
-        adjacency = _SortedAdjacency(graph)
-        model._rewire_exact(graph, adjacency, edge_age, tau, target,
-                            max_iterations, WeightedSampler(pi), rng, None)
-        return time.perf_counter() - start, graph
-
-    def run_speculative():
-        graph = copy.deepcopy(seed_graph)
-        rng = np.random.default_rng(99)
-        edge_age = deque(graph.edges())
-        start = time.perf_counter()
-        engine = SpeculativeRewiring(graph, edge_age, tau, target,
-                                     max_iterations, WeightedSampler(pi),
-                                     rng, None)
-        engine.run()
-        return time.perf_counter() - start, graph, engine
-
-    exact_t, exact_graph = run_exact()
-    spec_t, spec_graph, engine = run_speculative()
-    for _ in range(max(1, repeats - 1)):
-        exact_t = min(exact_t, run_exact()[0])
-        spec_t = min(spec_t, run_speculative()[0])
-
-    tri_exact = stats.triangle_count(exact_graph)
-    tri_spec = stats.triangle_count(spec_graph)
-    proposals = engine.stats["accepted"] + engine.stats["rejected"]
-    invariants_hold = (
-        engine.tau == tri_spec
-        and tri_exact >= target and tri_spec >= target
-        and tri_exact <= 1.05 * target + 100
-        and tri_spec <= 1.05 * target + 100
-    )
-    return {
-        "tier": tier,
-        "dataset": dataset,
-        "scale": scale,
-        "n": base.num_nodes,
-        "m": base.num_edges,
-        "target_triangles": int(target),
-        "reference_seconds": exact_t,
-        "fast_seconds": spec_t,
-        "speedup": exact_t / spec_t if spec_t else None,
-        "triangles_exact": int(tri_exact),
-        "triangles_speculative": int(tri_spec),
-        "rounds": engine.stats["rounds"],
-        "acceptance_rate": engine.stats["accepted"] / proposals
-        if proposals else None,
-        "conflicts": engine.stats["conflicts"],
-        "rollbacks": engine.stats["rollbacks"],
-        "invariants_hold": bool(invariants_hold),
-    }
-
-
 def bench_metrics(tier: str, repeats: int, trials: int = 3) -> dict:
     """Memoized vs from-scratch metric-evaluation leg.
 
@@ -748,10 +652,6 @@ def main(argv=None) -> int:
     parser.add_argument("--skip-metrics", action="store_true",
                         help="skip the metric-evaluation (memoized vs "
                              "from-scratch) section")
-    parser.add_argument("--rewiring-tiers", nargs="*", default=[],
-                        help="generation tiers (dataset-scale, e.g. "
-                             "'epinions pokec-0.1') for the serial-vs-"
-                             "speculative rewiring section; empty skips it")
     parser.add_argument("--skip-orphan-repair", action="store_true",
                         help="skip the orphan-repair (Algorithm 2) "
                              "scalar-vs-vectorized section")
@@ -802,12 +702,6 @@ def main(argv=None) -> int:
                   flush=True)
             metrics.append(bench_metrics(tier, repeats=args.repeats))
 
-    rewiring: List[dict] = []
-    for tier in args.rewiring_tiers:
-        print(f"benchmarking speculative rewiring at tier {tier} ...",
-              flush=True)
-        rewiring.append(bench_rewiring(tier, repeats=args.repeats))
-
     orphan_repair: Optional[dict] = None
     if not args.skip_orphan_repair:
         print(f"benchmarking orphan repair "
@@ -843,7 +737,6 @@ def main(argv=None) -> int:
         "results": results,
         "generation": generation or None,
         "metrics": metrics or None,
-        "rewiring": rewiring or None,
         "orphan_repair": orphan_repair,
         "runner": runner,
         "service": service,
@@ -882,17 +775,6 @@ def main(argv=None) -> int:
               f"memoized {row['accelerated_seconds']:.3f}s  "
               f"-> {row['speedup']:.1f}x  "
               f"identical={row['identical_results']}")
-    for row in rewiring:
-        acceptance = f"{row['acceptance_rate']:.2f}" \
-            if row["acceptance_rate"] is not None else "-"
-        print(f"\nrewiring {row['tier']}: n={row['n']} m={row['m']} "
-              f"target_tri={row['target_triangles']}  "
-              f"serial {row['reference_seconds']:.3f}s  "
-              f"speculative {row['fast_seconds']:.3f}s  "
-              f"-> {row['speedup']:.2f}x  "
-              f"(rounds={row['rounds']} acceptance={acceptance} "
-              f"conflicts={row['conflicts']} rollbacks={row['rollbacks']} "
-              f"invariants={row['invariants_hold']})")
     if orphan_repair is not None:
         print(f"\norphan_repair (n={orphan_repair['n']}, in-situ TriCycLe "
               f"repair calls): "
@@ -930,7 +812,6 @@ def main(argv=None) -> int:
     mismatches.extend(row for row in generation
                       if row.get("under_budget") is False)
     mismatches.extend(row for row in metrics if not row["identical_results"])
-    mismatches.extend(row for row in rewiring if not row["invariants_hold"])
     if orphan_repair is not None and not orphan_repair["invariants_hold"]:
         mismatches.append(orphan_repair)
     if runner is not None and not runner["identical_results"]:

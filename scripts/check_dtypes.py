@@ -60,10 +60,6 @@ FILE_ALLOWLIST = {
         "frontier BFS allocates int64 frontiers/labels so `frontier + 1` "
         "and `owners * n` arithmetic cannot wrap at narrow widths"
     ),
-    "models/rewiring.py": (
-        "snapshot engines keep directed edge keys u*n+v, which need "
-        "int64 whenever n exceeds ~3 billion pairs packed"
-    ),
     "models/postprocess.py": (
         "orphan repair works on int64 directed-key tables and "
         "common-neighbour count buffers"

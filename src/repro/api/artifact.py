@@ -29,6 +29,11 @@ model's proposals instead of the Θ'_F of one unfiltered generation (see
 samples at a given seed differ from version 2's.  The fitted parameters and
 their ε are unchanged.  Version-1 and version-2 documents still load, and
 they sample under the version-3 contract: this build has one sampler.
+
+Documents written while rewiring had a second, distributional engine may
+carry ``"rewire_equivalence"``.  One that says ``"exact"`` (or nothing)
+loads and samples as before, since exact samples did not change; any other
+value raises an :class:`ArtifactFormatError` naming the field.
 """
 
 from __future__ import annotations
@@ -42,7 +47,11 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.core.agm import AgmParameters, AgmSynthesizer
+from repro.core.agm import (
+    DEFAULT_NUM_ITERATIONS,
+    AgmParameters,
+    AgmSynthesizer,
+)
 from repro.core.registry import get_backend
 from repro.graphs.attributed import AttributedGraph
 from repro.params.attribute_distribution import AttributeDistribution
@@ -187,12 +196,10 @@ class ModelArtifact:
     spec_hash:
         Hash of the originating :class:`~repro.api.spec.ReleaseSpec`'s
         fit-relevant fields; the service's cache key.
-    num_iterations / handle_orphans / rewire_equivalence:
+    num_iterations / handle_orphans:
         Generation knobs recorded at fit time so sampling needs nothing but
         the artifact, a count and a seed.  ``num_iterations`` is the
         number of refinement rounds, one generation each.
-        ``rewire_equivalence`` pins the rewiring contract the samples are
-        drawn under (``"exact"`` or ``"distributional"``).
     accountant:
         Serialisable snapshot of the fit's privacy ledger
         (:meth:`~repro.privacy.accountant.PrivacyAccountant.as_dict`), or
@@ -205,9 +212,8 @@ class ModelArtifact:
 
     parameters: AgmParameters
     spec_hash: str
-    num_iterations: int = 2
+    num_iterations: int = DEFAULT_NUM_ITERATIONS
     handle_orphans: bool = True
-    rewire_equivalence: str = "exact"
     accountant: Optional[Dict[str, Any]] = None
     manifest: Dict[str, Any] = field(default_factory=dict)
     created_at: str = ""
@@ -257,7 +263,6 @@ class ModelArtifact:
             "num_attributes": self.parameters.num_attributes,
             "num_iterations": self.num_iterations,
             "handle_orphans": self.handle_orphans,
-            "rewire_equivalence": self.rewire_equivalence,
             "accountant": self.accountant,
             "created_at": self.created_at,
             "library_version": self.library_version,
@@ -287,7 +292,6 @@ class ModelArtifact:
             self.parameters,
             num_iterations=self.num_iterations,
             handle_orphans=self.handle_orphans,
-            rewire_equivalence=self.rewire_equivalence,
             memory_budget_mb=memory_budget_mb,
         )
 
@@ -327,7 +331,6 @@ class ModelArtifact:
             "library_version": self.library_version,
             "num_iterations": self.num_iterations,
             "handle_orphans": self.handle_orphans,
-            "rewire_equivalence": self.rewire_equivalence,
             "accountant": self.accountant,
             "manifest": self.manifest,
             "parameters": parameters_to_dict(self.parameters),
@@ -377,6 +380,13 @@ class ModelArtifact:
                 f"unsupported artifact format_version {version!r}; this build "
                 f"reads versions {READABLE_FORMAT_VERSIONS}"
             )
+        rewiring = payload.get("rewire_equivalence", "exact")
+        if rewiring != "exact":
+            raise ArtifactFormatError(
+                f"artifact has rewire_equivalence {rewiring!r}; the "
+                f"distributional rewiring engine was removed, and this build "
+                f"samples only 'exact' artifacts"
+            )
         if payload.get("sidecar") and arrays is None:
             raise ArtifactFormatError(
                 f"artifact references sidecar {payload['sidecar']!r}; load it "
@@ -394,11 +404,9 @@ class ModelArtifact:
         return cls(
             parameters=parameters,
             spec_hash=str(payload.get("spec_hash", "")),
-            num_iterations=int(payload.get("num_iterations", 2)),
+            num_iterations=int(payload.get("num_iterations",
+                                           DEFAULT_NUM_ITERATIONS)),
             handle_orphans=bool(payload.get("handle_orphans", True)),
-            rewire_equivalence=str(
-                payload.get("rewire_equivalence", "exact")
-            ),
             accountant=dict(accountant) if accountant is not None else None,
             manifest=dict(payload.get("manifest") or {}),
             created_at=str(payload.get("created_at", "")),
@@ -527,7 +535,6 @@ class ModelArtifact:
             spec_hash=spec.spec_hash,
             num_iterations=spec.num_iterations,
             handle_orphans=spec.handle_orphans,
-            rewire_equivalence=getattr(spec, "rewire_equivalence", "exact"),
             accountant=snapshot,
             manifest=dict(manifest or {}),
             created_at=datetime.datetime.now(datetime.timezone.utc)

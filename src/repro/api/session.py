@@ -279,7 +279,6 @@ class ReleaseSession:
             budget_split=spec.budget_split,
             num_iterations=spec.num_iterations,
             handle_orphans=spec.handle_orphans,
-            rewire_equivalence=spec.rewire_equivalence,
             samples=1,
             evaluate=False,
             stages=FIT_STAGES,

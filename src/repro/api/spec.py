@@ -19,6 +19,12 @@ The canonical JSON form carries ``"spec_version": 1``.  Un-versioned flat
 dicts — the pre-API ``repro run`` config format — are still accepted by
 :meth:`ReleaseSpec.from_dict` and are converted with a single
 :class:`DeprecationWarning` pointing at the new format.
+
+Specs written while rewiring had a second, distributional engine may carry
+``"rewire_equivalence"``.  In either form, ``"exact"`` (the one engine this
+build runs) loads and the key is dropped; any other value fails with a
+:class:`SpecValidationError` naming the field, instead of being sampled
+under a contract it did not ask for.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
+from repro.core.agm import DEFAULT_NUM_ITERATIONS
 from repro.core.agm_dp import BudgetSplit
 from repro.core.registry import backend_names, get_backend
 from repro.datasets.registry import dataset_names, load_dataset
@@ -112,13 +119,6 @@ class ReleaseSpec:
         each.
     handle_orphans:
         Forwarded to the structural backend's model builder.
-    rewire_equivalence:
-        Rewiring equivalence contract for backends with a rewiring phase:
-        ``"exact"`` keeps the bit-identical scalar swap sequence,
-        ``"distributional"`` runs the speculative block engine (same degree
-        / triangle / Θ'_F targets, pinned by distributional closeness).
-        Part of the fit fingerprint, like ``num_iterations``: artifacts
-        record the contract their samples are drawn under.
     samples:
         Synthetic graphs produced per pipeline run.
     trials / workers:
@@ -152,9 +152,8 @@ class ReleaseSpec:
     backend: str = "tricycle"
     budget_split: Optional[BudgetSplit] = None
     truncation_k: Optional[int] = None
-    num_iterations: int = 2
+    num_iterations: int = DEFAULT_NUM_ITERATIONS
     handle_orphans: bool = True
-    rewire_equivalence: str = "exact"
     samples: int = 1
     trials: int = 3
     workers: Optional[int] = None
@@ -269,12 +268,6 @@ class ReleaseSpec:
         put("num_iterations", _coerce_int("num_iterations", self.num_iterations,
                                           minimum=1))
         put("handle_orphans", bool(self.handle_orphans))
-        if self.rewire_equivalence not in ("exact", "distributional"):
-            raise SpecValidationError(
-                "rewire_equivalence",
-                "expected 'exact' or 'distributional', got "
-                f"{self.rewire_equivalence!r}",
-            )
         put("samples", _coerce_int("samples", self.samples, minimum=1))
         put("trials", _coerce_int("trials", self.trials, minimum=1))
         if self.memory_budget_mb is not None:
@@ -317,7 +310,9 @@ class ReleaseSpec:
         with a :class:`DeprecationWarning` and keep the old reader's
         permissiveness: extra keys are ignored, an ``edges`` input wins over
         ``dataset``/``scale``, and a config naming no input gets the old CLI
-        default (``dataset="lastfm"``).
+        default (``dataset="lastfm"``).  In both forms a
+        ``"rewire_equivalence"`` key is read before anything else: ``"exact"``
+        is dropped, any other value raises (see the module doc).
         """
         if not isinstance(mapping, Mapping):
             raise SpecValidationError(
@@ -326,6 +321,21 @@ class ReleaseSpec:
             )
         data = dict(mapping)
         version = data.pop("spec_version", None)
+        if version is not None and version != SPEC_VERSION:
+            raise SpecValidationError(
+                "spec_version",
+                f"unsupported spec_version {version!r}; this build reads "
+                f"version {SPEC_VERSION}",
+            )
+        # Checked before the legacy reader drops unknown keys, so an old
+        # distributional spec cannot silently sample under exact rewiring.
+        rewiring = data.pop("rewire_equivalence", "exact")
+        if rewiring != "exact":
+            raise SpecValidationError(
+                "rewire_equivalence",
+                "the distributional rewiring engine was removed; only "
+                f"'exact' is accepted, got {rewiring!r}",
+            )
         known = {spec_field.name for spec_field in fields(cls)}
         if version is None:
             warnings.warn(
@@ -346,12 +356,6 @@ class ReleaseSpec:
                 data.pop("attributes", None)
                 data.setdefault("dataset", _LEGACY_DEFAULT_DATASET)
             data = {key: value for key, value in data.items() if key in known}
-        elif version != SPEC_VERSION:
-            raise SpecValidationError(
-                "spec_version",
-                f"unsupported spec_version {version!r}; this build reads "
-                f"version {SPEC_VERSION}",
-            )
         for key in data:
             if key not in known:
                 raise SpecValidationError(
@@ -450,7 +454,11 @@ class ReleaseSpec:
             "truncation_k": self.truncation_k,
             "num_iterations": self.num_iterations,
             "handle_orphans": self.handle_orphans,
-            "rewire_equivalence": self.rewire_equivalence,
+            # Rewiring has one engine, so this entry is a constant.  It
+            # stays because dropping it would change every spec_hash:
+            # artifact ids and stored releases are keyed by the hash, and a
+            # new one would refit each release and spend its ε again.
+            "rewire_equivalence": "exact",
         }
 
     @property

@@ -50,6 +50,11 @@ from repro.params.correlations import CorrelationDistribution, learn_correlation
 from repro.params.structural import FclParameters, TriCycLeParameters
 from repro.utils.rng import RngLike, ensure_rng
 
+#: Refinement rounds a sample runs when the caller names none.  The
+#: synthesizer, the pipeline, the release spec, the artifact, the runner
+#: and the result tables all read this one default.
+DEFAULT_NUM_ITERATIONS = 2
+
 
 @dataclass(frozen=True)
 class AgmParameters:
@@ -128,12 +133,6 @@ class AgmSynthesizer:
         The paper observes convergence "after just a few iterations".
     handle_orphans:
         Forwarded to the TriCycLe backend's orphan-repair extension.
-    rewire_equivalence:
-        Rewiring equivalence contract forwarded to the structural backend:
-        ``"exact"`` (bit-identical scalar swap sequence) or
-        ``"distributional"`` (speculative block engine, pinned by
-        distributional closeness).  Backends without a rewiring phase
-        ignore it.
     memory_budget_mb:
         Optional generation memory budget in MiB, forwarded to the
         structural backend.  Models shard their sampling passes to fit and
@@ -147,16 +146,15 @@ class AgmSynthesizer:
     argument (Theorem 2) go through.
     """
 
-    def __init__(self, parameters: AgmParameters, num_iterations: int = 3,
+    def __init__(self, parameters: AgmParameters,
+                 num_iterations: int = DEFAULT_NUM_ITERATIONS,
                  handle_orphans: bool = True,
-                 rewire_equivalence: str = "exact",
                  memory_budget_mb: Optional[int] = None) -> None:
         if num_iterations < 1:
             raise ValueError(f"num_iterations must be >= 1, got {num_iterations}")
         self._parameters = parameters
         self._num_iterations = int(num_iterations)
         self._handle_orphans = bool(handle_orphans)
-        self._rewire_equivalence = str(rewire_equivalence)
         self._memory_budget_mb = (
             None if memory_budget_mb is None else int(memory_budget_mb)
         )
@@ -242,7 +240,6 @@ class AgmSynthesizer:
         params = self._parameters
         return get_backend(params.backend).build_model(
             params.structural, handle_orphans=self._handle_orphans,
-            rewire_equivalence=self._rewire_equivalence,
             memory_budget_mb=self._memory_budget_mb,
         )
 

@@ -13,6 +13,8 @@ on first access.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core.registry import StructuralBackend, register_backend
 from repro.graphs.attributed import AttributedGraph
 from repro.models.base import StructuralModel
@@ -57,21 +59,15 @@ class TriCycLeBackend(StructuralBackend):
         )
 
     def build_model(self, parameters: TriCycLeParameters,
-                    handle_orphans: bool = True, **options) -> StructuralModel:
+                    handle_orphans: bool = True,
+                    memory_budget_mb: Optional[int] = None
+                    ) -> StructuralModel:
         self.validate_parameters(parameters)
-        model_kwargs = {}
-        equivalence = options.get("rewire_equivalence")
-        if equivalence is not None:
-            # Validation (exact/distributional) lives in the model ctor.
-            model_kwargs["equivalence"] = str(equivalence)
-        memory_budget_mb = options.get("memory_budget_mb")
-        if memory_budget_mb is not None:
-            model_kwargs["memory_budget_mb"] = int(memory_budget_mb)
         return TriCycLeModel(
             degrees=parameters.degrees,
             num_triangles=parameters.num_triangles,
             handle_orphans=handle_orphans,
-            **model_kwargs,
+            memory_budget_mb=memory_budget_mb,
         )
 
 
@@ -99,12 +95,11 @@ class FclBackend(StructuralBackend):
         return fit_fcl_dp(graph, epsilon, rng=rng)
 
     def build_model(self, parameters: FclParameters,
-                    handle_orphans: bool = True, **options) -> StructuralModel:
+                    handle_orphans: bool = True,
+                    memory_budget_mb: Optional[int] = None
+                    ) -> StructuralModel:
         self.validate_parameters(parameters)
-        model_kwargs = {}
-        memory_budget_mb = options.get("memory_budget_mb")
-        if memory_budget_mb is not None:
-            model_kwargs["memory_budget_mb"] = int(memory_budget_mb)
         return ChungLuModel(
-            parameters.degrees, bias_correction=True, **model_kwargs,
+            parameters.degrees, bias_correction=True,
+            memory_budget_mb=memory_budget_mb,
         )

@@ -29,7 +29,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.core.agm import AgmParameters, AgmSynthesizer, learn_agm
+from repro.core.agm import (
+    DEFAULT_NUM_ITERATIONS,
+    AgmParameters,
+    AgmSynthesizer,
+    learn_agm,
+)
 from repro.core.agm_dp import BudgetSplit, learn_agm_dp
 from repro.core.registry import get_backend
 from repro.graphs.attributed import AttributedGraph
@@ -295,9 +300,6 @@ class GenerateStage(PipelineStage):
             context.parameters,
             num_iterations=pipeline.num_iterations,
             handle_orphans=pipeline.handle_orphans,
-            rewire_equivalence=getattr(
-                pipeline, "rewire_equivalence", "exact"
-            ),
             memory_budget_mb=getattr(pipeline, "memory_budget_mb", None),
         )
         stream = context.stream_for(self.name)
@@ -391,10 +393,6 @@ class SynthesisPipeline:
         each.
     handle_orphans:
         Forwarded to the structural backend's model builder.
-    rewire_equivalence:
-        Rewiring equivalence contract forwarded to the structural backend
-        (``"exact"`` or ``"distributional"``); backends without a rewiring
-        phase ignore it.
     memory_budget_mb:
         Optional generation memory budget in MiB, forwarded to the
         structural backend through the generate stage.  Over-budget stages
@@ -430,9 +428,8 @@ class SynthesisPipeline:
                  backend: str = "tricycle", *,
                  truncation_k: Optional[int] = None,
                  budget_split: Optional[BudgetSplit] = None,
-                 num_iterations: int = 3,
+                 num_iterations: int = DEFAULT_NUM_ITERATIONS,
                  handle_orphans: bool = True,
-                 rewire_equivalence: str = "exact",
                  memory_budget_mb: Optional[int] = None,
                  samples: int = 1,
                  evaluate: bool = True,
@@ -460,7 +457,6 @@ class SynthesisPipeline:
             raise ValueError(f"num_iterations must be >= 1, got {num_iterations}")
         self.num_iterations = int(num_iterations)
         self.handle_orphans = bool(handle_orphans)
-        self.rewire_equivalence = str(rewire_equivalence)
         if memory_budget_mb is not None:
             memory_budget_mb = int(memory_budget_mb)
             if memory_budget_mb < 1:

@@ -35,7 +35,7 @@ stays cycle-free.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Mapping, Tuple, Type, TypeVar
+from typing import Dict, Mapping, Optional, Tuple, Type, TypeVar
 
 from repro.graphs.attributed import AttributedGraph
 from repro.models.base import StructuralModel
@@ -81,12 +81,14 @@ class StructuralBackend(abc.ABC):
 
     @abc.abstractmethod
     def build_model(self, parameters, handle_orphans: bool = True,
-                    **options) -> StructuralModel:
+                    memory_budget_mb: Optional[int] = None
+                    ) -> StructuralModel:
         """Instantiate a generative model from fitted parameters.
 
-        Generation options arrive as keyword options — the synthesizer
-        passes ``rewire_equivalence`` and ``memory_budget_mb`` — and
-        builders must ignore options they do not understand.
+        ``handle_orphans`` asks for the orphan-repair extension, which a
+        model without one ignores.  ``memory_budget_mb`` is the generation
+        memory budget in MiB, or ``None`` for the model's default; a model
+        that cannot shard its work may ignore it.
         """
 
     def validate_parameters(self, parameters) -> None:

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.core.agm import DEFAULT_NUM_ITERATIONS
 from repro.core.agm_dp import BudgetSplit
 from repro.core.pipeline import RunManifest, SynthesisPipeline
 from repro.core.registry import get_backend
@@ -91,15 +92,21 @@ class ExperimentConfig:
         ``REPRO_WORKERS`` environment variable, else serial; an explicit
         ``1`` pins the run serial regardless of the environment).  The
         numbers are identical either way.
+    handle_orphans:
+        Forwarded to the structural backend's model builder.
+    memory_budget_mb:
+        Optional generation memory budget in MiB for every trial's samples.
     """
 
     backend: str = "tricycle"
     epsilon: Optional[float] = None
     trials: int = DEFAULT_TRIALS
-    num_iterations: int = 2
+    num_iterations: int = DEFAULT_NUM_ITERATIONS
     truncation_k: Optional[int] = None
     budget_split: Optional[BudgetSplit] = None
     workers: Optional[int] = None
+    handle_orphans: bool = True
+    memory_budget_mb: Optional[int] = None
 
     @classmethod
     def from_spec(cls, spec) -> "ExperimentConfig":
@@ -118,6 +125,8 @@ class ExperimentConfig:
             truncation_k=spec.truncation_k,
             budget_split=spec.budget_split,
             workers=spec.workers,
+            handle_orphans=spec.handle_orphans,
+            memory_budget_mb=spec.memory_budget_mb,
         )
 
     @property
@@ -146,6 +155,8 @@ class ExperimentConfig:
             truncation_k=self.truncation_k,
             budget_split=self.budget_split,
             num_iterations=self.num_iterations,
+            handle_orphans=self.handle_orphans,
+            memory_budget_mb=self.memory_budget_mb,
             samples=1,
             evaluate=True,
             parameters=parameters,
@@ -296,11 +307,7 @@ def run_agm_trials(graph: AttributedGraph, config: ExperimentConfig,
                    workers: Optional[int] = None) -> EvaluationReport:
     """Average ``config.trials`` non-private samples (compatibility wrapper)."""
     if config.is_private:
-        config = ExperimentConfig(
-            backend=config.backend, epsilon=None, trials=config.trials,
-            num_iterations=config.num_iterations,
-            truncation_k=config.truncation_k, workers=config.workers,
-        )
+        config = replace(config, epsilon=None, budget_split=None)
     return run_trials(graph, config, rng=rng, workers=workers)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.agm import DEFAULT_NUM_ITERATIONS
 from repro.datasets.registry import get_dataset_spec
 from repro.experiments.runner import ExperimentConfig, default_trials, run_trials
 from repro.graphs.attributed import AttributedGraph
@@ -28,7 +29,7 @@ def results_table(dataset: str, epsilons: Optional[Sequence[float]] = None,
                   seed: RngLike = 0,
                   include_non_private: bool = True,
                   backends: Sequence[str] = ("fcl", "tricycle"),
-                  num_iterations: int = 2,
+                  num_iterations: int = DEFAULT_NUM_ITERATIONS,
                   graph: Optional[AttributedGraph] = None) -> List[Row]:
     """Regenerate one of Tables 2-5 for ``dataset``.
 

@@ -392,26 +392,20 @@ def _max_common_neighbours_scan(graph: AttributedGraph) -> int:
 def batched_common_neighbours(num_nodes: int, indptr: np.ndarray,
                               indices: np.ndarray, sorted_keys: np.ndarray,
                               us: np.ndarray, vs: np.ndarray, *,
-                              skip: np.ndarray = None,
                               max_probes: int = _MAX_PAIRS_PER_CHUNK
                               ) -> np.ndarray:
     """Common-neighbour counts ``|Γ(u_p) ∩ Γ(v_p)|`` for parallel pair arrays.
 
-    The shared kernel behind the speculative rewiring engine and the hub
-    seed of :func:`max_common_neighbours`.  For every pair the *shorter*
-    sorted row is probed against the *longer* row through one global
-    ``searchsorted`` over ``sorted_keys`` (the directed edge keys
-    ``owner * num_nodes + neighbour`` in globally sorted order — exactly a
-    :class:`repro.models.rewiring._Snapshot`'s ``keys``), so a whole block
-    of pairs costs one binary-search pass of ``Σ_p min(deg u_p, deg v_p)``
-    probes instead of a Python-level intersection per pair.
+    The kernel behind the hub seed of :func:`max_common_neighbours`.  For
+    every pair the *shorter* sorted row is probed against the *longer* row
+    through one global ``searchsorted`` over ``sorted_keys`` (the directed
+    edge keys ``owner * num_nodes + neighbour`` in globally sorted order),
+    so a whole block of pairs costs one binary-search pass of
+    ``Σ_p min(deg u_p, deg v_p)`` probes instead of a Python-level
+    intersection per pair.
 
     Parameters
     ----------
-    skip:
-        Optional boolean mask: pairs with ``skip[p]`` are not probed at all
-        and report count 0 — the hook for pessimistic upper-bound pruning
-        (``min(deg u, deg v) < threshold`` proves the count can't matter).
     max_probes:
         Probe-volume budget per vectorized chunk; bounds peak memory on
         hub-dominated pair blocks.
@@ -431,8 +425,6 @@ def batched_common_neighbours(num_nodes: int, indptr: np.ndarray,
     probe_side = np.where(u_shorter, us, vs)   # shorter row: enumerated
     anchor_side = np.where(u_shorter, vs, us)  # longer row: probed by key
     probe_lengths = np.minimum(du, dv)
-    if skip is not None:
-        probe_lengths = np.where(skip, 0, probe_lengths)
     for block in _iter_row_chunks(probe_lengths, max_probes):
         rows = probe_side[block]
         row_lengths = probe_lengths[block]

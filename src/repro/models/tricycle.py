@@ -24,13 +24,13 @@ excluded from the π distribution and wired up afterwards by
 :func:`repro.models.postprocess.post_process_graph`.
 
 The starting count τ₀ is one totals-only ``triangle_count`` scan of the
-seed graph, which is fresh and so has no statistics memo.  Both rewiring
-engines then track τ themselves, and the graph sees no edge change until
-the final rows are adopted in one pass.
+seed graph, which is fresh and so has no statistics memo.  The rewiring
+loop then tracks τ itself, and the graph sees no edge change until the
+final rows are adopted in one pass.
 
-The exact rewiring loop
------------------------
-Exact rewiring is one plain per-proposal loop over the sorted neighbour
+The rewiring loop
+-----------------
+Rewiring is one plain per-proposal loop over the sorted neighbour
 rows of a :class:`~repro.models.rewiring._SortedAdjacency`, for the two
 uniform hops (index arithmetic on pre-drawn uniforms), and set mirrors of
 the rows, for the adjacency probe and the two common-neighbour counts.  The
@@ -50,16 +50,6 @@ The loop is bit-identical to the per-proposal reference
 (:class:`repro.testing.reference.SequentialTriCycLeModel`): both consume the
 same presampled RNG stream and the same sorted-row pick arithmetic (pinned
 by ``tests/models/test_tricycle.py``).
-
-Speculative rewiring (``equivalence="distributional"``)
--------------------------------------------------------
-The exact contract caps the loop's speed — the workload is
-accept-dominated, so the scalar swap sequence itself is the bottleneck.
-``equivalence="distributional"`` dispatches rewiring to
-:class:`repro.models.rewiring.SpeculativeRewiring`, which commits whole
-blocks of disjoint accepted swaps per snapshot and is pinned by
-distributional closeness (degree sequence, Θ'_F, triangle count) rather
-than bit-identity; see :mod:`repro.models.rewiring` for the contract.
 """
 
 from __future__ import annotations
@@ -75,7 +65,7 @@ from repro.graphs.statistics import triangle_count
 from repro.models.base import EdgeAcceptance, StructuralModel
 from repro.models.chung_lu import ChungLuModel, degree_pi_distribution
 from repro.models.postprocess import post_process_graph
-from repro.models.rewiring import Edge, SpeculativeRewiring, _SortedAdjacency
+from repro.models.rewiring import Edge, _SortedAdjacency
 from repro.utils.memory import (
     MemoryBudget,
     adjacency_set_bytes,
@@ -84,8 +74,6 @@ from repro.utils.memory import (
 )
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sampling import WeightedSampler
-
-_EQUIVALENCE_MODES = ("exact", "distributional")
 
 #: Rewiring proposes at most this many edges per seed edge before giving
 #: up; this keeps generation bounded when the degree sequence simply cannot
@@ -110,26 +98,18 @@ class TriCycLeModel(StructuralModel):
         Enable the orphan extension: exclude degree-one nodes from the π
         distribution, generate ``m - |N_1|`` seed edges, and repair
         disconnected nodes with the Algorithm 2 post-processing step.
-    equivalence:
-        Rewiring equivalence contract.  ``"exact"`` (default) is
-        bit-identical to the historical scalar swap sequence;
-        ``"distributional"`` dispatches to the speculative block engine
-        (:class:`repro.models.rewiring.SpeculativeRewiring`), which targets
-        the same degree/triangle/Θ'_F distributions but commits whole blocks
-        of disjoint swaps per snapshot.  Deterministic per seed.
     memory_budget_mb:
         Optional byte budget for generation (defaults to the
         ``REPRO_MEMORY_BUDGET_MB`` environment variable when unset).  The
         Chung-Lu seed phase samples in byte-bounded shards, and the rewiring
         phase's dominant working set (set-mirrored adjacency, edge-age
-        queue, CSR snapshots) is admitted against the budget before the
+        queue, adopted CSR) is admitted against the budget before the
         loop starts, raising :class:`~repro.utils.memory.MemoryBudgetError`
         when it cannot fit.  Generated graphs are unaffected by the budget.
     """
 
     def __init__(self, degrees: np.ndarray, num_triangles: int,
                  handle_orphans: bool = True,
-                 equivalence: str = "exact",
                  memory_budget_mb: Optional[int] = None) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
         if self._degrees.ndim != 1:
@@ -138,19 +118,12 @@ class TriCycLeModel(StructuralModel):
             raise ValueError("degrees must be non-negative")
         if num_triangles < 0:
             raise ValueError(f"num_triangles must be non-negative, got {num_triangles}")
-        if equivalence not in _EQUIVALENCE_MODES:
-            raise ValueError(
-                f"equivalence must be one of {_EQUIVALENCE_MODES}, "
-                f"got {equivalence!r}"
-            )
         self._num_triangles = int(num_triangles)
         self._handle_orphans = bool(handle_orphans)
-        self._equivalence = str(equivalence)
         self._memory_budget_mb = (
             None if memory_budget_mb is None else int(memory_budget_mb)
         )
         self._memory_budget = MemoryBudget.resolve(memory_budget_mb)
-        self._last_rewiring_stats: Optional[dict] = None
 
     @property
     def degrees(self) -> np.ndarray:
@@ -172,22 +145,6 @@ class TriCycLeModel(StructuralModel):
         ``handle_orphans``), which rewiring and repair also draw from."""
         return degree_pi_distribution(self._degrees, self._handle_orphans,
                                       num_nodes)
-
-    @property
-    def equivalence(self) -> str:
-        """The rewiring equivalence contract (``exact``/``distributional``)."""
-        return self._equivalence
-
-    @property
-    def last_rewiring_stats(self) -> Optional[dict]:
-        """Speculative-engine telemetry from the latest ``generate()``.
-
-        ``None`` unless the last generation ran the distributional engine;
-        otherwise the engine's counter dict (rounds, proposals, accepted,
-        conflicts, restored pops, folds, …) — the raw material for the
-        bench harness's per-block acceptance/conflict/rollback rates.
-        """
-        return self._last_rewiring_stats
 
     def generate(self, num_nodes: Optional[int] = None, rng: RngLike = None,
                  acceptance: Optional[EdgeAcceptance] = None) -> AttributedGraph:
@@ -229,14 +186,11 @@ class TriCycLeModel(StructuralModel):
                 graph, self._degrees, pi, rng=generator, acceptance=acceptance,
             )
 
-        self._last_rewiring_stats = None
         # Admit the rewiring phase's dominant resident structures before
-        # building any of them: the edge-age queue, the set-mirrored
-        # adjacency (or its speculative-engine equivalent), and the
-        # speculative engine's CSR snapshot plus its fold scratch (int64
-        # directed keys, ~3 copies at the fold peak).  The exact loop's
-        # adoption keys fit inside the same figure, so it stays an upper
-        # bound for both engines.
+        # building any of them: the edge-age queue, the set mirrors of the
+        # sorted rows, the CSR the final adoption installs, and the
+        # adoption's directed keys (owners, neighbours and packed keys:
+        # three int64 arrays of 2m entries).
         self._memory_budget.admit(
             "tricycle.rewire",
             edge_age_bytes(graph.num_edges)
@@ -256,18 +210,9 @@ class TriCycLeModel(StructuralModel):
         target = self._num_triangles
         max_iterations = _MAX_ITERATION_FACTOR * max(graph.num_edges, 1)
         sampler = WeightedSampler(pi)
-
-        if self._equivalence == "distributional":
-            engine = SpeculativeRewiring(
-                graph, edge_age, tau, target, max_iterations, sampler,
-                generator, acceptance,
-            )
-            engine.run()
-            self._last_rewiring_stats = dict(engine.stats)
-        else:
-            self._rewire_exact(graph, _SortedAdjacency(graph), edge_age,
-                               tau, target, max_iterations, sampler,
-                               generator, acceptance)
+        self._rewire_exact(graph, _SortedAdjacency(graph), edge_age, tau,
+                           target, max_iterations, sampler, generator,
+                           acceptance)
 
         if self._handle_orphans:
             graph = post_process_graph(
@@ -281,7 +226,7 @@ class TriCycLeModel(StructuralModel):
         return graph
 
     # ------------------------------------------------------------------
-    # Exact rewiring
+    # Rewiring
     # ------------------------------------------------------------------
     def _rewire_exact(self, graph: AttributedGraph,
                       adjacency: _SortedAdjacency,

@@ -100,7 +100,6 @@ def contract(synthesizer_type: Type[AgmSynthesizer],
         artifact.parameters,
         num_iterations=artifact.num_iterations,
         handle_orphans=artifact.handle_orphans,
-        rewire_equivalence=artifact.rewire_equivalence,
     )
 
 

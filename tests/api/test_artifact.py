@@ -93,6 +93,31 @@ class TestFormatChecks:
         assert loaded.sample(count=1, seed=9) == artifact.sample(count=1,
                                                                   seed=9)
 
+    def test_exact_rewiring_field_loads_and_samples_the_same(
+            self, fitted, tmp_path):
+        _spec, artifact = fitted
+        payload = artifact.to_dict()
+        assert payload["format_version"] == 3
+        assert "rewire_equivalence" not in payload
+        assert "rewire_equivalence" not in artifact.describe()
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(payload))
+        tagged = tmp_path / "exact.json"
+        tagged.write_text(json.dumps({**payload,
+                                      "rewire_equivalence": "exact"}))
+        assert ModelArtifact.load(tagged).sample(count=2, seed=9) \
+            == ModelArtifact.load(plain).sample(count=2, seed=9)
+
+    def test_distributional_rewiring_field_is_rejected(self, fitted,
+                                                       tmp_path):
+        _spec, artifact = fitted
+        path = tmp_path / "distributional.json"
+        path.write_text(json.dumps({**artifact.to_dict(),
+                                    "rewire_equivalence": "distributional"}))
+        with pytest.raises(ArtifactFormatError,
+                           match="rewire_equivalence 'distributional'"):
+            ModelArtifact.load(path)
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{truncated")

@@ -239,25 +239,41 @@ class TestOverridesAndHash:
         assert graph.num_nodes > 20
 
 
-class TestRewireEquivalence:
-    """The rewiring-equivalence knob: a fit field, validated and hashed."""
+class TestRemovedRewireEquivalence:
+    """Specs written while rewiring had a distributional engine."""
 
-    def test_default_and_validation(self):
-        assert ReleaseSpec(dataset="lastfm").rewire_equivalence == "exact"
-        with pytest.raises(SpecValidationError, match="^rewire_equivalence:"):
-            ReleaseSpec(dataset="lastfm", rewire_equivalence="fast")
+    def test_exact_loads_and_is_dropped(self):
+        canonical = {"spec_version": 1, "dataset": "lastfm",
+                     "rewire_equivalence": "exact"}
+        assert ReleaseSpec.from_dict(canonical) == ReleaseSpec(dataset="lastfm")
+        with pytest.warns(DeprecationWarning):
+            legacy = ReleaseSpec.from_dict({"dataset": "lastfm",
+                                            "rewire_equivalence": "exact"})
+        assert legacy == ReleaseSpec(dataset="lastfm")
+        assert "rewire_equivalence" not in legacy.to_dict()
 
-    def test_fingerprint_and_hash_track_the_knob(self):
-        spec = ReleaseSpec(dataset="lastfm", epsilon=1.0)
-        assert spec.fit_fingerprint()["rewire_equivalence"] == "exact"
-        relaxed = spec.with_overrides(rewire_equivalence="distributional")
-        assert relaxed.rewire_equivalence == "distributional"
-        assert relaxed.spec_hash != spec.spec_hash
+    @pytest.mark.parametrize("document", [
+        {"spec_version": 1, "dataset": "lastfm",
+         "rewire_equivalence": "distributional"},
+        # The legacy reader drops unknown keys: the field is read first.
+        {"dataset": "lastfm", "rewire_equivalence": "distributional"},
+    ])
+    def test_distributional_fails_naming_the_field(self, document):
+        with pytest.raises(SpecValidationError,
+                           match="^rewire_equivalence: .*removed") as excinfo:
+            ReleaseSpec.from_dict(document)
+        assert excinfo.value.field == "rewire_equivalence"
 
-    def test_json_round_trip_and_legacy_default(self):
-        spec = ReleaseSpec(dataset="lastfm",
-                           rewire_equivalence="distributional")
-        assert ReleaseSpec.from_json(spec.to_json()) == spec
-        legacy = json.loads(ReleaseSpec(dataset="lastfm").to_json())
-        legacy.pop("rewire_equivalence", None)
-        assert ReleaseSpec.from_dict(legacy).rewire_equivalence == "exact"
+    @pytest.mark.parametrize("spec, spec_hash", [
+        (ReleaseSpec(dataset="lastfm"), "2e96fb3ddd03d067"),
+        (ReleaseSpec(dataset="pokec", scale=0.01, seed=0, epsilon=1.0,
+                     num_iterations=2, backend="tricycle"),
+         "7b7ad32ab25049a1"),
+        (ReleaseSpec(dataset="pokec", scale=0.01, seed=0, epsilon=1.0,
+                     num_iterations=2, backend="fcl"),
+         "42cb15dfdd445767"),
+    ])
+    def test_spec_hashes_are_unchanged(self, spec, spec_hash):
+        # Artifact ids and stored releases are keyed by the hash; a new
+        # hash would refit every stored release and spend its ε again.
+        assert spec.spec_hash == spec_hash

@@ -62,19 +62,23 @@ class TestPluginRegistration:
             def fit_dp(self, graph, epsilon, rng=None, **options):
                 return FclParameters(degrees=graph.degrees())
 
-            def build_model(self, parameters, handle_orphans=True):
+            def build_model(self, parameters, handle_orphans=True,
+                            memory_budget_mb=None):
                 return UniformEdgeModel(parameters.num_edges)
 
         try:
             assert "er-test" in backend_names()
             # The whole workflow picks the plugin up without core changes.
-            from repro.core.agm import learn_agm
+            from repro.core.agm import AgmSynthesizer, learn_agm
             from repro.core.agm_dp import BudgetSplit
 
             params = learn_agm(small_social_graph, backend="er-test")
             assert params.backend == "er-test"
             split = BudgetSplit.default_for("er-test")
             assert split.structural == pytest.approx(0.5)
+            sample = AgmSynthesizer(params, memory_budget_mb=64).sample(rng=0)
+            assert sample.num_nodes == small_social_graph.num_nodes
+            assert sample.num_edges == params.structural.num_edges
         finally:
             unregister_backend("er-test")
         with pytest.raises(ValueError):

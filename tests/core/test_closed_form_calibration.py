@@ -6,7 +6,9 @@ into edge configurations, on degree sequences with zeros and ones under
 both ``exclude_degree_one`` settings.  Spies on the structural ``generate``
 and on ``observed_correlations`` count what one sample runs:
 ``num_iterations`` generations and one observation fewer, and one
-generation more under the reference contract.
+generation more under the reference contract.  Constructed without
+``num_iterations``, the synthesizer and the pipeline run as many
+generations as a default release spec's artifact.
 """
 
 import numpy as np
@@ -14,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ReleaseSession, ReleaseSpec
 from repro.attributes.encoding import AttributeEncoder, EdgeConfigurationEncoder
 from repro.core import agm
 from repro.core.acceptance import expected_correlations
 from repro.core.agm import AgmSynthesizer, learn_agm
+from repro.core.pipeline import SynthesisPipeline
 from repro.core.registry import get_backend
 from repro.models.chung_lu import ChungLuModel, build_pi_distribution
 from repro.models.erdos_renyi import ErdosRenyiModel, UniformEdgeModel
@@ -152,6 +156,25 @@ class TestGenerationCount:
         LoopCalibratedSynthesizer(params,
                                   num_iterations=num_iterations).sample(rng=0)
         assert counts["generations"] == num_iterations + 1
+
+
+@pytest.mark.parametrize("backend", ["fcl", "tricycle"])
+def test_every_layer_defaults_to_the_release_specs_rounds(
+        monkeypatch, small_social_graph, backend):
+    spec = ReleaseSpec(dataset="lastfm", backend=backend)
+    artifact = ReleaseSession().fit(spec, graph=small_social_graph)
+    counts = _spy(monkeypatch, backend, artifact.parameters)
+    artifact.sample(count=1, seed=0)
+    release = counts["generations"]
+    assert release == spec.num_iterations
+    counts["generations"] = 0
+    AgmSynthesizer(artifact.parameters).sample(rng=0)
+    assert counts["generations"] == release
+    counts["generations"] = 0
+    SynthesisPipeline(backend=backend, evaluate=False).run(
+        small_social_graph, rng=0
+    )
+    assert counts["generations"] == release
 
 
 @pytest.mark.parametrize("backend, excludes_degree_one",

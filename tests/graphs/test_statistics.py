@@ -176,18 +176,6 @@ class TestBatchedCommonNeighbours:
         )
         assert np.array_equal(counts, _naive_common_neighbours(graph, us, vs))
 
-    def test_skip_mask_reports_zero_without_probing(self):
-        graph, us, vs = _random_pair_workload(seed=11)
-        indptr, indices, keys = _csr_with_keys(graph)
-        skip = np.zeros(us.size, dtype=bool)
-        skip[::2] = True
-        counts = batched_common_neighbours(
-            graph.num_nodes, indptr, indices, keys, us, vs, skip=skip
-        )
-        reference = _naive_common_neighbours(graph, us, vs)
-        assert np.array_equal(counts[~skip], reference[~skip])
-        assert not counts[skip].any()
-
     def test_small_probe_budget_chunks_identically(self):
         graph, us, vs = _random_pair_workload(seed=5)
         indptr, indices, keys = _csr_with_keys(graph)

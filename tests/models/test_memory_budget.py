@@ -23,7 +23,7 @@ from repro.graphs.attributed import AttributedGraph
 from repro.models.base import EdgeAcceptance
 from repro.models.chung_lu import ChungLuModel
 from repro.models.tricycle import TriCycLeModel
-from repro.utils.memory import BUDGET_ENV_VAR, MemoryBudgetError
+from repro.utils.memory import BUDGET_ENV_VAR, MemoryBudget, MemoryBudgetError
 
 
 def _degree_sequence(n, average, seed=0):
@@ -152,6 +152,25 @@ class TestTriCycLeBudget:
         ).generate(rng=4)
         assert budgeted == plain
 
+    def test_rewiring_admits_a_pinned_figure(self, monkeypatch):
+        """The rewiring figure decides every budgeted run's ``over_memory``
+        verdict, so it only changes on purpose: the queue, set mirrors,
+        adopted CSR and adoption keys of this input's seed graph."""
+        admitted = []
+        admit = MemoryBudget.admit
+
+        def recording_admit(self, stage, nbytes):
+            if stage == "tricycle.rewire":
+                admitted.append(int(nbytes))
+            return admit(self, stage, nbytes)
+
+        monkeypatch.setattr(MemoryBudget, "admit", recording_admit)
+        degrees = _degree_sequence(300, 6, seed=2)
+        for budget in (None, 512):
+            TriCycLeModel(degrees, num_triangles=50,
+                          memory_budget_mb=budget).generate(rng=4)
+        assert admitted == [441_696, 441_696]
+
 
 class TestChunkedFitting:
     @pytest.fixture()
@@ -229,6 +248,17 @@ class TestKnobPlumbing:
         session = ReleaseSession()
         with pytest.raises(MemoryBudgetError):
             session.sample(spec, count=1, seed=0)
+
+    def test_session_evaluate_honours_spec_budget(self):
+        from repro.api import ReleaseSession, ReleaseSpec
+
+        # The same spec as the sample test: evaluate's trials generate
+        # under the spec's budget too.
+        spec = ReleaseSpec(dataset="lastfm", scale=0.35, epsilon=1.0,
+                           backend="tricycle", num_iterations=1, seed=5,
+                           memory_budget_mb=1, trials=1, workers=1)
+        with pytest.raises(MemoryBudgetError):
+            ReleaseSession().evaluate(spec)
 
     def test_sample_budget_does_not_change_results_when_it_fits(self):
         from repro.api import ReleaseSession, ReleaseSpec

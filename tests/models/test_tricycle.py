@@ -1,19 +1,31 @@
 """Unit tests for the TriCycLe structural model (Algorithm 1)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.models.tricycle as tricycle
 from repro.attributes.encoding import EdgeConfigurationEncoder
 from repro.datasets.synthetic import powerlaw_degree_sequence
+from repro.graphs.attributed import AttributedGraph
 from repro.graphs.components import is_connected
-from repro.graphs.statistics import degree_sequence, triangle_count
+from repro.graphs.statistics import (
+    degree_histogram,
+    degree_sequence,
+    triangle_count,
+    triangles_per_node,
+    wedge_count,
+)
 from repro.models.base import EdgeAcceptance
+from repro.models.chung_lu import build_pi_distribution
+from repro.models.rewiring import _SortedAdjacency
 from repro.models.tricycle import TriCycLeModel
 from repro.params.structural import fit_tricycle
 from repro.testing.reference import SequentialTriCycLeModel
+from repro.utils.sampling import WeightedSampler
 
 
 class TestConstruction:
@@ -253,3 +265,155 @@ class TestBatchedProposalEquivalence:
                 params.degrees, target, handle_orphans=True,
             ).generate(rng=5)
             assert batched == sequential
+
+
+def _edge_keys(graph):
+    return {(min(u, v), max(u, v)) for u, v in graph.edges()}
+
+
+def _rewire(model_class, graph, target, seed, factor=30):
+    """Run ``model_class``'s rewiring loop directly on ``graph`` (mutates
+    it) from a queue of its edges in id order.
+
+    Returns the queue and the generator, so callers can compare what the
+    loop left behind and how much of the stream it consumed.
+    """
+    edge_age = deque(graph.edges())
+    generator = np.random.default_rng(seed)
+    model = model_class(graph.degrees(), target, handle_orphans=False)
+    model._rewire_exact(
+        graph, _SortedAdjacency(graph), edge_age, triangle_count(graph),
+        target, factor * max(graph.num_edges, 1),
+        WeightedSampler(build_pi_distribution(graph.degrees())), generator,
+        None,
+    )
+    return edge_age, generator
+
+
+def _assert_loop_invariants(graph, edge_age, num_edges, triangles_before):
+    """Swaps keep the edge count and a simple graph, the queue holds
+    exactly the live edges, and no accepted swap lowers the count."""
+    assert graph.num_edges == num_edges
+    edges = list(graph.edges())
+    assert len(edges) == len(set(edges))
+    assert all(u != v for u, v in edges)
+    queue = [(min(u, v), max(u, v)) for u, v in edge_age]
+    assert len(queue) == num_edges
+    assert len(set(queue)) == len(queue)
+    assert set(queue) == _edge_keys(graph)
+    assert triangle_count(graph) >= triangles_before
+
+
+def _hub_graph(num_spokes=120, rng_seed=5):
+    """A hub-dominated graph: most proposals walk through the hub rows."""
+    rng = np.random.default_rng(rng_seed)
+    graph = AttributedGraph(num_spokes + 2, 0)
+    for s in range(2, num_spokes + 2):
+        graph.add_edge(0, s)
+        if rng.random() < 0.5:
+            graph.add_edge(1, s)
+    graph.add_edge(0, 1)
+    # A sprinkle of spoke-to-spoke edges so triangles are reachable.
+    for _ in range(3 * num_spokes):
+        u, v = rng.integers(2, num_spokes + 2, size=2)
+        if u != v and not graph.has_edge(int(u), int(v)):
+            graph.add_edge(int(u), int(v))
+    return graph
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=6, max_value=24))
+    pairs = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        min_size=6, max_size=60,
+    ))
+    graph = AttributedGraph(n, 0)
+    for u, v in pairs:
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+    return graph
+
+
+class TestRewiringLoopInvariants:
+    """The rewiring loop run directly on arbitrary graphs, not only on
+    Chung-Lu seeds: its bookkeeping (the edge-age queue, the tracked τ,
+    the one-pass adoption) must stay consistent with the graph it leaves,
+    and it must match the per-proposal oracle on the same inputs."""
+
+    def test_queue_matches_live_edges_and_count_never_drops(
+            self, medium_social_graph):
+        graph = medium_social_graph.copy()
+        before = triangle_count(graph)
+        target = before + 400
+        edge_age, _ = _rewire(TriCycLeModel, graph, target, seed=3)
+        _assert_loop_invariants(graph, edge_age, medium_social_graph.num_edges,
+                                before)
+        # The target is reachable here, so the loop stops at its first
+        # crossing rather than at the attempt budget.
+        assert triangle_count(graph) >= target
+
+    def test_hub_graph_equals_the_oracle(self):
+        graph, oracle = _hub_graph(), _hub_graph()
+        before = triangle_count(graph)
+        target = before + 200
+        edge_age, generator = _rewire(TriCycLeModel, graph, target, seed=9)
+        oracle_age, oracle_generator = _rewire(SequentialTriCycLeModel,
+                                               oracle, target, seed=9)
+        _assert_loop_invariants(graph, edge_age, oracle.num_edges, before)
+        assert graph == oracle
+        assert list(edge_age) == list(oracle_age)
+        assert generator.bit_generator.state \
+            == oracle_generator.bit_generator.state
+
+    def test_adoption_clears_the_statistics_memo(self, medium_social_graph):
+        graph = medium_social_graph.copy()
+        graph.enable_statistics_memo()
+        before = triangles_per_node(graph)  # fills the memo
+        _rewire(TriCycLeModel, graph, triangle_count(graph) + 400, seed=13)
+        assert graph.statistics_memo == {}
+        scratch = graph.copy()  # no memo: counts from fresh scans
+        assert triangle_count(graph) == triangle_count(scratch)
+        assert np.array_equal(triangles_per_node(graph),
+                              triangles_per_node(scratch))
+        assert not np.array_equal(triangles_per_node(graph), before)
+        assert wedge_count(graph) == wedge_count(scratch)
+        assert np.array_equal(degree_histogram(graph),
+                              degree_histogram(scratch))
+
+    @pytest.mark.parametrize("edges, target", [
+        ([], 10),                          # no edges to rewire
+        ([(0, 1), (1, 2), (0, 2)], 1),     # target already met
+    ])
+    def test_empty_graph_and_zero_gap_are_noops(self, edges, target):
+        """Nothing changes, yet the loop draws the same blocks as the
+        oracle, so the stream handed on to the orphan repair agrees."""
+        graph = AttributedGraph.from_edges(5, edges)
+        edge_age, generator = _rewire(TriCycLeModel, graph, target, seed=1)
+        oracle_age, oracle_generator = _rewire(
+            SequentialTriCycLeModel, AttributedGraph.from_edges(5, edges),
+            target, seed=1,
+        )
+        assert _edge_keys(graph) == set(edges)
+        assert list(edge_age) == list(oracle_age) == sorted(edges)
+        assert generator.bit_generator.state \
+            == oracle_generator.bit_generator.state
+        assert generator.bit_generator.state \
+            != np.random.default_rng(1).bit_generator.state
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(graph=small_graphs(), seed=st.integers(0, 2 ** 16),
+           extra=st.integers(0, 40))
+    def test_random_graphs_keep_invariants_and_equal_the_oracle(
+            self, graph, seed, extra):
+        oracle = graph.copy()
+        before = triangle_count(graph)
+        num_edges = graph.num_edges
+        edge_age, _ = _rewire(TriCycLeModel, graph, before + extra, seed,
+                              factor=10)
+        oracle_age, _ = _rewire(SequentialTriCycLeModel, oracle,
+                                before + extra, seed, factor=10)
+        _assert_loop_invariants(graph, edge_age, num_edges, before)
+        assert graph == oracle
+        assert list(edge_age) == list(oracle_age)

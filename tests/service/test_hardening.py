@@ -101,6 +101,27 @@ class TestBudgetAdmission:
             assert result["cache_hit"] is True
 
 
+    def test_distributional_spec_is_400_and_spends_nothing(self, tmp_path):
+        # Rewiring has one engine; an old distributional spec must fail
+        # validation before any reserve, not fit under exact rewiring.
+        with ReleaseServer(port=0, workers=1, ledger_dir=tmp_path,
+                           tenant_budget=3.0) as server:
+            _post(server.url + "/fit", {**SPEC_DOC, "tenant": "alice"})
+            before = json.loads(urllib.request.urlopen(
+                server.url + "/ledgers").read())
+            code, body, _headers = _error(
+                server.url + "/fit",
+                {**SPEC_DOC, "seed": 99, "tenant": "alice",
+                 "rewire_equivalence": "distributional"})
+            assert code == 400
+            assert body["error"]["code"] == "invalid_request"
+            assert body["error"]["field"] == "rewire_equivalence"
+            after = json.loads(urllib.request.urlopen(
+                server.url + "/ledgers").read())
+            assert before["ledgers"]["alice"]["spent"] == pytest.approx(1.0)
+            assert after == before
+
+
 class TestRateLimit:
     def test_burst_exhaustion_is_429_with_retry_after(self):
         with ReleaseServer(port=0, workers=2, rate_limit=0.5,

@@ -59,13 +59,10 @@ def test_dataset_loading_builds_in_bulk(edge_traffic, name, scale):
     assert edge_traffic == Counter()
 
 
-@pytest.mark.parametrize("backend,equivalence", [
-    ("tricycle", "exact"), ("tricycle", "distributional"), ("fcl", "exact"),
-])
-def test_release_path_builds_in_bulk(edge_traffic, backend, equivalence):
+@pytest.mark.parametrize("backend", ["tricycle", "fcl"])
+def test_release_path_builds_in_bulk(edge_traffic, backend):
     spec = ReleaseSpec(dataset="lastfm", scale=0.1, seed=5, epsilon=1.0,
-                       backend=backend, num_iterations=1,
-                       rewire_equivalence=equivalence)
+                       backend=backend, num_iterations=1)
     artifact = ReleaseSession().fit(spec)
     original = load_dataset("lastfm", 0.1, seed=5)
     for sample in artifact.sample(count=2, seed=3):
