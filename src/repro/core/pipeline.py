@@ -130,7 +130,8 @@ class RunManifest:
             num_edges=int(graph.get("num_edges", 0)),
             num_attributes=int(graph.get("num_attributes", 0)),
             truncation_k=data.get("truncation_k"),
-            num_iterations=int(data.get("num_iterations", 1)),
+            num_iterations=int(data.get("num_iterations",
+                                        DEFAULT_NUM_ITERATIONS)),
             samples=int(data.get("samples", 1)),
             seed=data.get("seed"),
             stages=list(data.get("stages", [])),

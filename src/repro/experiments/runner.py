@@ -96,6 +96,8 @@ class ExperimentConfig:
         Forwarded to the structural backend's model builder.
     memory_budget_mb:
         Optional generation memory budget in MiB for every trial's samples.
+    samples:
+        Synthetic graphs each trial samples, scores and averages.
     """
 
     backend: str = "tricycle"
@@ -107,6 +109,7 @@ class ExperimentConfig:
     workers: Optional[int] = None
     handle_orphans: bool = True
     memory_budget_mb: Optional[int] = None
+    samples: int = 1
 
     @classmethod
     def from_spec(cls, spec) -> "ExperimentConfig":
@@ -127,6 +130,7 @@ class ExperimentConfig:
             workers=spec.workers,
             handle_orphans=spec.handle_orphans,
             memory_budget_mb=spec.memory_budget_mb,
+            samples=spec.samples,
         )
 
     @property
@@ -157,7 +161,7 @@ class ExperimentConfig:
             num_iterations=self.num_iterations,
             handle_orphans=self.handle_orphans,
             memory_budget_mb=self.memory_budget_mb,
-            samples=1,
+            samples=self.samples,
             evaluate=True,
             parameters=parameters,
         )

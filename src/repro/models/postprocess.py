@@ -11,12 +11,12 @@ edge count, a random existing edge is removed.
 The repair runs on a **vectorized engine**: it presamples the π attach
 draws through a cursor-backed :class:`~repro.utils.sampling.PresampledStream`,
 evaluates the partner filters (self, main-component membership via a
-:class:`~repro.utils.membership.PartitionedKeyBitmap`, desired-degree
-headroom via the live ``degrees_view``) as array masks per block, samples
-victim edges as uniform slots of an incrementally refreshed CSR snapshot,
-scores them with vectorized common-neighbour passes over the snapshot rows,
-and verifies speculative removals with the budgeted numpy frontier BFS
-shared with :mod:`repro.graphs.components`
+boolean node mask, desired-degree headroom via the live degree array) as
+array masks per block, samples victim edges as uniform slots of an
+incrementally refreshed CSR snapshot, scores them with vectorized
+common-neighbour passes over the snapshot rows, and verifies speculative
+removals with the budgeted numpy frontier BFS shared with
+:mod:`repro.graphs.components`
 (:class:`~repro.graphs.components.BudgetedReachability`) — no Python sets
 anywhere on the hot path.  The original per-attempt probe loop is the
 oracle in :mod:`repro.testing.reference`; the two consume the RNG
@@ -56,7 +56,6 @@ from repro.utils.arrays import (
     sorted_intersect,
     sorted_membership,
 )
-from repro.utils.membership import PartitionedKeyBitmap
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sampling import PresampledStream, WeightedSampler
 
@@ -207,9 +206,7 @@ class _RepairEngine:
         self._slot_hi: List[int] = []
         self._slot_counts: List[int] = []
         self._slot_cursor = 0
-        self._main = PartitionedKeyBitmap.build_sorted(
-            np.empty(0, dtype=np.int64)
-        )
+        self._main = np.zeros(self._n, dtype=bool)  # main component per node
 
     # ------------------------------------------------------------------
     # Mutation bookkeeping (engine-owned, the graph is never touched)
@@ -342,9 +339,7 @@ class _RepairEngine:
             else:
                 best_orphans = int(worklist.size)
                 stalls = 0
-            self._main = PartitionedKeyBitmap.build_sorted(
-                np.flatnonzero(labels == main_label)
-            )
+            self._main = labels == main_label
             truncated = worklist.size > self._max_rounds - rounds
             worklist = worklist[:self._max_rounds - rounds]
             rounds += int(worklist.size)
@@ -409,7 +404,7 @@ class _RepairEngine:
             else:
                 partners = generator.integers(0, n, size=pending.size)
             mask = partners != pending
-            mask &= self._main.contains(partners)
+            mask &= self._main[partners]
             # Prefer partners whose desired degree is not yet met; the
             # filter is dropped for an orphan once its attempts pile up, so
             # the repair always terminates (the reference's escape hatch).
@@ -453,8 +448,7 @@ class _RepairEngine:
                     all_attached = False
                 # The reference mainlines an orphan as soon as it holds at
                 # least one repaired edge.
-                for orphan in pending[finished & (attached > 0)].tolist():
-                    self._main.add_key(orphan)
+                self._main[pending[finished & (attached > 0)]] = True
                 keep = ~finished
                 pending = pending[keep]
                 wanted = wanted[keep]

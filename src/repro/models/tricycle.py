@@ -35,16 +35,19 @@ rows of a :class:`~repro.models.rewiring._SortedAdjacency`, for the two
 uniform hops (index arithmetic on pre-drawn uniforms), and set mirrors of
 the rows, for the adjacency probe and the two common-neighbour counts.  The
 retired edge leaves the sets only; the sorted rows change only when a swap
-is accepted.  The graph object is not touched until the loop ends, when the
-final rows are adopted back in one vectorized pass.
+is accepted.  A proposal pays only for modelling work:
+
+* the edge-age queue holds packed keys ``u * n + v`` (``u < v``), built in
+  one widened bulk pass and decoded by one ``divmod`` per pop;
+* vk's row is strictly increasing and holds vi, so the second hop skips vi
+  by taking ``row[hop + 1]`` exactly when ``row[hop] >= vi``;
+* acceptance coins are drawn per block, then the generator is rewound to the
+  coins used (``random(k)`` equals ``k`` scalar draws: the same stream).
 
 The loop does not evaluate proposals in vectorized blocks against a CSR
-snapshot, because on this workload such blocks do not pay.  Nearly every
-proposal is viable (13.6k of 14.3k per generation at pokec-0.01), so there
-is little to skip in bulk, and accepted swaps dirty the hub rows so fast
-that about 80% of first hops and 92% of second hops would have to be
-re-derived live anyway.  The snapshot bookkeeping then costs more than the
-work it saves.
+snapshot: accepted swaps dirty the hub rows so fast that about 80% of first
+hops and 92% of second hops would have to be re-derived live, so the
+snapshot bookkeeping costs more than the work it saves.
 
 The loop is bit-identical to the per-proposal reference
 (:class:`repro.testing.reference.SequentialTriCycLeModel`): both consume the
@@ -61,11 +64,12 @@ from typing import Deque, Optional
 import numpy as np
 
 from repro.graphs.attributed import AttributedGraph
+from repro.graphs.dtypes import pack_edge_keys
 from repro.graphs.statistics import triangle_count
 from repro.models.base import EdgeAcceptance, StructuralModel
 from repro.models.chung_lu import ChungLuModel, degree_pi_distribution
 from repro.models.postprocess import post_process_graph
-from repro.models.rewiring import Edge, _SortedAdjacency
+from repro.models.rewiring import _SortedAdjacency
 from repro.utils.memory import (
     MemoryBudget,
     adjacency_set_bytes,
@@ -79,6 +83,9 @@ from repro.utils.sampling import WeightedSampler
 #: up; this keeps generation bounded when the degree sequence simply cannot
 #: support the requested number of triangles.
 _MAX_ITERATION_FACTOR = 30
+
+#: Proposals per conversion of the presampled block to Python lists.
+_CHUNK = 4096
 
 
 class TriCycLeModel(StructuralModel):
@@ -198,14 +205,7 @@ class TriCycLeModel(StructuralModel):
             + csr_bytes(n, graph.num_edges)
             + 3 * 2 * 8 * graph.num_edges,
         )
-        # Chung-Lu draws are exchangeable, so a seeded random order is the
-        # seed edges' arrival order in distribution.  ``graph.edges()`` is
-        # id order, which would retire the lowest-degree nodes' edges first.
-        sources, targets = graph.edge_arrays()
-        arrival = generator.permutation(sources.size)
-        edge_age: Deque[Edge] = deque(
-            zip(sources[arrival].tolist(), targets[arrival].tolist())
-        )
+        edge_age = _edge_age_queue(graph, generator)
         tau = triangle_count(graph)
         target = self._num_triangles
         max_iterations = _MAX_ITERATION_FACTOR * max(graph.num_edges, 1)
@@ -230,7 +230,7 @@ class TriCycLeModel(StructuralModel):
     # ------------------------------------------------------------------
     def _rewire_exact(self, graph: AttributedGraph,
                       adjacency: _SortedAdjacency,
-                      edge_age: Deque[Edge], tau: int, target: int,
+                      edge_age: Deque[int], tau: int, target: int,
                       max_iterations: int, sampler: WeightedSampler,
                       generator: np.random.Generator,
                       acceptance: Optional[EdgeAcceptance]) -> None:
@@ -238,111 +238,141 @@ class TriCycLeModel(StructuralModel):
 
         π proposals and the uniforms driving the two hops are drawn in
         blocks of up to 65 536 before the loop starts (also when there is
-        nothing to rewire), then again each time a block is used up; each
-        acceptance coin is one ``generator.random()`` draw in between.
-        ``edge_age`` must hold exactly the live edges, oldest first.  The
-        graph is untouched until the final rows are adopted back in one
-        pass.
+        nothing to rewire), then again each time a block is used up.
+        ``edge_age`` must hold exactly the live edges as packed keys
+        ``u * n + v`` (``u < v``), oldest first.  The graph is untouched
+        until the final rows are adopted back in one pass.
+
+        A proposal that passes the adjacency probe spends one acceptance
+        coin.  A block's coins are drawn at once: the bit generator's state
+        is saved, ``random(count)`` drawn and read through a counter, and on
+        every way out of the block (used up, target met, iteration cap) the
+        state is restored and exactly the ``used`` coins drawn again.
+        ``random(k)`` yields the same doubles in the same order as ``k``
+        scalar ``random()`` calls, so each coin equals the reference's and
+        the generator ends where the scalar calls would leave it.
         """
         block_size = max(256, min(65536, max_iterations))
         vi_block = sampler.sample_many(block_size, generator)
         unit_block = generator.random((block_size, 2))
         if graph.num_edges == 0 or tau >= target:
             return
+        n = graph.num_nodes
         rows = adjacency.lists
         sets = [set(row) for row in rows]
-        if acceptance is not None:
+        filtered = acceptance is not None
+        if filtered:
             # Python lists: a NumPy scalar unbox per read would dominate the
             # loop (the presampled blocks are read the same way).
             codes = acceptance.node_codes.tolist()
-            probabilities = acceptance.probabilities.tolist()
-            q = 1 << acceptance.num_attributes
-            coin = generator.random
+            matrix = acceptance.matrix.tolist()
+            accept_row = [matrix[code] for code in codes]
         popleft = edge_age.popleft
         append = edge_age.append
         remaining = max_iterations
         swapped = False
 
-        # One pass of the inner loop per presampled block.  tau only moves
-        # on an accept, so the target is checked there.
+        # One pass per presampled block, read as Python lists a chunk at a
+        # time (an early finish builds few unread objects).  tau only moves
+        # (upwards) on an accept, so the target is checked there.
         while True:
             count = min(block_size, remaining)
             remaining -= count
-            for vi, hop_one, hop_two in zip(
-                vi_block[:count].tolist(),
-                unit_block[:count, 0].tolist(),
-                unit_block[:count, 1].tolist(),
-            ):
-                # Friend-of-a-friend proposal (Algorithm 1, lines 5-9): a
-                # uniform neighbour vk of vi, then a uniform neighbour vj of
-                # vk other than vi.  vi is always in Γ(vk), so the second
-                # hop skips its row position.  The clamps guard the float
-                # product against rounding up to the row length.
-                row = rows[vi]
-                size = len(row)
-                if not size:
-                    continue
-                hop = int(hop_one * size)
-                vk = row[hop if hop < size else size - 1]
-                row = rows[vk]
-                size = len(row) - 1
-                if not size:
-                    continue
-                hop = int(hop_two * size)
-                if hop >= size:
-                    hop = size - 1
-                if hop >= bisect_left(row, vi):
-                    hop += 1
-                vj = row[hop]
-                near = sets[vi]
-                if vj in near:
-                    continue
-                if acceptance is not None:
-                    a, b = codes[vi], codes[vj]
-                    if a > b:
-                        a, b = b, a
-                    if not coin() <= probabilities[a * q - a * (a - 1) // 2
-                                                   + (b - a)]:
+            if filtered:
+                state = generator.bit_generator.state
+                coin_block = generator.random(count)
+                coins = []
+                used = 0
+            for start in range(0, count, _CHUNK):
+                stop = min(start + _CHUNK, count)
+                if filtered:  # a proposal spends at most one coin
+                    coins += coin_block[len(coins):stop].tolist()
+                for vi, hop_one, hop_two in zip(
+                    vi_block[start:stop].tolist(),
+                    unit_block[start:stop, 0].tolist(),
+                    unit_block[start:stop, 1].tolist(),
+                ):
+                    # Friend-of-a-friend proposal (Algorithm 1, lines 5-9):
+                    # vk uniform in Γ(vi), then vj uniform in Γ(vk) \ {vi},
+                    # skipping vi's slot.  The clamps guard the float
+                    # product against rounding up to the row length.
+                    row = rows[vi]
+                    size = len(row)
+                    if not size:
                         continue
+                    hop = int(hop_one * size)
+                    vk = row[hop if hop < size else size - 1]
+                    row = rows[vk]
+                    size = len(row) - 1
+                    if not size:
+                        continue
+                    hop = int(hop_two * size)
+                    if hop >= size:
+                        hop = size - 1
+                    vj = row[hop]
+                    if vj >= vi:
+                        vj = row[hop + 1]
+                    near = sets[vi]
+                    if vj in near:
+                        continue
+                    if filtered:  # A is finite: the reference's not coin <= A
+                        coin = coins[used]
+                        used += 1
+                        if coin > accept_row[vi][codes[vj]]:
+                            continue
 
-                # Retire the oldest edge from the sets, then count the
-                # proposed edge's common neighbours without it.
-                vq, vr = popleft()
-                set_q, set_r = sets[vq], sets[vr]
-                cn_old = len(set_q & set_r)
-                set_q.discard(vr)
-                set_r.discard(vq)
-                far = sets[vj]
-                cn_new = len(near & far)
-                if cn_new >= cn_old:
-                    row = rows[vq]
-                    del row[bisect_left(row, vr)]
-                    row = rows[vr]
-                    del row[bisect_left(row, vq)]
-                    insort(rows[vi], vj)
-                    insort(rows[vj], vi)
-                    near.add(vj)
-                    far.add(vi)
-                    append((vi, vj) if vi < vj else (vj, vi))
-                    swapped = True
-                    tau += cn_new - cn_old
-                    if tau >= target:
-                        break
-                else:
-                    # Undo the removal; the retired edge becomes the
-                    # youngest so the loop cannot get stuck re-proposing
-                    # the same swap.
-                    set_q.add(vr)
-                    set_r.add(vq)
-                    append((vq, vr))
-            else:
-                if remaining:
-                    vi_block = sampler.sample_many(block_size, generator)
-                    unit_block = generator.random((block_size, 2))
-                    continue
-            break
+                    # Retire the oldest edge from the sets, then count the
+                    # proposed edge's common neighbours without it.
+                    key = popleft()
+                    vq, vr = divmod(key, n)
+                    set_q, set_r = sets[vq], sets[vr]
+                    cn_old = len(set_q & set_r)
+                    set_q.discard(vr)
+                    set_r.discard(vq)
+                    far = sets[vj]
+                    cn_new = len(near & far)
+                    if cn_new >= cn_old:
+                        row = rows[vq]
+                        del row[bisect_left(row, vr)]
+                        row = rows[vr]
+                        del row[bisect_left(row, vq)]
+                        insort(rows[vi], vj)
+                        insort(rows[vj], vi)
+                        near.add(vj)
+                        far.add(vi)
+                        append(vi * n + vj if vi < vj else vj * n + vi)
+                        swapped = True
+                        tau += cn_new - cn_old
+                        if tau >= target:
+                            break
+                    else:
+                        # Undo the removal; the retired edge becomes the
+                        # youngest, so the loop cannot get stuck on one swap.
+                        set_q.add(vr)
+                        set_r.add(vq)
+                        append(key)
+                if tau >= target:
+                    break
+            if filtered:
+                # Leave the generator where ``used`` scalar coins would.
+                generator.bit_generator.state = state
+                generator.random(used)
+            if tau >= target or not remaining:
+                break
+            vi_block = sampler.sample_many(block_size, generator)
+            unit_block = generator.random((block_size, 2))
 
         if swapped:
             # Swaps keep the edge count, so only the edge set is adopted.
             graph._adopt_directed_keys(adjacency.directed_keys(),
                                        graph.num_edges)
+
+
+def _edge_age_queue(graph: AttributedGraph,
+                    generator: np.random.Generator) -> Deque[int]:
+    """The edges as packed keys ``u * n + v`` in a seeded random order (the
+    arrival order of exchangeable Chung-Lu draws, in distribution)."""
+    sources, targets = graph.edge_arrays()
+    arrival = generator.permutation(sources.size)
+    return deque(pack_edge_keys(sources[arrival], targets[arrival],
+                                graph.num_nodes).tolist())

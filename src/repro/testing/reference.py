@@ -147,7 +147,7 @@ class SequentialTriCycLeModel(TriCycLeModel):
 
     def _rewire_exact(self, graph: AttributedGraph,
                       adjacency: _SortedAdjacency,
-                      edge_age: Deque[Edge], tau: int, target: int,
+                      edge_age: Deque[int], tau: int, target: int,
                       max_iterations: int, sampler: WeightedSampler,
                       generator: np.random.Generator,
                       acceptance: Optional[EdgeAcceptance]) -> None:
@@ -157,7 +157,7 @@ class SequentialTriCycLeModel(TriCycLeModel):
 
 def _rewire_sequential(graph: AttributedGraph,
                        adjacency: _SortedAdjacency,
-                       edge_age: Deque[Edge], tau: int, target: int,
+                       edge_age: Deque[int], tau: int, target: int,
                        max_iterations: int, sampler: WeightedSampler,
                        generator: np.random.Generator,
                        acceptance: Optional[EdgeAcceptance]) -> None:
@@ -165,10 +165,13 @@ def _rewire_sequential(graph: AttributedGraph,
 
     π proposals and the uniforms driving the two neighbour hops are
     drawn in blocks (a scalar searchsorted plus two scalar RNG calls per
-    iteration used to dominate the proposal cost); evaluation is fully
-    scalar against the live graph.  The production loop consumes the
-    identical RNG stream.
+    iteration used to dominate the proposal cost); each acceptance coin is
+    one scalar ``generator.random()`` draw, and evaluation is fully scalar
+    against the live graph.  The edge-age queue holds packed keys
+    ``u * n + v`` (``u < v``).  The production loop consumes the identical
+    RNG stream.
     """
+    n = graph.num_nodes
     block_size = max(256, min(65536, max_iterations))
     vi_block = sampler.sample_many(block_size, generator)
     unit_block = generator.random((block_size, 2))
@@ -213,14 +216,14 @@ def _rewire_sequential(graph: AttributedGraph,
         if cn_new >= cn_old:
             graph.add_edge(vi, vj)
             adjacency.add(vi, vj)
-            edge_age.append((min(vi, vj), max(vi, vj)))
+            edge_age.append(min(vi, vj) * n + max(vi, vj))
             tau += cn_new - cn_old
         else:
             # Undo the removal; the retired edge becomes the youngest so
             # the loop cannot get stuck re-proposing the same swap.
             graph.add_edge(vq, vr)
             adjacency.add(vq, vr)
-            edge_age.append((vq, vr))
+            edge_age.append(vq * n + vr)
 
 
 def pick(adjacency: _SortedAdjacency, v: int, unit: float) -> Optional[int]:
@@ -254,10 +257,10 @@ def pick_excluding(adjacency: _SortedAdjacency, v: int, excluded: int,
 
 
 def _pop_oldest_existing_edge(graph: AttributedGraph,
-                              edge_age: Deque[Edge]) -> Optional[Edge]:
+                              edge_age: Deque[int]) -> Optional[Edge]:
     """Pop the oldest edge that still exists in the graph."""
     while edge_age:
-        u, v = edge_age.popleft()
+        u, v = divmod(edge_age.popleft(), graph.num_nodes)
         if graph.has_edge(u, v):
             return (u, v)
     return None

@@ -114,12 +114,7 @@ class PartitionedKeyBitmap:
     @classmethod
     def build(cls, keys: np.ndarray) -> "PartitionedKeyBitmap":
         """Build the index over ``keys`` (need not be sorted or unique)."""
-        return cls.build_sorted(np.sort(np.asarray(keys, dtype=np.int64)))
-
-    @classmethod
-    def build_sorted(cls, sorted_keys: np.ndarray) -> "PartitionedKeyBitmap":
-        """Build from an already *sorted* key array (one pass, no hashing)."""
-        sorted_keys = np.asarray(sorted_keys, dtype=np.int64)
+        sorted_keys = np.sort(np.asarray(keys, dtype=np.int64))
         block_ids = _sorted_unique(sorted_keys >> BLOCK_BITS)
         bits = np.zeros(block_ids.size * BLOCK_BYTES, dtype=np.uint8)
         index = cls(block_ids, bits)
@@ -162,26 +157,6 @@ class PartitionedKeyBitmap:
         return (slots >= 0) & ((bytes_ >> (offsets & 7).astype(np.uint8)) & 1
                                != 0)
 
-    def add_key(self, key: int) -> None:
-        """Insert one key — the O(1) scalar fast path of :meth:`add`.
-
-        Incremental consumers (the orphan-repair engine mainlining one
-        repaired node at a time) would otherwise pay :meth:`add`'s
-        vectorized machinery (unique, membership probe, segmented scatter)
-        per single-element array.
-        """
-        table = self._slots
-        row = (key >> BLOCK_BITS) - int(self._block_ids[0]) \
-            if table.size else -1
-        slot = int(table[row]) if 0 <= row < table.size else -1
-        if slot < 0:
-            self.add(np.array([key], dtype=np.int64))
-            return
-        offset = key & (BLOCK_KEYS - 1)
-        self._bits[slot * BLOCK_BYTES + (offset >> 3)] |= np.uint8(
-            1 << (offset & 7)
-        )
-
     def add(self, keys: np.ndarray) -> None:
         """Insert ``keys``, allocating bitmap blocks for new key ranges."""
         keys = np.asarray(keys, dtype=np.int64)
@@ -203,14 +178,10 @@ class PartitionedKeyBitmap:
             self._block_ids = merged
             self._bits = bits
             self._slots = _slot_table(merged)
-        self._scatter(keys)
-
-    def _scatter(self, keys: np.ndarray) -> None:
-        """Set the bits of ``keys``; every key's block must be allocated."""
         self._scatter_sorted(np.sort(keys))
 
     def _scatter_sorted(self, keys: np.ndarray) -> None:
-        """Like :meth:`_scatter` for keys already in sorted order."""
+        """Set the bits of sorted ``keys``; each key's block is allocated."""
         slots = self._slots[(keys >> BLOCK_BITS) - self._block_ids[0]]
         offsets = keys & (BLOCK_KEYS - 1)
         masks = np.left_shift(

@@ -204,5 +204,5 @@ def adjacency_set_bytes(num_nodes: int, num_edges: int) -> int:
 
 
 def edge_age_bytes(num_edges: int) -> int:
-    """Upper bound on an edge-age queue of ``m`` tuple entries."""
+    """Upper bound on an edge-age queue of ``m`` packed keys (or tuples)."""
     return int(num_edges) * _DEQUE_ENTRY_BYTES

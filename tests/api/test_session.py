@@ -160,6 +160,24 @@ class TestEvaluate:
         ]
         assert "ThetaF" in result["report"]
 
+    def test_evaluate_scores_the_specs_samples_per_trial(self, spec,
+                                                          monkeypatch):
+        import repro.core.pipeline as pipeline
+
+        scored = []
+        evaluate = pipeline.evaluate_synthetic_graph
+
+        def spy(original, synthetic):
+            scored.append(synthetic)
+            return evaluate(original, synthetic)
+
+        monkeypatch.setattr(pipeline, "evaluate_synthetic_graph", spy)
+        result = ReleaseSession().evaluate(
+            spec.with_overrides(samples=3, trials=2, workers=1))
+        assert result["spec"]["samples"] == 3
+        assert result["manifest"]["samples"] == 3
+        assert len(scored) == 2 * 3
+
     def test_evaluate_accepts_preloaded_graph(self, spec):
         graph = spec.load_graph()
         result = ReleaseSession().evaluate(spec.with_overrides(trials=1),

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from repro.core.agm import DEFAULT_NUM_ITERATIONS
 from repro.core.agm_dp import BudgetSplit
 from repro.core.pipeline import (
     DEFAULT_STAGES,
     PipelineStage,
+    RunManifest,
     SynthesisPipeline,
     get_stage,
     register_stage,
@@ -107,6 +109,14 @@ class TestPrivateRun:
     def test_accountant_attached(self, result):
         assert result.accountant is not None
         assert result.accountant.spent == pytest.approx(1.0)
+
+    def test_manifest_without_num_iterations_reads_the_default(
+            self, small_social_graph):
+        manifest = SynthesisPipeline(epsilon=1.0, backend="fcl").run(
+            small_social_graph, rng=0).manifest.to_dict()
+        assert manifest["num_iterations"] == DEFAULT_NUM_ITERATIONS == 2
+        del manifest["num_iterations"]
+        assert RunManifest.from_dict(manifest).num_iterations == 2
 
 
 class TestDeterminismAndVariants:

@@ -13,7 +13,9 @@ cumsum offsets) wraps silently.  This suite pins, at
   kernels (counts bit-identical, storage dtypes on the ladder);
 * the binary codec round-trip, with wire bytes identical no matter which
   input dtype the caller handed in;
-* the statistics memo across mutations at a boundary width.
+* the statistics memo across mutations at a boundary width;
+* TriCycLe's packed edge-age queue across the uint8 → uint16 storage rung
+  and the uint32 → int64 key rung (``n ∈ {256, 257, 65536, 65537}``).
 """
 
 import numpy as np
@@ -25,7 +27,11 @@ from repro.graphs import codec, dtypes
 from repro.graphs import statistics as stats
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.components import component_labels, is_connected
+from repro.models import tricycle
+from repro.models.chung_lu import build_pi_distribution
+from repro.models.rewiring import _SortedAdjacency
 from repro.testing import reference
+from repro.utils.sampling import WeightedSampler
 
 #: The ladder's rung boundaries (and one on each side of the uint8 rung).
 BOUNDARY_NS = [254, 255, 256, 65535, 65536]
@@ -262,3 +268,50 @@ class TestMemoAtBoundary:
         assert graph.statistics_memo is not None
         _assert_storage_dtypes(graph)
         _assert_counts_match_reference(graph)
+
+
+class TestEdgeAgeQueueAtBoundary:
+    """Rewiring's edge-age queue packs ``u * n + v`` from the storage-width
+    edge arrays.  Packing must widen first: at ``n = 257`` the uint16
+    product ``256 * 257`` wraps, and at ``n = 65537`` the top keys pass
+    ``2**32``."""
+
+    @pytest.mark.parametrize("n", [256, 257, 65536, 65537])
+    def test_queue_decodes_to_live_edges_and_equals_the_oracle(self, n):
+        us, vs = _boundary_edges(n, np.random.default_rng(n))
+        # A path over the top ids gives the loop wedges to close there.
+        pairs = sorted(set(zip(us.tolist(), vs.tolist()))
+                       | {(u, u + 1) for u in range(n - 8, n - 1)})
+        us = np.array([u for u, _ in pairs])
+        vs = np.array([v for _, v in pairs])
+        outcomes = []
+        for model_class in (tricycle.TriCycLeModel,
+                            reference.SequentialTriCycLeModel):
+            graph = AttributedGraph.from_edge_arrays(n, us, vs)
+            generator = np.random.default_rng(11)
+            edge_age = tricycle._edge_age_queue(graph, generator)
+            self._assert_live_edges(graph, edge_age)
+            tau = stats.triangle_count(graph)
+            model = model_class(graph.degrees(), tau + 20,
+                                handle_orphans=False)
+            model._rewire_exact(
+                graph, _SortedAdjacency(graph), edge_age, tau, tau + 20,
+                30 * graph.num_edges,
+                WeightedSampler(build_pi_distribution(graph.degrees())),
+                generator, None,
+            )
+            self._assert_live_edges(graph, edge_age)
+            outcomes.append((graph, list(edge_age),
+                             generator.bit_generator.state))
+        (graph, queue, state), (oracle, oracle_queue, oracle_state) = outcomes
+        assert graph == oracle
+        assert queue == oracle_queue
+        assert state == oracle_state
+
+    @staticmethod
+    def _assert_live_edges(graph, edge_age):
+        """Every key decodes to a canonical live edge, each edge once."""
+        n = graph.num_nodes
+        decoded = [divmod(key, n) for key in edge_age]
+        assert all(0 <= u < v < n for u, v in decoded)
+        assert sorted(decoded) == graph.edge_list()

@@ -20,7 +20,7 @@ from repro.graphs.statistics import (
     wedge_count,
 )
 from repro.models.base import EdgeAcceptance
-from repro.models.chung_lu import build_pi_distribution
+from repro.models.chung_lu import ChungLuModel, build_pi_distribution
 from repro.models.rewiring import _SortedAdjacency
 from repro.models.tricycle import TriCycLeModel
 from repro.params.structural import fit_tricycle
@@ -56,8 +56,6 @@ class TestGeneration:
 
     def test_more_triangles_than_plain_chung_lu(self, medium_social_graph):
         """The defining property: TriCycLe reproduces clustering, FCL does not."""
-        from repro.models.chung_lu import ChungLuModel
-
         params = fit_tricycle(medium_social_graph)
         tricycle_graph = TriCycLeModel(params.degrees, params.num_triangles)\
             .generate(rng=2)
@@ -195,6 +193,14 @@ class TestBatchedProposalEquivalence:
         ).generate(rng=4)
         assert exact == sequential
 
+    def test_second_proposal_block_with_acceptance(self):
+        """Coins drawn per block: the first block's unused coins must be
+        given back before the second block's proposals are drawn."""
+        graph = ChungLuModel(np.full(600, 8, dtype=np.int64)).generate(rng=4)
+        assert 30 * graph.num_edges > 65536  # two proposal blocks
+        acceptance = _acceptance(graph, np.linspace(0.1, 0.9, 10))
+        _assert_equals_oracle(graph, 10 ** 7, 4, acceptance)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 13])
     def test_batched_equals_sequential(self, small_social_graph, seed):
         params = fit_tricycle(small_social_graph)
@@ -271,33 +277,65 @@ def _edge_keys(graph):
     return {(min(u, v), max(u, v)) for u, v in graph.edges()}
 
 
-def _rewire(model_class, graph, target, seed, factor=30):
+def _acceptance(graph, probabilities, num_attributes=2, seed=0):
+    """An acceptance vector over random node codes of ``graph``."""
+    codes = np.random.default_rng(seed).integers(
+        0, 1 << num_attributes, size=graph.num_nodes)
+    size = EdgeConfigurationEncoder(num_attributes).num_configurations
+    return EdgeAcceptance(
+        probabilities=np.broadcast_to(probabilities, (size,)).copy(),
+        node_codes=codes, num_attributes=num_attributes,
+    )
+
+
+def _assert_equals_oracle(graph, target, seed, acceptance):
+    """Rewire ``graph`` and a copy through the loop and the oracle: the
+    graphs, the queues and the generators' next 8 draws must agree.
+    Returns the rewired graph."""
+    oracle = graph.copy()
+    before = triangle_count(graph)
+    edge_age, generator = _rewire(TriCycLeModel, graph, target, seed,
+                                  acceptance=acceptance)
+    oracle_age, oracle_generator = _rewire(
+        SequentialTriCycLeModel, oracle, target, seed, acceptance=acceptance,
+    )
+    _assert_loop_invariants(graph, edge_age, oracle.num_edges, before)
+    assert graph == oracle
+    assert list(edge_age) == list(oracle_age)
+    assert np.array_equal(generator.random(8), oracle_generator.random(8))
+    return graph
+
+
+def _rewire(model_class, graph, target, seed, factor=30, acceptance=None):
     """Run ``model_class``'s rewiring loop directly on ``graph`` (mutates
-    it) from a queue of its edges in id order.
+    it) from a queue of its edges, packed ``u * n + v``, in id order.
 
     Returns the queue and the generator, so callers can compare what the
     loop left behind and how much of the stream it consumed.
     """
-    edge_age = deque(graph.edges())
+    n = graph.num_nodes
+    edge_age = deque(u * n + v for u, v in graph.edges())
     generator = np.random.default_rng(seed)
     model = model_class(graph.degrees(), target, handle_orphans=False)
     model._rewire_exact(
         graph, _SortedAdjacency(graph), edge_age, triangle_count(graph),
         target, factor * max(graph.num_edges, 1),
         WeightedSampler(build_pi_distribution(graph.degrees())), generator,
-        None,
+        acceptance,
     )
     return edge_age, generator
 
 
 def _assert_loop_invariants(graph, edge_age, num_edges, triangles_before):
     """Swaps keep the edge count and a simple graph, the queue holds
-    exactly the live edges, and no accepted swap lowers the count."""
+    exactly the live edges as canonical packed keys, and no accepted swap
+    lowers the count."""
     assert graph.num_edges == num_edges
     edges = list(graph.edges())
     assert len(edges) == len(set(edges))
     assert all(u != v for u, v in edges)
-    queue = [(min(u, v), max(u, v)) for u, v in edge_age]
+    queue = [divmod(key, graph.num_nodes) for key in edge_age]
+    assert all(u < v for u, v in queue)
     assert len(queue) == num_edges
     assert len(set(queue)) == len(queue)
     assert set(queue) == _edge_keys(graph)
@@ -395,7 +433,8 @@ class TestRewiringLoopInvariants:
             target, seed=1,
         )
         assert _edge_keys(graph) == set(edges)
-        assert list(edge_age) == list(oracle_age) == sorted(edges)
+        assert list(edge_age) == list(oracle_age) \
+            == [u * 5 + v for u, v in sorted(edges)]
         assert generator.bit_generator.state \
             == oracle_generator.bit_generator.state
         assert generator.bit_generator.state \
@@ -417,3 +456,22 @@ class TestRewiringLoopInvariants:
         _assert_loop_invariants(graph, edge_age, num_edges, before)
         assert graph == oracle
         assert list(edge_age) == list(oracle_age)
+
+    def test_target_met_mid_block_with_acceptance(self):
+        graph = _hub_graph()
+        target = triangle_count(graph) + 200
+        assert 30 * graph.num_edges < 65536  # one block, cut short
+        acceptance = _acceptance(graph, np.linspace(0.3, 1.0, 10))
+        graph = _assert_equals_oracle(graph, target, 9, acceptance)
+        assert triangle_count(graph) >= target
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_constant_acceptance_equals_the_oracle(self, value):
+        """A all zeros rejects every viable proposal, A all ones accepts
+        every coin; either way each viable proposal spends one coin."""
+        graph = _hub_graph()
+        original = graph.copy()
+        target = triangle_count(graph) + 200
+        graph = _assert_equals_oracle(graph, target, 9,
+                                      _acceptance(graph, value))
+        assert (graph == original) == (value == 0.0)

@@ -102,7 +102,7 @@ class TestPartitionedKeyBitmap:
     def test_empty_bitmap_accepts_inserts(self):
         bitmap = PartitionedKeyBitmap.build(np.empty(0, dtype=np.int64))
         assert not bitmap.contains(np.array([0, 1 << 30])).any()
-        bitmap.add_key(7 * BLOCK_KEYS + 1)
+        bitmap.add(np.array([7 * BLOCK_KEYS + 1], dtype=np.int64))
         bitmap.add(np.array([2 * BLOCK_KEYS], dtype=np.int64))
         queries = np.arange(10 * BLOCK_KEYS, dtype=np.int64)
         expected = np.array([2 * BLOCK_KEYS, 7 * BLOCK_KEYS + 1])
@@ -113,24 +113,18 @@ class TestPartitionedKeyBitmap:
     @pytest.mark.parametrize("block", [0, 3, 6, 40])
     def test_add_inserts_blocks_anywhere(self, block):
         # Existing blocks 2 and 5; the new block lands before (0), between
-        # (3), right after (6) or far after (40) them, through both the
-        # vectorized and the scalar insert.
+        # (3), right after (6) or far after (40) them.
         keys = np.array([2 * BLOCK_KEYS + 1, 5 * BLOCK_KEYS + 2],
                         dtype=np.int64)
         fresh = block * BLOCK_KEYS + np.array([0, 77, BLOCK_KEYS - 1])
-        vectorized = PartitionedKeyBitmap.build(keys)
-        vectorized.add(fresh)
-        scalar = PartitionedKeyBitmap.build(keys)
-        for key in fresh.tolist():
-            scalar.add_key(key)
+        bitmap = PartitionedKeyBitmap.build(keys)
+        bitmap.add(fresh)
         reference = np.union1d(keys, fresh)
         queries = np.arange(42 * BLOCK_KEYS, dtype=np.int64)
-        expected = sorted_membership(reference, queries)
-        for bitmap in (vectorized, scalar):
-            assert bitmap.num_blocks == 3
-            assert bitmap.nbytes == \
-                PartitionedKeyBitmap.projected_bytes(reference)
-            assert np.array_equal(bitmap.contains(queries), expected)
+        assert bitmap.num_blocks == 3
+        assert bitmap.nbytes == PartitionedKeyBitmap.projected_bytes(reference)
+        assert np.array_equal(bitmap.contains(queries),
+                              sorted_membership(reference, queries))
 
 
 class TestMembershipProbe:
