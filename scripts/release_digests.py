@@ -12,9 +12,15 @@ The outputs covered:
 * ``load_dataset`` of the four registered datasets at scale 0.05, seed 0
   (edges and attributes);
 * at pokec-0.01, for the ``tricycle`` and ``fcl`` backends at spec seeds 3
-  and 11: the fitted artifact id, then for each graph of
-  ``sample(count=2)`` its edge arrays, its attributes and its
-  ``evaluate_synthetic_graph`` report row;
+  and 11: the fitted artifact id and the artifact's fit manifest (without
+  its ``timings``), then for each graph of ``sample(count=2)`` its edge
+  arrays, its attributes and its ``evaluate_synthetic_graph`` report row;
+* at pokec-0.01, for both backends, private (ε = 1) and non-private (the
+  runner's prefit-parameters path), with ``trials=2``, ``samples=2`` and
+  ``workers=1``: the averaged report row and spends of
+  ``ReleaseSession.evaluate``, and, from the Monte-Carlo runner it
+  delegates to, each trial's report row and its manifest's spends,
+  allocations and splits;
 * ``TriCycLeModel``, the oracle ``SequentialTriCycLeModel`` and
   ``TclModel`` generated from the pokec-0.01 graph's degrees and triangle
   count (TCL: its estimated closure probability), without and with an
@@ -37,6 +43,7 @@ import numpy as np
 from repro.api import ReleaseSession, ReleaseSpec
 from repro.attributes.encoding import AttributeEncoder, EdgeConfigurationEncoder
 from repro.datasets.registry import dataset_names, load_dataset
+from repro.experiments.runner import ExperimentConfig, run_trials_detailed
 from repro.graphs.attributed import AttributedGraph
 from repro.metrics.evaluation import evaluate_synthetic_graph
 from repro.models.base import EdgeAcceptance
@@ -49,6 +56,7 @@ BACKENDS = ("tricycle", "fcl")
 SPEC_SEEDS = (3, 11)
 SAMPLE_COUNT = 2
 EPSILON = 1.0
+EVALUATE_SEED = 5
 
 
 def _digest(*parts: bytes) -> str:
@@ -82,6 +90,15 @@ def text_digest(text: str) -> str:
     return _digest(text.encode("utf-8"))
 
 
+def json_digest(document) -> str:
+    return text_digest(json.dumps(document, sort_keys=True))
+
+
+def without_timings(manifest: dict) -> dict:
+    return {key: value for key, value in manifest.items()
+            if key != "timings"}
+
+
 def _acceptance(graph: AttributedGraph) -> EdgeAcceptance:
     """A fixed acceptance vector over ``graph``'s attribute codes."""
     width = graph.num_attributes
@@ -109,6 +126,8 @@ def digests(toy: bool) -> Iterator[Tuple[str, str]]:
                                seed=spec_seed)
             artifact = ReleaseSession().fit(spec, graph=pokec.copy())
             yield f"{prefix}/artifact_id", text_digest(artifact.artifact_id)
+            yield (f"{prefix}/fit_manifest",
+                   json_digest(without_timings(artifact.manifest)))
             samples = artifact.sample(count=SAMPLE_COUNT,
                                       seed=1000 + spec_seed)
             for index, sample in enumerate(samples):
@@ -117,8 +136,29 @@ def digests(toy: bool) -> Iterator[Tuple[str, str]]:
                 yield (f"{prefix}/sample-{index}/attributes",
                        attributes_digest(sample))
                 yield (f"{prefix}/sample-{index}/report",
-                       text_digest(json.dumps(row.as_paper_row(),
-                                              sort_keys=True)))
+                       json_digest(row.as_paper_row()))
+
+    for backend in BACKENDS:
+        for epsilon in (EPSILON, None):
+            privacy = "private" if epsilon is not None else "non-private"
+            prefix = f"evaluate/pokec-{pokec_scale:g}/{backend}/{privacy}"
+            spec = ReleaseSpec(dataset="pokec", scale=pokec_scale,
+                               epsilon=epsilon, backend=backend,
+                               seed=EVALUATE_SEED, trials=2, samples=2,
+                               workers=1)
+            result = ReleaseSession().evaluate(spec, graph=pokec.copy())
+            yield f"{prefix}/session", json_digest(
+                {key: result[key] for key in ("model", "report", "spends")})
+            outcome = run_trials_detailed(pokec.copy(),
+                                          ExperimentConfig.from_spec(spec),
+                                          rng=spec.seed)
+            for index, (report, manifest) in enumerate(
+                    zip(outcome.trial_reports, outcome.manifests)):
+                yield (f"{prefix}/trial-{index}/report",
+                       json_digest(report.as_paper_row()))
+                yield (f"{prefix}/trial-{index}/budget",
+                       json_digest([manifest.spends, manifest.allocations,
+                                    manifest.splits]))
 
     params = fit_tricycle(pokec)
     rho = estimate_transitive_closure_probability(pokec)

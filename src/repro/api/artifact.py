@@ -43,7 +43,9 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Union,
+)
 
 import numpy as np
 
@@ -309,13 +311,26 @@ class ModelArtifact:
         over-budget generation raises
         :class:`~repro.utils.memory.MemoryBudgetError`.
         """
+        return list(self.iter_samples(count, seed,
+                                      memory_budget_mb=memory_budget_mb))
+
+    def iter_samples(self, count: int, seed: SeedLike = None,
+                     memory_budget_mb: Optional[int] = None,
+                     checkpoint: Optional[Callable[[], None]] = None
+                     ) -> Iterator[AttributedGraph]:
+        """Yield the graphs of :meth:`sample` one at a time.
+
+        ``checkpoint`` is called before each graph, so a caller enforcing a
+        deadline stops between graphs; the graphs are bit-identical to
+        :meth:`sample` at the same seed.
+        """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         synthesizer = self.synthesizer(memory_budget_mb=memory_budget_mb)
-        return [
-            synthesizer.sample(rng=stream)
-            for stream in spawn_streams(seed, count)
-        ]
+        for stream in spawn_streams(seed, count):
+            if checkpoint is not None:
+                checkpoint()
+            yield synthesizer.sample(rng=stream)
 
     # ------------------------------------------------------------------
     # Persistence

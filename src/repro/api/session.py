@@ -40,9 +40,6 @@ from repro.graphs.attributed import AttributedGraph
 from repro.testing.faults import fire
 from repro.utils.rng import SeedLike
 
-#: Stage order of a fit-only pipeline run: resolve estimates, learn parameters.
-FIT_STAGES = ("estimate", "fit")
-
 #: Environment variable bounding the artifact cache of new sessions.
 CACHE_SIZE_ENV_VAR = "REPRO_ARTIFACT_CACHE_SIZE"
 #: Default artifact-cache bound when the environment does not override it.
@@ -183,7 +180,7 @@ class ReleaseSession:
 
         ``checkpoint`` is a cooperative-cancellation hook forwarded to the
         pipeline's stage boundaries (see
-        :meth:`~repro.core.pipeline.SynthesisPipeline.run`); a fit cancelled
+        :meth:`~repro.core.pipeline.SynthesisPipeline.fit`); a fit cancelled
         through it aborts its ledger reservation like any other failure.
         """
         key = spec.spec_hash
@@ -280,10 +277,8 @@ class ReleaseSession:
             num_iterations=spec.num_iterations,
             handle_orphans=spec.handle_orphans,
             samples=1,
-            evaluate=False,
-            stages=FIT_STAGES,
         )
-        result = pipeline.run(input_graph, rng=spec.seed,
+        result = pipeline.fit(input_graph, rng=spec.seed,
                               checkpoint=checkpoint)
         # The input description rides in the manifest's `extra` block, which
         # RunManifest.from_dict preserves, so artifact.run_manifest() keeps

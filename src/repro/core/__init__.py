@@ -9,9 +9,9 @@
   differentially private workflow, with explicit privacy accounting.
 * :mod:`repro.core.registry` — the pluggable structural-backend registry
   (``"tricycle"`` / ``"fcl"`` plus any plugin registered at runtime).
-* :mod:`repro.core.pipeline` — the staged synthesis engine
-  (estimate → fit → generate → postprocess → evaluate) with per-stage
-  timing, per-stage random streams and a serializable run manifest.
+* :mod:`repro.core.pipeline` — the synthesis engine, one fixed order
+  (estimate → fit → generate → evaluate) with per-stage timing, per-stage
+  random streams and a serializable run manifest.
 """
 
 from repro.core.acceptance import compute_acceptance_probabilities
@@ -19,10 +19,8 @@ from repro.core.agm import AgmParameters, AgmSynthesizer, learn_agm
 from repro.core.agm_dp import BudgetSplit, learn_agm_dp
 from repro.core.pipeline import (
     PipelineResult,
-    PipelineStage,
     RunManifest,
     SynthesisPipeline,
-    register_stage,
 )
 from repro.core.registry import (
     StructuralBackend,
@@ -40,9 +38,7 @@ __all__ = [
     "learn_agm_dp",
     "SynthesisPipeline",
     "PipelineResult",
-    "PipelineStage",
     "RunManifest",
-    "register_stage",
     "StructuralBackend",
     "register_backend",
     "get_backend",

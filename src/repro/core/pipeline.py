@@ -1,20 +1,27 @@
-"""The staged synthesis engine: estimate → fit → generate → postprocess → evaluate.
+"""The synthesis engine: Algorithm 3 as one fixed sequence of stages.
 
-Algorithm 3 is naturally a pipeline of independently budgeted stages; this
-module makes the pipeline an explicit object rather than a call chain:
+:meth:`SynthesisPipeline.run` executes estimate → fit → generate → evaluate:
 
-* every stage is a named, pluggable :class:`PipelineStage` (registered with
-  :func:`register_stage`, so projects can insert custom stages — extra
-  validation, alternative evaluation — without forking the engine);
-* each stage draws randomness from its own generator, spawned from one root
-  seed through :func:`repro.utils.rng.spawn_streams`, so inserting a stage
-  or changing how much randomness one stage consumes cannot silently shift
-  every downstream draw;
-* the private stages charge the run's :class:`PrivacyAccountant`, and the
-  finished run carries a serializable :class:`RunManifest` recording the
-  budget split, the per-stage ε spends, the seed, the stage order and
-  per-stage wall-clock timings — everything needed to audit or replay the
-  release.
+* **estimate** derives the truncation parameter ``k`` and, for private
+  runs, resolves the budget split and opens the run's
+  :class:`PrivacyAccountant` — public data and configuration only, so no
+  budget is spent;
+* **fit** learns Θ_X, Θ_F and Θ_M, exactly or under ε-DP, charging the
+  accountant;
+* **generate** samples synthetic graphs from the fitted parameters, which
+  is post-processing and free of ε (Theorem 2);
+* **evaluate** scores every sample against the input graph (the Tables 2-5
+  metrics).
+
+:meth:`SynthesisPipeline.fit` runs estimate → fit only, the one-time
+learning step of a release.  Stage ``i`` draws from child ``i`` of the root
+seed (:func:`repro.utils.rng.spawn_streams`): fit from child 1 and generate
+from child 2, while estimate and evaluate draw nothing.  So ``fit`` and
+``run`` learn the same parameters from the same seed, and how much
+randomness one stage consumes cannot shift another's draws.  The finished
+run carries a serializable :class:`RunManifest` recording the budget
+split, the per-stage ε spends, the seed, the stages run and their
+wall-clock timings — everything needed to audit or replay the release.
 
 The Monte-Carlo experiment runner (:mod:`repro.experiments.runner`) executes
 one pipeline per trial, serially or in parallel worker processes, and the
@@ -23,11 +30,13 @@ CLI's ``run`` command drives it from a JSON config file.
 
 from __future__ import annotations
 
-import abc
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.agm import (
     DEFAULT_NUM_ITERATIONS,
@@ -49,10 +58,9 @@ from repro.testing.faults import fire
 from repro.utils.rng import SeedLike, spawn_streams
 from repro.utils.validation import check_epsilon
 
-#: The default stage order of the synthesis engine.
-DEFAULT_STAGES: Tuple[str, ...] = (
-    "estimate", "fit", "generate", "postprocess", "evaluate",
-)
+#: The stages of a full run, in execution order; :meth:`SynthesisPipeline.fit`
+#: runs the first two.
+DEFAULT_STAGES: Tuple[str, ...] = ("estimate", "fit", "generate", "evaluate")
 
 
 # ----------------------------------------------------------------------
@@ -153,212 +161,8 @@ class RunManifest:
 
 
 # ----------------------------------------------------------------------
-# Stage protocol and registry
-# ----------------------------------------------------------------------
-class PipelineContext:
-    """Mutable state threaded through the stages of one pipeline run."""
-
-    def __init__(self, pipeline: "SynthesisPipeline", graph: AttributedGraph,
-                 manifest: RunManifest) -> None:
-        self.pipeline = pipeline
-        self.graph = graph
-        self.manifest = manifest
-        self.streams: Dict[str, object] = {}
-        self.truncation_k: Optional[int] = None
-        self.budget_split: Optional[BudgetSplit] = None
-        self.accountant: Optional[PrivacyAccountant] = None
-        self.parameters: Optional[AgmParameters] = None
-        self.graphs: List[AttributedGraph] = []
-        self.reports: List[EvaluationReport] = []
-        self.report: Optional[EvaluationReport] = None
-        #: Scratch space for custom stages.
-        self.extra: Dict[str, object] = {}
-
-    def stream_for(self, stage: str):
-        """The stage's own random generator (spawned from the root seed)."""
-        return self.streams[stage]
-
-
-class PipelineStage(abc.ABC):
-    """One named stage of the synthesis engine.
-
-    Stages are stateless: all run state lives in the
-    :class:`PipelineContext`, so one stage instance can serve many runs.
-    """
-
-    #: Registry key and manifest label of the stage.
-    name: str = ""
-
-    @abc.abstractmethod
-    def run(self, context: PipelineContext) -> None:
-        """Execute the stage, reading and mutating ``context``."""
-
-
-_STAGES: Dict[str, Type[PipelineStage]] = {}
-
-
-def register_stage(cls: Type[PipelineStage]) -> Type[PipelineStage]:
-    """Class decorator registering a :class:`PipelineStage` under its name.
-
-    Registering a name again *replaces* the previous implementation — that
-    is the supported way to swap a default stage for a custom one.
-    """
-    if not issubclass(cls, PipelineStage):
-        raise TypeError(
-            f"@register_stage expects a PipelineStage subclass, got {cls!r}"
-        )
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must define a non-empty 'name'")
-    _STAGES[cls.name] = cls
-    return cls
-
-
-def get_stage(name: str) -> Type[PipelineStage]:
-    """Look up a registered stage class by name."""
-    try:
-        return _STAGES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown pipeline stage {name!r}; registered: {tuple(_STAGES)}"
-        ) from None
-
-
-def stage_names() -> Tuple[str, ...]:
-    """Names of all registered stages."""
-    return tuple(_STAGES)
-
-
-# ----------------------------------------------------------------------
-# Default stages
-# ----------------------------------------------------------------------
-@register_stage
-class EstimateStage(PipelineStage):
-    """Resolve data-independent estimates and open the privacy account.
-
-    Derives the truncation parameter ``k`` (the ``n^(1/3)`` heuristic unless
-    pinned), resolves the budget split for the backend, and creates the
-    run's :class:`PrivacyAccountant` for private runs.  Everything here is
-    either public (``n``) or configuration, so no budget is spent.
-    """
-
-    name = "estimate"
-
-    def run(self, context: PipelineContext) -> None:
-        pipeline = context.pipeline
-        context.truncation_k = (
-            pipeline.truncation_k
-            if pipeline.truncation_k is not None
-            else default_truncation_parameter(context.graph.num_nodes)
-        )
-        context.manifest.truncation_k = context.truncation_k
-        if pipeline.is_private:
-            split = pipeline.budget_split or BudgetSplit.default_for(pipeline.backend)
-            context.budget_split = split
-            context.accountant = PrivacyAccountant(pipeline.epsilon)
-            context.manifest.splits = {
-                **split.weights(),
-                "structural_degree_fraction": split.structural_degree_fraction,
-            }
-
-
-@register_stage
-class FitStage(PipelineStage):
-    """Learn the three AGM parameter sets, exactly or under ε-DP."""
-
-    name = "fit"
-
-    def run(self, context: PipelineContext) -> None:
-        pipeline = context.pipeline
-        if pipeline.parameters is not None:
-            # Prefit (exact) parameters injected by the caller — nothing to
-            # learn, and no budget is spent.
-            context.parameters = pipeline.parameters
-        elif pipeline.is_private:
-            context.parameters, _ = learn_agm_dp(
-                context.graph,
-                pipeline.epsilon,
-                backend=pipeline.backend,
-                truncation_k=context.truncation_k,
-                budget_split=context.budget_split,
-                rng=context.stream_for(self.name),
-                accountant=context.accountant,
-            )
-        else:
-            context.parameters = learn_agm(context.graph, backend=pipeline.backend)
-
-
-@register_stage
-class GenerateStage(PipelineStage):
-    """Sample synthetic graphs from the fitted parameters (post-processing)."""
-
-    name = "generate"
-
-    def run(self, context: PipelineContext) -> None:
-        pipeline = context.pipeline
-        if context.parameters is None:
-            raise RuntimeError("the generate stage requires fitted parameters")
-        synthesizer = AgmSynthesizer(
-            context.parameters,
-            num_iterations=pipeline.num_iterations,
-            handle_orphans=pipeline.handle_orphans,
-            memory_budget_mb=getattr(pipeline, "memory_budget_mb", None),
-        )
-        stream = context.stream_for(self.name)
-        context.graphs = [
-            synthesizer.sample(rng=stream) for _ in range(pipeline.samples)
-        ]
-
-
-@register_stage
-class PostprocessStage(PipelineStage):
-    """Apply configured post-processing hooks to every sampled graph.
-
-    Post-processing never touches the sensitive input graph, so arbitrary
-    hooks are privacy-free (Section 2.3).  The default pipeline has no
-    hooks; pass ``postprocessors=(hook, ...)`` to the pipeline to add them.
-    """
-
-    name = "postprocess"
-
-    def run(self, context: PipelineContext) -> None:
-        hooks = context.pipeline.postprocessors
-        if not hooks:
-            return
-        stream = context.stream_for(self.name)
-        for hook in hooks:
-            context.graphs = [hook(graph, stream) for graph in context.graphs]
-
-
-@register_stage
-class EvaluateStage(PipelineStage):
-    """Score every sample against the input graph (Tables 2-5 metrics)."""
-
-    name = "evaluate"
-
-    def run(self, context: PipelineContext) -> None:
-        if not context.pipeline.evaluate:
-            return
-        from repro.metrics.incremental import prepare_original_graph
-
-        # Prime the input side once (idempotent across trials sharing the
-        # graph object): every report below then reads the original's
-        # triangle census and Θ_F probabilities from its statistics memo.
-        prepare_original_graph(context.graph)
-        context.reports = [
-            evaluate_synthetic_graph(context.graph, synthetic)
-            for synthetic in context.graphs
-        ]
-        if context.reports:
-            context.report = average_reports(context.reports)
-
-
-# ----------------------------------------------------------------------
 # The pipeline
 # ----------------------------------------------------------------------
-#: Post-processing hook signature: ``(graph, rng) -> graph``.
-PostprocessHook = Callable[[AttributedGraph, object], AttributedGraph]
-
-
 @dataclass
 class PipelineResult:
     """Everything a finished pipeline run produced."""
@@ -377,7 +181,7 @@ class PipelineResult:
 
 
 class SynthesisPipeline:
-    """The staged AGM(-DP) synthesis engine.
+    """The AGM(-DP) synthesis engine: estimate → fit → generate → evaluate.
 
     Parameters
     ----------
@@ -396,20 +200,11 @@ class SynthesisPipeline:
         Forwarded to the structural backend's model builder.
     memory_budget_mb:
         Optional generation memory budget in MiB, forwarded to the
-        structural backend through the generate stage.  Over-budget stages
-        raise :class:`~repro.utils.memory.MemoryBudgetError`
+        structural backend by the generate stage.  Over-budget generation
+        raises :class:`~repro.utils.memory.MemoryBudgetError`
         (``over_memory``).
     samples:
         Number of synthetic graphs the generate stage produces per run.
-    evaluate:
-        Whether the evaluate stage computes :class:`EvaluationReport`s.
-    stages:
-        Optional custom stage order — a sequence of registered stage names
-        and/or :class:`PipelineStage` instances.  Defaults to
-        :data:`DEFAULT_STAGES`.
-    postprocessors:
-        Post-processing hooks ``(graph, rng) -> graph`` applied to every
-        sample by the postprocess stage.
     parameters:
         Optional prefit :class:`AgmParameters`; the fit stage adopts them
         instead of learning.  Only meaningful for non-private runs (the DP
@@ -433,9 +228,6 @@ class SynthesisPipeline:
                  handle_orphans: bool = True,
                  memory_budget_mb: Optional[int] = None,
                  samples: int = 1,
-                 evaluate: bool = True,
-                 stages: Optional[Sequence[Union[str, PipelineStage]]] = None,
-                 postprocessors: Sequence[PostprocessHook] = (),
                  parameters: Optional[AgmParameters] = None) -> None:
         self.epsilon = None if epsilon is None else check_epsilon(epsilon)
         get_backend(backend)  # raises ValueError for unregistered names
@@ -468,48 +260,22 @@ class SynthesisPipeline:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         self.samples = int(samples)
-        self.evaluate = bool(evaluate)
-        self.postprocessors = tuple(postprocessors)
-        self._stages = self._resolve_stages(
-            DEFAULT_STAGES if stages is None else stages
-        )
-
-    @staticmethod
-    def _resolve_stages(stages: Sequence[Union[str, PipelineStage]]
-                        ) -> Tuple[PipelineStage, ...]:
-        resolved: List[PipelineStage] = []
-        for stage in stages:
-            if isinstance(stage, PipelineStage):
-                resolved.append(stage)
-            else:
-                resolved.append(get_stage(stage)())
-        if not resolved:
-            raise ValueError("a pipeline needs at least one stage")
-        names = [stage.name for stage in resolved]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate stage names in {names}")
-        return tuple(resolved)
 
     @property
     def is_private(self) -> bool:
         """Whether the pipeline runs the DP learners."""
         return self.epsilon is not None
 
-    def stage_order(self) -> Tuple[str, ...]:
-        """The names of the configured stages, in execution order."""
-        return tuple(stage.name for stage in self._stages)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, graph: AttributedGraph, rng: SeedLike = None,
             checkpoint: Optional[Callable[[], None]] = None) -> PipelineResult:
-        """Execute the stages on ``graph`` and return the collected result.
+        """Run every stage on ``graph`` and return the collected result.
 
-        ``rng`` is the *root* seed: every stage receives its own independent
-        generator spawned from it, so a run is reproducible from
-        ``(graph, configuration, rng)`` alone and stages cannot perturb each
-        other's streams.
+        ``rng`` is the *root* seed: each stage draws from its own generator
+        spawned from it, so a run is reproducible from
+        ``(graph, configuration, rng)`` alone.
 
         ``checkpoint`` is an optional cooperative-cancellation hook called
         before every stage (and once after the last): a caller enforcing a
@@ -519,7 +285,60 @@ class SynthesisPipeline:
         ``pipeline.stage.<name>.start`` / ``.end`` fault points for the
         crash-recovery tests.
         """
-        manifest = RunManifest(
+        manifest = self._manifest(graph, rng, DEFAULT_STAGES)
+        _, fit_rng, generate_rng, _ = spawn_streams(rng, len(DEFAULT_STAGES))
+        parameters, accountant = self._learn(graph, fit_rng, manifest,
+                                             checkpoint)
+        with self._stage("generate", manifest, checkpoint):
+            synthesizer = AgmSynthesizer(
+                parameters,
+                num_iterations=self.num_iterations,
+                handle_orphans=self.handle_orphans,
+                memory_budget_mb=self.memory_budget_mb,
+            )
+            graphs = [synthesizer.sample(rng=generate_rng)
+                      for _ in range(self.samples)]
+        with self._stage("evaluate", manifest, checkpoint):
+            from repro.metrics.incremental import prepare_original_graph
+
+            # Prime the input side once (idempotent across trials sharing the
+            # graph object): every report below then reads the original's
+            # triangle census and Θ_F probabilities from its statistics memo.
+            prepare_original_graph(graph)
+            reports = [evaluate_synthetic_graph(graph, synthetic)
+                       for synthetic in graphs]
+        if checkpoint is not None:
+            checkpoint()
+        return PipelineResult(
+            graphs=graphs,
+            parameters=parameters,
+            manifest=manifest,
+            accountant=accountant,
+            reports=reports,
+            report=average_reports(reports),
+        )
+
+    def fit(self, graph: AttributedGraph, rng: SeedLike = None,
+            checkpoint: Optional[Callable[[], None]] = None) -> PipelineResult:
+        """Run estimate → fit only: learn the parameters, sample nothing.
+
+        The parameters, spends and manifest fields equal those of
+        :meth:`run` at the same root seed, except the stages listed and
+        their timings.  The result carries no graphs and no reports.
+        ``checkpoint`` and the fault points behave as in :meth:`run`.
+        """
+        manifest = self._manifest(graph, rng, DEFAULT_STAGES[:2])
+        _, fit_rng = spawn_streams(rng, 2)
+        parameters, accountant = self._learn(graph, fit_rng, manifest,
+                                             checkpoint)
+        if checkpoint is not None:
+            checkpoint()
+        return PipelineResult(graphs=[], parameters=parameters,
+                              manifest=manifest, accountant=accountant)
+
+    def _manifest(self, graph: AttributedGraph, rng: SeedLike,
+                  stages: Sequence[str]) -> RunManifest:
+        return RunManifest(
             backend=self.backend,
             epsilon=self.epsilon,
             private=self.is_private,
@@ -530,41 +349,62 @@ class SynthesisPipeline:
             num_iterations=self.num_iterations,
             samples=self.samples,
             seed=_describe_seed(rng),
-            stages=list(self.stage_order()),
+            stages=list(stages),
         )
-        context = PipelineContext(self, graph, manifest)
-        streams = spawn_streams(rng, len(self._stages))
-        context.streams = {
-            stage.name: stream for stage, stream in zip(self._stages, streams)
-        }
 
-        for stage in self._stages:
-            if checkpoint is not None:
-                checkpoint()
-            fire(f"pipeline.stage.{stage.name}.start")
-            start = time.perf_counter()
-            stage.run(context)
-            manifest.timings[stage.name] = time.perf_counter() - start
-            fire(f"pipeline.stage.{stage.name}.end")
+    @staticmethod
+    @contextmanager
+    def _stage(name: str, manifest: RunManifest,
+               checkpoint: Optional[Callable[[], None]]) -> Iterator[None]:
+        """One stage boundary: checkpoint, fault points and timing."""
         if checkpoint is not None:
             checkpoint()
+        fire(f"pipeline.stage.{name}.start")
+        start = time.perf_counter()
+        yield
+        manifest.timings[name] = time.perf_counter() - start
+        fire(f"pipeline.stage.{name}.end")
 
-        if context.accountant is not None:
-            manifest.allocations = context.accountant.allocations()
-            manifest.spends = context.accountant.breakdown()
-        if context.parameters is None:
-            raise RuntimeError(
-                "the pipeline finished without fitted parameters; "
-                f"stage order {self.stage_order()} is missing a fit stage"
+    def _learn(self, graph: AttributedGraph, rng, manifest: RunManifest,
+               checkpoint: Optional[Callable[[], None]]
+               ) -> Tuple[AgmParameters, Optional[PrivacyAccountant]]:
+        """The estimate and fit stages: ``(parameters, accountant)``."""
+        with self._stage("estimate", manifest, checkpoint):
+            truncation_k = (
+                self.truncation_k if self.truncation_k is not None
+                else default_truncation_parameter(graph.num_nodes)
             )
-        return PipelineResult(
-            graphs=context.graphs,
-            parameters=context.parameters,
-            manifest=manifest,
-            accountant=context.accountant,
-            reports=context.reports,
-            report=context.report,
-        )
+            manifest.truncation_k = truncation_k
+            split = accountant = None
+            if self.is_private:
+                split = self.budget_split or BudgetSplit.default_for(self.backend)
+                accountant = PrivacyAccountant(self.epsilon)
+                manifest.splits = {
+                    **split.weights(),
+                    "structural_degree_fraction":
+                        split.structural_degree_fraction,
+                }
+        with self._stage("fit", manifest, checkpoint):
+            if self.parameters is not None:
+                # Prefit (exact) parameters injected by the caller: nothing
+                # to learn, and no budget is spent.
+                parameters = self.parameters
+            elif self.is_private:
+                parameters, _ = learn_agm_dp(
+                    graph,
+                    self.epsilon,
+                    backend=self.backend,
+                    truncation_k=truncation_k,
+                    budget_split=split,
+                    rng=rng,
+                    accountant=accountant,
+                )
+            else:
+                parameters = learn_agm(graph, backend=self.backend)
+        if accountant is not None:
+            manifest.allocations = accountant.allocations()
+            manifest.spends = accountant.breakdown()
+        return parameters, accountant
 
 
 def _describe_seed(rng: SeedLike) -> Optional[Union[int, str]]:

@@ -149,9 +149,9 @@ class ExperimentConfig:
     def build_pipeline(self, parameters=None) -> SynthesisPipeline:
         """The per-trial synthesis pipeline this configuration describes.
 
-        ``parameters`` optionally injects prefit (exact) AGM parameters so
-        the fit stage is skipped — used by the non-private runner, which
-        fits once and samples per trial.
+        ``parameters`` optionally injects prefit (exact) AGM parameters,
+        which the fit stage adopts instead of learning — used by the
+        non-private runner, which fits once and samples per trial.
         """
         return SynthesisPipeline(
             epsilon=self.epsilon,
@@ -162,7 +162,6 @@ class ExperimentConfig:
             handle_orphans=self.handle_orphans,
             memory_budget_mb=self.memory_budget_mb,
             samples=self.samples,
-            evaluate=True,
             parameters=parameters,
         )
 
@@ -201,7 +200,6 @@ def _run_one_trial(graph: AttributedGraph, config: ExperimentConfig,
                    ) -> "tuple[EvaluationReport, RunManifest]":
     """Execute a single Monte-Carlo trial on its dedicated random stream."""
     result = config.build_pipeline(parameters=parameters).run(graph, rng=stream)
-    assert result.report is not None  # evaluate=True above
     return result.report, result.manifest
 
 

@@ -243,9 +243,11 @@ def largest_connected_component(graph: AttributedGraph) -> AttributedGraph:
     """
     if graph.num_nodes == 0:
         return graph.copy()
-    components = connected_components(graph)
-    main = sorted(components[0])
-    return graph.induced_subgraph(main)
+    labels, _count = component_labels(graph)
+    # Labels are numbered by smallest member, so the first argmax is the
+    # largest component and, among equal sizes, the one with the smallest id.
+    main = int(np.argmax(np.bincount(labels)))
+    return graph.induced_subgraph(np.flatnonzero(labels == main).tolist())
 
 
 def orphaned_nodes(graph: AttributedGraph) -> Set[int]:
@@ -271,4 +273,4 @@ def is_connected(graph: AttributedGraph) -> bool:
     """Return whether the graph consists of a single connected component."""
     if graph.num_nodes <= 1:
         return True
-    return len(connected_components(graph)) == 1
+    return component_labels(graph)[1] == 1

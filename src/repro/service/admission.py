@@ -15,7 +15,7 @@ work before it costs anything):
 3. :class:`Deadline` — per-request wall-clock budget
    (``REPRO_REQUEST_TIMEOUT``).  Its :meth:`~Deadline.checkpoint` is the
    cooperative-cancellation hook threaded through
-   :meth:`~repro.core.pipeline.SynthesisPipeline.run` stage boundaries, so
+   :meth:`~repro.core.pipeline.SynthesisPipeline.fit` stage boundaries, so
    an abandoned request releases its worker at the next boundary rather
    than holding it to completion.
 

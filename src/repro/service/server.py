@@ -65,8 +65,11 @@ import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union,
+)
 
 from repro.api.artifact import ArtifactError, ModelArtifact
 from repro.api.session import ReleaseSession
@@ -82,7 +85,6 @@ from repro.service.admission import AdmissionQueue, Deadline, TenantRateLimiter
 from repro.service.errors import ServiceError
 from repro.testing.faults import fire
 from repro.utils.memory import MemoryBudgetError
-from repro.utils.rng import spawn_streams
 
 logger = logging.getLogger("repro.service")
 
@@ -422,6 +424,22 @@ class ReleaseServer:
         ``(meta, graphs)`` with live :class:`AttributedGraph` objects so the
         handler can encode them columnar without a JSON detour.
         """
+        job = {"fit": self.fit_job, "sample": self.sample_job,
+               "sample_raw": self._sample_raw}[kind]
+        with self._admitted(kind, payload) as (tenant, deadline):
+            return self._run_bounded(job, payload, deadline, tenant)
+
+    @contextmanager
+    def _admitted(self, kind: str, payload: Any
+                  ) -> Iterator[Tuple[str, Deadline]]:
+        """The guard stack: admit one request and yield ``(tenant, deadline)``.
+
+        Checks, in order, draining, the tenant's token bucket, the admission
+        queue and the budget pre-check, raising the matching
+        :class:`ServiceError`.  The request holds its admission slot until
+        the ``with`` block exits, so a streamed request keeps it until its
+        generator finishes.
+        """
         fire("server.request.start")
         if self._draining.is_set():
             raise errors.draining()
@@ -440,25 +458,28 @@ class ReleaseServer:
         started = time.monotonic()
         try:
             deadline = Deadline(self._request_timeout)
-            job = {"fit": self.fit_job, "sample": self.sample_job,
-                   "sample_raw": self._sample_raw}[kind]
             self._admit_budget(kind, payload, tenant)
-            fire("server.job.submit")
-            future = self._executor.submit(job, payload, deadline, tenant)
-            wait = (None if deadline.remaining is None
-                    else deadline.remaining + DEADLINE_GRACE)
-            try:
-                return future.result(timeout=wait)
-            except FutureTimeoutError:
-                # The worker missed every cooperative checkpoint inside the
-                # grace window; it will still die at its next one, but this
-                # request's wall clock is spent.
-                raise errors.deadline_exceeded(
-                    f"request exceeded its {self._request_timeout:.3g}s "
-                    f"deadline"
-                ) from None
+            yield tenant, deadline
         finally:
             self._queue.release(time.monotonic() - started)
+
+    def _run_bounded(self, job: Callable[..., Any], payload: Any,
+                     deadline: Deadline, tenant: str) -> Any:
+        """Run ``job`` on the worker pool and wait at most the deadline."""
+        fire("server.job.submit")
+        future = self._executor.submit(job, payload, deadline, tenant)
+        wait = (None if deadline.remaining is None
+                else deadline.remaining + DEADLINE_GRACE)
+        try:
+            return future.result(timeout=wait)
+        except FutureTimeoutError:
+            # The worker missed every cooperative checkpoint inside the
+            # grace window; it will still die at its next one, but this
+            # request's wall clock is spent.
+            raise errors.deadline_exceeded(
+                f"request exceeded its {self._request_timeout:.3g}s "
+                f"deadline"
+            ) from None
 
     @staticmethod
     def _resolve_tenant(payload: Any) -> str:
@@ -621,15 +642,10 @@ class ReleaseServer:
         meta, artifact, count, seed, memory_budget_mb = self._resolve_sample(
             payload, deadline, tenant
         )
-        # Sample graph-by-graph with a checkpoint between graphs, from the
-        # same per-sample streams artifact.sample spawns — bit-identical to
-        # the single-call form, but an expired deadline stops between graphs.
-        synthesizer = artifact.synthesizer(memory_budget_mb=memory_budget_mb)
-        graphs = []
-        for stream in spawn_streams(seed, count):
-            if deadline is not None:
-                deadline.checkpoint()
-            graphs.append(synthesizer.sample(rng=stream))
+        graphs = list(artifact.iter_samples(
+            count, seed, memory_budget_mb=memory_budget_mb,
+            checkpoint=deadline.checkpoint if deadline else None,
+        ))
         return meta, graphs
 
     def sample_job(self, payload: Any, deadline: Optional[Deadline] = None,
@@ -656,40 +672,10 @@ class ReleaseServer:
         the generator (client disconnect) sets the ``abandoned`` flag the
         producer polls, so orphaned work stops within one queue timeout.
         """
-        fire("server.request.start")
-        if self._draining.is_set():
-            raise errors.draining()
-        tenant = self._resolve_tenant(payload)
-        if self._limiter is not None:
-            wait = self._limiter.try_acquire(tenant)
-            if wait is not None:
-                raise errors.over_rate(
-                    f"tenant {tenant!r} is over its request rate", wait
-                )
-        if not self._queue.try_acquire():
-            raise errors.overloaded(
-                f"admission queue is full ({self._queue.depth} in flight)",
-                self._queue.retry_after(),
-            )
-        started = time.monotonic()
-        try:
-            deadline = Deadline(self._request_timeout)
-            self._admit_budget("sample", payload, tenant)
-            fire("server.job.submit")
-            future = self._executor.submit(
+        with self._admitted("sample", payload) as (tenant, deadline):
+            meta, artifact, count, seed, memory_budget_mb = self._run_bounded(
                 self._resolve_sample, payload, deadline, tenant
             )
-            wait = (None if deadline.remaining is None
-                    else deadline.remaining + DEADLINE_GRACE)
-            try:
-                meta, artifact, count, seed, memory_budget_mb = \
-                    future.result(timeout=wait)
-            except FutureTimeoutError:
-                raise errors.deadline_exceeded(
-                    f"request exceeded its {self._request_timeout:.3g}s "
-                    f"deadline"
-                ) from None
-
             out: "queue_module.Queue[Tuple[str, Any]]" = \
                 queue_module.Queue(maxsize=4)
             abandoned = threading.Event()
@@ -705,12 +691,10 @@ class ReleaseServer:
 
             def _produce() -> None:
                 try:
-                    synthesizer = artifact.synthesizer(
-                        memory_budget_mb=memory_budget_mb
-                    )
-                    for stream in spawn_streams(seed, count):
-                        deadline.checkpoint()
-                        if not _put(("graph", synthesizer.sample(rng=stream))):
+                    for graph in artifact.iter_samples(
+                            count, seed, memory_budget_mb=memory_budget_mb,
+                            checkpoint=deadline.checkpoint):
+                        if not _put(("graph", graph)):
                             return
                     _put(("end", None))
                 except BaseException as exc:  # noqa: BLE001 - goes in-band
@@ -736,8 +720,6 @@ class ReleaseServer:
                         return
             finally:
                 abandoned.set()
-        finally:
-            self._queue.release(time.monotonic() - started)
 
     @staticmethod
     def _bill_to(spec: ReleaseSpec, tenant: Optional[str]) -> ReleaseSpec:

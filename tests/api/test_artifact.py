@@ -47,6 +47,17 @@ class TestRoundTrip:
         two = artifact.sample(count=2, seed=5)
         assert one[0] == two[0]
 
+    def test_iter_samples_checkpoints_before_each_graph(self, fitted):
+        _spec, artifact = fitted
+        events = []
+        graphs = []
+        for graph in artifact.iter_samples(
+                3, seed=5, checkpoint=lambda: events.append("checkpoint")):
+            events.append("graph")
+            graphs.append(graph)
+        assert events == ["checkpoint", "graph"] * 3
+        assert graphs == artifact.sample(count=3, seed=5)
+
     def test_manifest_round_trip(self, fitted, tmp_path):
         spec, artifact = fitted
         loaded = ModelArtifact.load(artifact.save(tmp_path / "m.json"))

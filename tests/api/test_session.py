@@ -156,7 +156,7 @@ class TestEvaluate:
         assert result["spec"]["dataset"] == "petster"
         assert sum(result["spends"].values()) == pytest.approx(1.0)
         assert result["manifest"]["stages"] == [
-            "estimate", "fit", "generate", "postprocess", "evaluate",
+            "estimate", "fit", "generate", "evaluate",
         ]
         assert "ThetaF" in result["report"]
 

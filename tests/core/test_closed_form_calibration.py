@@ -171,7 +171,7 @@ def test_every_layer_defaults_to_the_release_specs_rounds(
     AgmSynthesizer(artifact.parameters).sample(rng=0)
     assert counts["generations"] == release
     counts["generations"] = 0
-    SynthesisPipeline(backend=backend, evaluate=False).run(
+    SynthesisPipeline(backend=backend).run(
         small_social_graph, rng=0
     )
     assert counts["generations"] == release

@@ -1,27 +1,26 @@
-"""Tests for the staged synthesis pipeline and its run manifest."""
+"""Tests for the synthesis pipeline and its run manifest."""
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.core.agm import DEFAULT_NUM_ITERATIONS
+from repro.core.agm import DEFAULT_NUM_ITERATIONS, AgmSynthesizer
 from repro.core.agm_dp import BudgetSplit
-from repro.core.pipeline import (
-    DEFAULT_STAGES,
-    PipelineStage,
-    RunManifest,
-    SynthesisPipeline,
-    get_stage,
-    register_stage,
-    stage_names,
-)
+from repro.core.pipeline import DEFAULT_STAGES, RunManifest, SynthesisPipeline
 from repro.metrics.evaluation import EvaluationReport
+from repro.testing.faults import FaultPlan, FaultPoint
+from repro.utils.rng import spawn_streams
 
 
 class TestConfiguration:
-    def test_default_stage_order(self):
-        pipeline = SynthesisPipeline(epsilon=1.0)
-        assert pipeline.stage_order() == DEFAULT_STAGES
+    def test_default_stage_order(self, small_social_graph):
+        result = SynthesisPipeline(
+            epsilon=1.0, backend="fcl", num_iterations=1
+        ).run(small_social_graph, rng=0)
+        assert result.manifest.stages == list(DEFAULT_STAGES) == [
+            "estimate", "fit", "generate", "evaluate",
+        ]
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -34,18 +33,6 @@ class TestConfiguration:
     def test_invalid_samples_rejected(self):
         with pytest.raises(ValueError):
             SynthesisPipeline(samples=0)
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError):
-            SynthesisPipeline(stages=("estimate", "mystery"))
-
-    def test_duplicate_stage_rejected(self):
-        with pytest.raises(ValueError):
-            SynthesisPipeline(stages=("fit", "fit"))
-
-    def test_default_stages_registered(self):
-        assert set(DEFAULT_STAGES) <= set(stage_names())
-        assert get_stage("fit").name == "fit"
 
     def test_prefit_parameters_skip_fit(self, small_social_graph):
         from repro.core.agm import learn_agm
@@ -159,45 +146,90 @@ class TestDeterminismAndVariants:
         assert len(result.graphs) == 3
         assert len(result.reports) == 3
 
-    def test_evaluate_disabled(self, small_social_graph):
+
+def _assert_same_parameters(left, right):
+    assert left.backend == right.backend
+    np.testing.assert_array_equal(left.attribute_distribution.probabilities,
+                                  right.attribute_distribution.probabilities)
+    np.testing.assert_array_equal(left.correlations.probabilities,
+                                  right.correlations.probabilities)
+    assert type(left.structural) is type(right.structural)
+    np.testing.assert_array_equal(left.structural.degrees,
+                                  right.structural.degrees)
+    assert getattr(left.structural, "num_triangles", None) == \
+        getattr(right.structural, "num_triangles", None)
+
+
+@pytest.mark.parametrize("backend", ["tricycle", "fcl"])
+class TestStreamLayout:
+    """Stage ``i`` draws from child ``i`` of the root seed."""
+
+    def test_fit_learns_what_run_learns(self, small_social_graph, backend):
+        pipeline = SynthesisPipeline(epsilon=1.0, backend=backend)
+        fitted = pipeline.fit(small_social_graph, rng=7)
+        ran = pipeline.run(small_social_graph, rng=7)
+        _assert_same_parameters(fitted.parameters, ran.parameters)
+        assert fitted.graphs == [] and fitted.reports == []
+        assert fitted.report is None
+        assert fitted.manifest.stages == ["estimate", "fit"]
+        assert fitted.manifest.spends == ran.manifest.spends
+        assert fitted.manifest.allocations == ran.manifest.allocations
+        assert fitted.manifest.splits == ran.manifest.splits
+
+    def test_run_samples_from_the_generate_child(self, small_social_graph,
+                                                 backend):
         result = SynthesisPipeline(
-            epsilon=1.0, backend="fcl", evaluate=False, num_iterations=1
-        ).run(small_social_graph, rng=0)
-        assert result.report is None
-        assert result.reports == []
+            epsilon=1.0, backend=backend, samples=2
+        ).run(small_social_graph, rng=7)
+        generate_rng = spawn_streams(7, 3)[2]  # child 2 of the root
+        synthesizer = AgmSynthesizer(result.parameters)
+        assert result.graphs == [synthesizer.sample(rng=generate_rng)
+                                 for _ in range(2)]
 
 
-class TestPluggableStages:
-    def test_custom_stage_instance(self, small_social_graph):
-        seen = {}
+class TestFaultPointOrder:
+    @staticmethod
+    def _recording_plan(fired):
+        def record(point, hit):
+            fired.append(point)
 
-        class AuditStage(PipelineStage):
-            name = "audit"
+        return FaultPlan([
+            FaultPoint(name=f"pipeline.stage.{stage}.{edge}", action=record)
+            for stage in DEFAULT_STAGES for edge in ("start", "end")
+        ])
 
-            def run(self, context):
-                seen["spent"] = context.accountant.spent
+    def test_run_fires_every_stage_in_order(self, small_social_graph):
+        fired = []
+        with self._recording_plan(fired):
+            SynthesisPipeline(
+                epsilon=1.0, backend="fcl", num_iterations=1
+            ).run(
+                small_social_graph, rng=0,
+                checkpoint=lambda: fired.append("checkpoint"),
+            )
+        assert fired == [
+            "checkpoint",
+            "pipeline.stage.estimate.start", "pipeline.stage.estimate.end",
+            "checkpoint",
+            "pipeline.stage.fit.start", "pipeline.stage.fit.end",
+            "checkpoint",
+            "pipeline.stage.generate.start", "pipeline.stage.generate.end",
+            "checkpoint",
+            "pipeline.stage.evaluate.start", "pipeline.stage.evaluate.end",
+            "checkpoint",
+        ]
 
-        result = SynthesisPipeline(
-            epsilon=1.0, backend="fcl", num_iterations=1,
-            stages=("estimate", "fit", AuditStage(), "generate",
-                    "postprocess", "evaluate"),
-        ).run(small_social_graph, rng=0)
-        assert seen["spent"] == pytest.approx(1.0)
-        assert "audit" in result.manifest.timings
-
-    def test_postprocess_hooks_run(self, small_social_graph):
-        calls = []
-
-        def hook(graph, rng):
-            calls.append(graph.num_edges)
-            return graph
-
-        SynthesisPipeline(
-            epsilon=1.0, backend="fcl", num_iterations=1,
-            postprocessors=(hook,),
-        ).run(small_social_graph, rng=0)
-        assert len(calls) == 1
-
-    def test_register_stage_requires_stage_subclass(self):
-        with pytest.raises(TypeError):
-            register_stage(dict)
+    def test_fit_fires_only_estimate_and_fit(self, small_social_graph):
+        fired = []
+        with self._recording_plan(fired):
+            SynthesisPipeline(epsilon=1.0, backend="fcl").fit(
+                small_social_graph, rng=0,
+                checkpoint=lambda: fired.append("checkpoint"),
+            )
+        assert fired == [
+            "checkpoint",
+            "pipeline.stage.estimate.start", "pipeline.stage.estimate.end",
+            "checkpoint",
+            "pipeline.stage.fit.start", "pipeline.stage.fit.end",
+            "checkpoint",
+        ]

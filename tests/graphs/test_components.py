@@ -62,6 +62,28 @@ class TestLargestComponent:
         graph = AttributedGraph(0, 0)
         assert largest_connected_component(graph).num_nodes == 0
 
+    def test_size_tie_keeps_the_component_with_the_smallest_node(self):
+        graph = AttributedGraph(8, 1)
+        graph.add_edges_from([(3, 4), (4, 5), (5, 3)])
+        graph.add_edges_from([(2, 6), (6, 7), (7, 2)])  # holds node 2 < 3
+        graph.set_attributes(6, [1])
+        main = largest_connected_component(graph)
+        assert main.num_nodes == 3
+        assert main.attributes[:, 0].tolist() == [0, 1, 0]  # nodes 2, 6, 7
+
+
+def test_largest_component_and_connectivity_skip_the_set_view(monkeypatch):
+    import repro.graphs.components as components
+
+    def forbidden(graph):
+        raise AssertionError("connected_components builds one set per "
+                             "component")
+
+    monkeypatch.setattr(components, "connected_components", forbidden)
+    graph = two_component_graph()
+    assert largest_connected_component(graph).num_nodes == 4
+    assert not is_connected(graph)
+
 
 class TestOrphans:
     def test_orphans_are_outside_main_component(self):

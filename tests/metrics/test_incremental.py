@@ -148,7 +148,7 @@ class TestScansPerStep:
 class TestPipelineIntegration:
     def test_evaluate_stage_primes_the_input(self, small_social_graph):
         graph = small_social_graph.copy()
-        pipeline = SynthesisPipeline(samples=2, evaluate=True)
+        pipeline = SynthesisPipeline(samples=2)
         result = pipeline.run(graph, rng=3)
         assert result.report is not None
         assert set(graph.statistics_memo) >= {"triangles", CORRELATIONS_KEY}

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import ReleaseSession, ReleaseSpec
+from repro.graphs import codec
 from repro.graphs.io import graph_from_payload
 from repro.service import ReleaseServer
 
@@ -124,6 +125,23 @@ class TestEndpoints:
         assert status == 200
         assert any(entry["backend"] == "tricycle"
                    for entry in listing["artifacts"])
+
+
+class TestStreamAdmission:
+    def test_streamed_request_holds_its_slot_until_closed(self, server):
+        stream = server.execute_stream(
+            {"spec": SPEC_DOC, "count": 2, "seed": 4})
+        assert server.health()["in_flight"] == 0  # admitted on first next()
+        assert next(stream).startswith(codec.MAGIC)
+        assert server.health()["in_flight"] == 1
+        stream.close()
+        assert server.health()["in_flight"] == 0
+
+    def test_finished_stream_releases_its_slot(self, server):
+        pieces = list(server.execute_stream(
+            {"spec": SPEC_DOC, "count": 2, "seed": 4}))
+        assert len(pieces) == 4  # meta, two graphs, end
+        assert server.health()["in_flight"] == 0
 
 
 class TestErrors:

@@ -106,7 +106,7 @@ class TestCommands:
         assert result["trials"] == 2
         assert sum(result["spends"].values()) == pytest.approx(1.0)
         assert result["manifest"]["stages"] == [
-            "estimate", "fit", "generate", "postprocess", "evaluate"
+            "estimate", "fit", "generate", "evaluate"
         ]
         assert "ThetaF" in result["report"]
 
