@@ -48,11 +48,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.pipeline import SynthesisPipeline  # noqa: E402
 from repro.datasets.registry import get_dataset_spec  # noqa: E402
-from repro.experiments.runner import (  # noqa: E402
-    ExperimentConfig,
-    run_trials,
-)
+from repro.experiments.runner import run_trials  # noqa: E402
 from repro.graphs import statistics as stats  # noqa: E402
 from repro.models.chung_lu import ChungLuModel  # noqa: E402
 from repro.models.tricycle import TriCycLeModel  # noqa: E402
@@ -366,16 +364,20 @@ def bench_runner(trials: int, workers: int, repeats: int) -> dict:
     whatever the current host's core count delivers.
     """
     graph = get_dataset_spec("lastfm").generator(scale=0.35, seed=BENCH_SEED)
-    config = ExperimentConfig(backend="tricycle", epsilon=1.0, trials=trials,
-                              num_iterations=1)
-    serial_report = run_trials(graph, config, rng=BENCH_SEED, workers=1)
-    parallel_report = run_trials(graph, config, rng=BENCH_SEED, workers=workers)
+    pipeline = SynthesisPipeline(epsilon=1.0, backend="tricycle",
+                                 num_iterations=1)
+    serial_report = run_trials(graph, pipeline, trials, rng=BENCH_SEED,
+                               workers=1)
+    parallel_report = run_trials(graph, pipeline, trials, rng=BENCH_SEED,
+                                 workers=workers)
     serial_t = _best_of(
-        lambda: run_trials(graph, config, rng=BENCH_SEED, workers=1),
+        lambda: run_trials(graph, pipeline, trials, rng=BENCH_SEED,
+                           workers=1),
         max(2, repeats // 2),
     )
     parallel_t = _best_of(
-        lambda: run_trials(graph, config, rng=BENCH_SEED, workers=workers),
+        lambda: run_trials(graph, pipeline, trials, rng=BENCH_SEED,
+                           workers=workers),
         max(2, repeats // 2),
     )
     return {

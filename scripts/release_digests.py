@@ -43,7 +43,7 @@ import numpy as np
 from repro.api import ReleaseSession, ReleaseSpec
 from repro.attributes.encoding import AttributeEncoder, EdgeConfigurationEncoder
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.experiments.runner import ExperimentConfig, run_trials_detailed
+from repro.experiments.runner import run_trials_detailed
 from repro.graphs.attributed import AttributedGraph
 from repro.metrics.evaluation import evaluate_synthetic_graph
 from repro.models.base import EdgeAcceptance
@@ -149,9 +149,9 @@ def digests(toy: bool) -> Iterator[Tuple[str, str]]:
             result = ReleaseSession().evaluate(spec, graph=pokec.copy())
             yield f"{prefix}/session", json_digest(
                 {key: result[key] for key in ("model", "report", "spends")})
-            outcome = run_trials_detailed(pokec.copy(),
-                                          ExperimentConfig.from_spec(spec),
-                                          rng=spec.seed)
+            outcome = run_trials_detailed(pokec.copy(), spec.pipeline(),
+                                          spec.trials, rng=spec.seed,
+                                          workers=spec.workers)
             for index, (report, manifest) in enumerate(
                     zip(outcome.trial_reports, outcome.manifests)):
                 yield (f"{prefix}/trial-{index}/report",

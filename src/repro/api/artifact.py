@@ -10,14 +10,15 @@ forever after without ever touching the sensitive input again.
 
 The on-disk format is a JSON manifest tagged with ``format`` and
 ``format_version``; :meth:`ModelArtifact.load` refuses documents from other
-formats or future versions with an :class:`ArtifactFormatError` rather than
-mis-reading them.  Format version 2 stores the large parameter arrays
-(probability vectors, degree sequence) in an ``.npz`` sidecar next to the
-manifest: the manifest stays a small human-readable document, the arrays are
-raw binary (no float parsing on load, exact by construction), and
-:func:`numpy.load` reads sidecar members lazily — each array is pulled from
-the zip only when first accessed, which keeps manifest scans (the artifact
-store's index, ``GET /artifacts``) from touching array data at all.
+formats or future versions, or naming a backend this build does not have,
+with an :class:`ArtifactFormatError` rather than mis-reading them.  Format
+version 2 stores the large parameter arrays (probability vectors, degree
+sequence) in an ``.npz`` sidecar next to the manifest: the manifest stays a
+small human-readable document, the arrays are raw binary (no float parsing
+on load, exact by construction), and :func:`numpy.load` reads sidecar
+members lazily — each array is pulled from the zip only when first
+accessed, which keeps manifest scans (the artifact store's index,
+``GET /artifacts``) from touching array data at all.
 Version-1 documents (arrays inline in the JSON) still load.  Both layouts
 round-trip bit-exactly, so a loaded artifact samples graphs that are
 bit-identical to the in-memory model at the same seed.
@@ -54,7 +55,7 @@ from repro.core.agm import (
     AgmParameters,
     AgmSynthesizer,
 )
-from repro.core.registry import get_backend
+from repro.core import backends
 from repro.graphs.attributed import AttributedGraph
 from repro.params.attribute_distribution import AttributeDistribution
 from repro.params.correlations import CorrelationDistribution
@@ -97,7 +98,12 @@ def _structural_to_dict(structural: Any) -> Dict[str, Any]:
 
 
 def _structural_from_dict(backend: str, data: Mapping[str, Any]) -> Any:
-    parameter_type = get_backend(backend).parameter_type
+    if backend not in backends.BACKENDS:
+        raise ArtifactFormatError(
+            f"artifact names unknown backend {backend!r}; this build reads "
+            f"{', '.join(backends.BACKENDS)}"
+        )
+    parameter_type = backends.parameter_type(backend)
     kwargs: Dict[str, Any] = {
         "degrees": np.asarray(data["degrees"], dtype=np.int64)
     }

@@ -27,6 +27,7 @@ a refit spends the spec's ε again, exactly like any other cache miss.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 from collections import OrderedDict
@@ -34,8 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.api.artifact import ModelArtifact
 from repro.api.spec import ReleaseSpec
-from repro.core.pipeline import SynthesisPipeline
-from repro.experiments.runner import ExperimentConfig, run_trials_detailed
+from repro.experiments.runner import run_trials_detailed
 from repro.graphs.attributed import AttributedGraph
 from repro.testing.faults import fire
 from repro.utils.rng import SeedLike
@@ -269,15 +269,9 @@ class ReleaseSession:
                       checkpoint: Optional[Callable[[], None]],
                       collect: Optional[object] = None) -> ModelArtifact:
         input_graph = graph if graph is not None else spec.load_graph()
-        pipeline = SynthesisPipeline(
-            epsilon=spec.epsilon,
-            backend=spec.backend,
-            truncation_k=spec.truncation_k,
-            budget_split=spec.budget_split,
-            num_iterations=spec.num_iterations,
-            handle_orphans=spec.handle_orphans,
-            samples=1,
-        )
+        # Every spec with this spec_hash shares the artifact, and the hash
+        # leaves `samples` out, so the fit manifest records one sample.
+        pipeline = dataclasses.replace(spec.pipeline(), samples=1)
         result = pipeline.fit(input_graph, rng=spec.seed,
                               checkpoint=checkpoint)
         # The input description rides in the manifest's `extra` block, which
@@ -335,13 +329,14 @@ class ReleaseSession:
         and the first trial's manifest.
         """
         input_graph = graph if graph is not None else spec.load_graph()
-        config = ExperimentConfig.from_spec(spec)
-        outcome = run_trials_detailed(input_graph, config, rng=spec.seed)
+        pipeline = spec.pipeline()
+        outcome = run_trials_detailed(input_graph, pipeline, spec.trials,
+                                      rng=spec.seed, workers=spec.workers)
         manifest = outcome.manifest
         return {
             "spec": spec.to_dict(),
             "spec_hash": spec.spec_hash,
-            "model": config.label,
+            "model": pipeline.label,
             "trials": outcome.trials,
             "workers": outcome.workers,
             "report": outcome.report.as_paper_row(),

@@ -40,7 +40,8 @@ from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.core.agm import DEFAULT_NUM_ITERATIONS
 from repro.core.agm_dp import BudgetSplit
-from repro.core.registry import backend_names, get_backend
+from repro.core.backends import BACKENDS
+from repro.core.pipeline import SynthesisPipeline
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.io import load_attributed_graph
@@ -107,8 +108,8 @@ class ReleaseSpec:
     epsilon:
         Global privacy budget ε, or ``None`` for the non-private baseline.
     backend:
-        A registered structural backend name (``"tricycle"``, ``"fcl"``, or a
-        plugin).
+        A structural backend, one of
+        :data:`repro.core.backends.BACKENDS` (``"tricycle"`` or ``"fcl"``).
     budget_split:
         Optional :class:`~repro.core.agm_dp.BudgetSplit` (a mapping of its
         keyword arguments is accepted and converted).
@@ -234,14 +235,12 @@ class ReleaseSpec:
                 "backend",
                 f"expected a backend name, got {type(self.backend).__name__}",
             )
-        try:
-            get_backend(self.backend)
-        except ValueError:
+        if self.backend not in BACKENDS:
             raise SpecValidationError(
                 "backend",
                 f"unknown backend {self.backend!r}; registered: "
-                f"{', '.join(backend_names())}",
-            ) from None
+                f"{', '.join(BACKENDS)}",
+            )
 
         if self.budget_split is not None:
             split = self.budget_split
@@ -485,3 +484,20 @@ class ReleaseSpec:
     def is_private(self) -> bool:
         """Whether the spec describes a differentially private release."""
         return self.epsilon is not None
+
+    def pipeline(self) -> SynthesisPipeline:
+        """The synthesis pipeline this spec describes.
+
+        :meth:`ReleaseSession.fit` runs its fit half;
+        :meth:`ReleaseSession.evaluate` hands it to the Monte-Carlo runner.
+        """
+        return SynthesisPipeline(
+            epsilon=self.epsilon,
+            backend=self.backend,
+            truncation_k=self.truncation_k,
+            budget_split=self.budget_split,
+            num_iterations=self.num_iterations,
+            handle_orphans=self.handle_orphans,
+            memory_budget_mb=self.memory_budget_mb,
+            samples=self.samples,
+        )

@@ -47,7 +47,7 @@ import sys
 from typing import List, Optional
 
 from repro.api import ReleaseSession, ReleaseSpec, SpecValidationError
-from repro.core.registry import backend_names
+from repro.core.backends import BACKENDS
 from repro.datasets.registry import dataset_names
 from repro.experiments.figures import (
     figure1_truncation_heuristic,
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(synthesize)
     synthesize.add_argument("--epsilon", type=float, default=1.0,
                             help="privacy budget (default 1.0)")
-    synthesize.add_argument("--backend", choices=backend_names(),
+    synthesize.add_argument("--backend", choices=BACKENDS,
                             default="tricycle")
     synthesize.add_argument("--output", required=True,
                             help="output path (.json for full graph, otherwise "

@@ -7,8 +7,9 @@
   probabilities are applied inside the structural model's sampler.
 * :mod:`repro.core.agm_dp` — AGM-DP (Algorithm 3): the end-to-end
   differentially private workflow, with explicit privacy accounting.
-* :mod:`repro.core.registry` — the pluggable structural-backend registry
-  (``"tricycle"`` / ``"fcl"`` plus any plugin registered at runtime).
+* :mod:`repro.core.backends` — the two structural backends, ``"tricycle"``
+  (AGMDP-TriCL) and ``"fcl"`` (AGMDP-FCL): their labels, parameter types,
+  fitters and models.
 * :mod:`repro.core.pipeline` — the synthesis engine, one fixed order
   (estimate → fit → generate → evaluate) with per-stage timing, per-stage
   random streams and a serializable run manifest.
@@ -16,17 +17,12 @@
 
 from repro.core.acceptance import compute_acceptance_probabilities
 from repro.core.agm import AgmParameters, AgmSynthesizer, learn_agm
-from repro.core.agm_dp import BudgetSplit, learn_agm_dp
+from repro.core.agm_dp import DEFAULT_BUDGET_SPLIT, BudgetSplit, learn_agm_dp
+from repro.core.backends import BACKENDS
 from repro.core.pipeline import (
     PipelineResult,
     RunManifest,
     SynthesisPipeline,
-)
-from repro.core.registry import (
-    StructuralBackend,
-    backend_names,
-    get_backend,
-    register_backend,
 )
 
 __all__ = [
@@ -35,12 +31,10 @@ __all__ = [
     "AgmSynthesizer",
     "learn_agm",
     "BudgetSplit",
+    "DEFAULT_BUDGET_SPLIT",
     "learn_agm_dp",
+    "BACKENDS",
     "SynthesisPipeline",
     "PipelineResult",
     "RunManifest",
-    "StructuralBackend",
-    "register_backend",
-    "get_backend",
-    "backend_names",
 ]

@@ -42,7 +42,7 @@ from repro.core.acceptance import (
     expected_correlations,
     observed_correlations,
 )
-from repro.core.registry import get_backend
+from repro.core import backends
 from repro.graphs.attributed import AttributedGraph
 from repro.models.base import EdgeAcceptance, StructuralModel
 from repro.params.attribute_distribution import AttributeDistribution, learn_attributes
@@ -69,7 +69,8 @@ class AgmParameters:
     structural:
         Θ_M — degree sequence (and triangle count for TriCycLe).
     backend:
-        Either ``"tricycle"`` or ``"fcl"``.
+        One of :data:`repro.core.backends.BACKENDS`; ``structural`` must
+        be that backend's parameter type.
     """
 
     attribute_distribution: AttributeDistribution
@@ -78,7 +79,12 @@ class AgmParameters:
     backend: str = "tricycle"
 
     def __post_init__(self) -> None:
-        get_backend(self.backend).validate_parameters(self.structural)
+        expected = backends.parameter_type(self.backend)
+        if not isinstance(self.structural, expected):
+            raise TypeError(
+                f"the {self.backend!r} backend requires {expected.__name__} "
+                f"(got {type(self.structural).__name__})"
+            )
         if (
             self.attribute_distribution.num_attributes
             != self.correlations.num_attributes
@@ -110,11 +116,11 @@ def learn_agm(graph: AttributedGraph, backend: str = "tricycle") -> AgmParameter
         Structural backend: ``"tricycle"`` (degree sequence + triangle count)
         or ``"fcl"`` (degree sequence only).
     """
-    backend_spec = get_backend(backend)  # raise before any learning work
+    backends.check(backend)  # raise before any learning work
     return AgmParameters(
         attribute_distribution=learn_attributes(graph),
         correlations=learn_correlations(graph),
-        structural=backend_spec.fit(graph),
+        structural=backends.fit(backend, graph),
         backend=backend,
     )
 
@@ -236,10 +242,11 @@ class AgmSynthesizer:
         )
 
     def _build_model(self) -> StructuralModel:
-        """Instantiate a fresh structural model through the backend registry."""
+        """Instantiate a fresh structural model for the parameters' backend."""
         params = self._parameters
-        return get_backend(params.backend).build_model(
-            params.structural, handle_orphans=self._handle_orphans,
+        return backends.build_model(
+            params.backend, params.structural,
+            handle_orphans=self._handle_orphans,
             memory_budget_mb=self._memory_budget_mb,
         )
 

@@ -6,12 +6,12 @@ from those approximations without ever touching the input again.  By
 sequential composition and post-processing invariance the whole pipeline is
 ε-differentially private with ε = ε_X + ε_F + ε_M (Theorem 2).
 
-Two structural backends are supported, matching the paper's experiments:
-
-* ``"tricycle"`` (AGMDP-TriCL): ε split evenly four ways across Θ_X, Θ_F,
-  the degree sequence and the triangle count;
-* ``"fcl"`` (AGMDP-FCL): no triangle count needed, so half of the budget
-  goes to the degree sequence and the rest is split between Θ_X and Θ_F.
+Both structural backends (:mod:`repro.core.backends`) default to the
+paper's split, :data:`DEFAULT_BUDGET_SPLIT`: a quarter of ε each to Θ_X
+and Θ_F and half to Θ_M.  AGMDP-TriCL (``"tricycle"``) divides that half
+evenly between the degree sequence and the triangle count, so ε is split
+four ways; AGMDP-FCL (``"fcl"``) needs no triangle count and spends the
+whole half on the degree sequence.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.core import backends
 from repro.core.agm import AgmParameters
-from repro.core.registry import get_backend
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.truncation import default_truncation_parameter
 from repro.params.attribute_distribution import learn_attributes_dp
@@ -38,7 +38,7 @@ class BudgetSplit:
     whole structural fit: for the TriCycLe backend it is further divided
     between the degree sequence and the triangle count by
     ``structural_degree_fraction``; the FCL backend spends all of it on the
-    degree sequence.
+    degree sequence.  :data:`DEFAULT_BUDGET_SPLIT` is the paper's split.
     """
 
     attributes: float
@@ -56,26 +56,6 @@ class BudgetSplit:
         if not (0.0 < self.structural_degree_fraction < 1.0):
             raise ValueError("structural_degree_fraction must lie in (0, 1)")
 
-    @classmethod
-    def even_tricycle(cls) -> "BudgetSplit":
-        """The paper's default for AGMDP-TriCL: ε_X = ε_F = ε_S = ε_∆ = ε/4."""
-        return cls.default_for("tricycle")
-
-    @classmethod
-    def even_fcl(cls) -> "BudgetSplit":
-        """The paper's default for AGMDP-FCL: half to the degree sequence."""
-        return cls.default_for("fcl")
-
-    @classmethod
-    def default_for(cls, backend: str) -> "BudgetSplit":
-        """The paper's default split for ``backend``, from the registry.
-
-        Registered backends declare their default split
-        (:attr:`repro.core.registry.StructuralBackend.default_split`), so a
-        plugin backend automatically gets a working default here.
-        """
-        return cls(**get_backend(backend).default_split)
-
     def weights(self) -> dict:
         """The top-level stage weights, for :meth:`PrivacyAccountant.split`."""
         return {
@@ -83,6 +63,13 @@ class BudgetSplit:
             "correlations": self.correlations,
             "structural": self.structural,
         }
+
+
+#: The paper's split for both backends (Section 5.1): ε_X = ε_F = ε/4 and
+#: ε_M = ε/2, which TriCycLe halves between ε_S and ε_∆ (so each is ε/4)
+#: and FCL spends on the degree sequence.
+DEFAULT_BUDGET_SPLIT = BudgetSplit(attributes=0.25, correlations=0.25,
+                                   structural=0.5)
 
 
 def learn_agm_dp(graph: AttributedGraph, epsilon: float,
@@ -101,14 +88,14 @@ def learn_agm_dp(graph: AttributedGraph, epsilon: float,
     epsilon:
         The global privacy budget ε.
     backend:
-        A registered structural backend name (``"tricycle"``, ``"fcl"``, or a
-        plugin registered through :mod:`repro.core.registry`).
+        A structural backend, one of :data:`repro.core.backends.BACKENDS`
+        (``"tricycle"`` or ``"fcl"``).
     truncation_k:
         The truncation parameter ``k`` for the Θ_F estimator; defaults to the
         data-independent heuristic ``n^(1/3)``.
     budget_split:
-        How to divide ε among the parameters; defaults to the paper's split
-        for the chosen backend.
+        How to divide ε among the parameters; defaults to the paper's
+        split, :data:`DEFAULT_BUDGET_SPLIT`.
     rng:
         Seed or generator.
     accountant:
@@ -123,9 +110,9 @@ def learn_agm_dp(graph: AttributedGraph, epsilon: float,
         ``structural.degrees``, ...).
     """
     epsilon = check_epsilon(epsilon)
-    backend_spec = get_backend(backend)
+    backends.check(backend)
     if budget_split is None:
-        budget_split = BudgetSplit.default_for(backend)
+        budget_split = DEFAULT_BUDGET_SPLIT
     if truncation_k is None:
         truncation_k = default_truncation_parameter(graph.num_nodes)
     generator = ensure_rng(rng)
@@ -148,8 +135,8 @@ def learn_agm_dp(graph: AttributedGraph, epsilon: float,
     correlations = learn_correlations_dp(
         graph, stages["correlations"], truncation_k=truncation_k, rng=generator
     )
-    structural = backend_spec.fit_dp(
-        graph, stages["structural"], rng=generator,
+    structural = backends.fit_dp(
+        backend, graph, stages["structural"], rng=generator,
         degree_fraction=budget_split.structural_degree_fraction,
     )
 

@@ -1,21 +1,22 @@
-"""Built-in structural backends: TriCycLe (AGMDP-TriCL) and FCL (AGMDP-FCL).
+"""The two structural backends of the paper: TriCycLe and FCL.
 
-Each backend bundles the exact and DP parameter fitters from
-:mod:`repro.params.structural` with the generative model that consumes the
-parameters, and declares its named budget stages plus the paper's default
-global budget split (Section 5.1: TriCycLe splits ε evenly four ways across
-Θ_X, Θ_F, the degree sequence and the triangle count; FCL has no triangle
-count, so the degree sequence receives the whole structural half).
+AGMDP-TriCL (``"tricycle"``) learns the degree sequence and the triangle
+count and generates with TriCycLe; AGMDP-FCL (``"fcl"``) learns the degree
+sequence only and generates with the bias-corrected fast Chung-Lu model
+(Section 5).  Both spend the structural share of ε the same way under the
+paper's split (:data:`repro.core.agm_dp.DEFAULT_BUDGET_SPLIT`): TriCycLe
+divides it between its two statistics, FCL gives it all to the degrees.
 
-Importing this module registers both backends; the registry does so lazily
-on first access.
+This module is the one place that names the backends.  The learners, the
+synthesizer, the pipeline, the release spec, the artifact reader and the
+CLI validate and dispatch through it; an unknown name raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.core.registry import StructuralBackend, register_backend
 from repro.graphs.attributed import AttributedGraph
 from repro.models.base import StructuralModel
 from repro.models.chung_lu import ChungLuModel
@@ -31,75 +32,69 @@ from repro.params.structural import (
 from repro.privacy.accountant import EpsilonLike
 from repro.utils.rng import RngLike
 
+#: The backend names, as specs, artifacts and the CLI spell them.
+BACKENDS: Tuple[str, ...] = ("tricycle", "fcl")
 
-@register_backend
-class TriCycLeBackend(StructuralBackend):
-    """TriCycLe: degree sequence + triangle count, rewiring generator."""
+_LABELS = {"tricycle": "TriCL", "fcl": "FCL"}
+_PARAMETER_TYPES = {"tricycle": TriCycLeParameters, "fcl": FclParameters}
 
-    name = "tricycle"
-    label = "TriCL"
-    parameter_type = TriCycLeParameters
-    budget_stages = ("degrees", "triangles")
-    #: ε_X = ε_F = ε_S = ε_∆ = ε/4 (the structural half is split evenly).
-    default_split = {
-        "attributes": 0.25,
-        "correlations": 0.25,
-        "structural": 0.5,
-        "structural_degree_fraction": 0.5,
-    }
 
-    def fit(self, graph: AttributedGraph) -> TriCycLeParameters:
+def check(backend: str) -> str:
+    """Return ``backend``, or raise ``ValueError`` if it is not a backend."""
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    return backend
+
+
+def label(backend: str) -> str:
+    """The paper's model suffix in result tables (``TriCL``, ``FCL``)."""
+    return _LABELS[check(backend)]
+
+
+def parameter_type(backend: str) -> type:
+    """The type of the Θ_M the backend fits."""
+    return _PARAMETER_TYPES[check(backend)]
+
+
+def fit(backend: str, graph: AttributedGraph) -> FclParameters:
+    """Measure the backend's Θ_M exactly."""
+    if check(backend) == "tricycle":
         return fit_tricycle(graph)
+    return fit_fcl(graph)
 
-    def fit_dp(self, graph: AttributedGraph, epsilon: EpsilonLike,
-               rng: RngLike = None, **options) -> TriCycLeParameters:
-        degree_fraction = float(options.get("degree_fraction", 0.5))
-        return fit_tricycle_dp(
-            graph, epsilon, rng=rng, degree_fraction=degree_fraction
-        )
 
-    def build_model(self, parameters: TriCycLeParameters,
-                    handle_orphans: bool = True,
-                    memory_budget_mb: Optional[int] = None
-                    ) -> StructuralModel:
-        self.validate_parameters(parameters)
+def fit_dp(backend: str, graph: AttributedGraph, epsilon: EpsilonLike,
+           rng: RngLike = None, degree_fraction: float = 0.5
+           ) -> FclParameters:
+    """ε-DP estimate of the backend's Θ_M.
+
+    ``epsilon`` is a plain float or a
+    :class:`~repro.privacy.accountant.SubBudget`, whose ledger then records
+    the ``degrees`` (and, for TriCycLe, ``triangles``) spends.  TriCycLe
+    gives ``degree_fraction`` of it to the degree sequence; FCL spends all
+    of it there.
+    """
+    if check(backend) == "tricycle":
+        return fit_tricycle_dp(graph, epsilon, rng=rng,
+                               degree_fraction=degree_fraction)
+    return fit_fcl_dp(graph, epsilon, rng=rng)
+
+
+def build_model(backend: str, structural: FclParameters,
+                handle_orphans: bool = True,
+                memory_budget_mb: Optional[int] = None) -> StructuralModel:
+    """The generative model for fitted ``structural`` parameters.
+
+    ``handle_orphans`` turns on TriCycLe's orphan repair (FCL has none).
+    ``memory_budget_mb`` is the generation memory budget in MiB, or
+    ``None`` for the model's default.
+    """
+    if check(backend) == "tricycle":
         return TriCycLeModel(
-            degrees=parameters.degrees,
-            num_triangles=parameters.num_triangles,
+            degrees=structural.degrees,
+            num_triangles=structural.num_triangles,
             handle_orphans=handle_orphans,
             memory_budget_mb=memory_budget_mb,
         )
-
-
-@register_backend
-class FclBackend(StructuralBackend):
-    """Fast Chung-Lu: degree sequence only, batched edge sampling."""
-
-    name = "fcl"
-    label = "FCL"
-    parameter_type = FclParameters
-    budget_stages = ("degrees",)
-    #: Half of ε to the degree sequence, a quarter each to Θ_X and Θ_F.
-    default_split = {
-        "attributes": 0.25,
-        "correlations": 0.25,
-        "structural": 0.5,
-        "structural_degree_fraction": 0.5,
-    }
-
-    def fit(self, graph: AttributedGraph) -> FclParameters:
-        return fit_fcl(graph)
-
-    def fit_dp(self, graph: AttributedGraph, epsilon: EpsilonLike,
-               rng: RngLike = None, **options) -> FclParameters:
-        return fit_fcl_dp(graph, epsilon, rng=rng)
-
-    def build_model(self, parameters: FclParameters,
-                    handle_orphans: bool = True,
-                    memory_budget_mb: Optional[int] = None
-                    ) -> StructuralModel:
-        self.validate_parameters(parameters)
-        return ChungLuModel(
-            parameters.degrees, bias_correction=True,
-            memory_budget_mb=memory_budget_mb,
-        )
+    return ChungLuModel(structural.degrees, bias_correction=True,
+                        memory_budget_mb=memory_budget_mb)

@@ -23,9 +23,10 @@ run carries a serializable :class:`RunManifest` recording the budget
 split, the per-stage ε spends, the seed, the stages run and their
 wall-clock timings — everything needed to audit or replay the release.
 
-The Monte-Carlo experiment runner (:mod:`repro.experiments.runner`) executes
-one pipeline per trial, serially or in parallel worker processes, and the
-CLI's ``run`` command drives it from a JSON config file.
+A pipeline is a frozen value: :meth:`repro.api.ReleaseSpec.pipeline` builds
+the one a release spec describes, and the Monte-Carlo experiment runner
+(:mod:`repro.experiments.runner`) runs the pipeline it is handed once per
+trial, serially or in parallel worker processes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -44,8 +45,8 @@ from repro.core.agm import (
     AgmSynthesizer,
     learn_agm,
 )
-from repro.core.agm_dp import BudgetSplit, learn_agm_dp
-from repro.core.registry import get_backend
+from repro.core import backends
+from repro.core.agm_dp import DEFAULT_BUDGET_SPLIT, BudgetSplit, learn_agm_dp
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.truncation import default_truncation_parameter
 from repro.metrics.evaluation import (
@@ -180,6 +181,7 @@ class PipelineResult:
         return self.graphs[0]
 
 
+@dataclass(frozen=True, eq=False)
 class SynthesisPipeline:
     """The AGM(-DP) synthesis engine: estimate → fit → generate → evaluate.
 
@@ -188,11 +190,12 @@ class SynthesisPipeline:
     epsilon:
         Global privacy budget ε, or ``None`` for the non-private baseline.
     backend:
-        A registered structural backend name.
+        A structural backend, one of :data:`repro.core.backends.BACKENDS`.
     truncation_k:
         Truncation parameter for Θ_F (``None``: the ``n^(1/3)`` heuristic).
     budget_split:
-        Optional custom :class:`BudgetSplit` for private runs.
+        Optional custom :class:`BudgetSplit` for private runs (``None``:
+        the paper's split).
     num_iterations:
         Acceptance-refinement rounds used when sampling, one generation
         each.
@@ -211,6 +214,10 @@ class SynthesisPipeline:
         guarantee requires the fit to happen inside the accounted run), so
         combining this with ``epsilon`` raises.
 
+    Every field after ``backend`` is keyword-only.  The pipeline is
+    immutable; :func:`dataclasses.replace` derives a variant, validated
+    like a new one.
+
     Examples
     --------
     >>> pipeline = SynthesisPipeline(epsilon=1.0, backend="tricycle")
@@ -220,51 +227,63 @@ class SynthesisPipeline:
      'structural.degrees': 0.25, 'structural.triangles': 0.25}
     """
 
-    def __init__(self, epsilon: Optional[float] = None,
-                 backend: str = "tricycle", *,
-                 truncation_k: Optional[int] = None,
-                 budget_split: Optional[BudgetSplit] = None,
-                 num_iterations: int = DEFAULT_NUM_ITERATIONS,
-                 handle_orphans: bool = True,
-                 memory_budget_mb: Optional[int] = None,
-                 samples: int = 1,
-                 parameters: Optional[AgmParameters] = None) -> None:
-        self.epsilon = None if epsilon is None else check_epsilon(epsilon)
-        get_backend(backend)  # raises ValueError for unregistered names
-        self.backend = backend
-        if parameters is not None:
+    epsilon: Optional[float] = None
+    backend: str = "tricycle"
+    _: KW_ONLY
+    truncation_k: Optional[int] = None
+    budget_split: Optional[BudgetSplit] = None
+    num_iterations: int = DEFAULT_NUM_ITERATIONS
+    handle_orphans: bool = True
+    memory_budget_mb: Optional[int] = None
+    samples: int = 1
+    parameters: Optional[AgmParameters] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        def put(name: str, value) -> None:
+            object.__setattr__(self, name, value)
+
+        if self.epsilon is not None:
+            put("epsilon", check_epsilon(self.epsilon))
+        backends.check(self.backend)
+        if self.parameters is not None:
             if self.epsilon is not None:
                 raise ValueError(
                     "prefit parameters cannot be combined with a privacy "
                     "budget: the DP fit must happen inside the accounted run"
                 )
-            if parameters.backend != backend:
+            if self.parameters.backend != self.backend:
                 raise ValueError(
                     f"prefit parameters are for backend "
-                    f"{parameters.backend!r}, pipeline uses {backend!r}"
+                    f"{self.parameters.backend!r}, pipeline uses "
+                    f"{self.backend!r}"
                 )
-        self.parameters = parameters
-        self.truncation_k = truncation_k
-        self.budget_split = budget_split
-        if num_iterations < 1:
-            raise ValueError(f"num_iterations must be >= 1, got {num_iterations}")
-        self.num_iterations = int(num_iterations)
-        self.handle_orphans = bool(handle_orphans)
-        if memory_budget_mb is not None:
-            memory_budget_mb = int(memory_budget_mb)
-            if memory_budget_mb < 1:
+        if self.num_iterations < 1:
+            raise ValueError(
+                f"num_iterations must be >= 1, got {self.num_iterations}"
+            )
+        put("num_iterations", int(self.num_iterations))
+        put("handle_orphans", bool(self.handle_orphans))
+        if self.memory_budget_mb is not None:
+            put("memory_budget_mb", int(self.memory_budget_mb))
+            if self.memory_budget_mb < 1:
                 raise ValueError(
-                    f"memory_budget_mb must be >= 1, got {memory_budget_mb}"
+                    f"memory_budget_mb must be >= 1, got "
+                    f"{self.memory_budget_mb}"
                 )
-        self.memory_budget_mb = memory_budget_mb
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-        self.samples = int(samples)
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        put("samples", int(self.samples))
 
     @property
     def is_private(self) -> bool:
         """Whether the pipeline runs the DP learners."""
         return self.epsilon is not None
+
+    @property
+    def label(self) -> str:
+        """The paper's model name: ``AGMDP-TriCL``, ``AGM-FCL``, ..."""
+        prefix = "AGMDP" if self.is_private else "AGM"
+        return f"{prefix}-{backends.label(self.backend)}"
 
     # ------------------------------------------------------------------
     # Execution
@@ -377,7 +396,7 @@ class SynthesisPipeline:
             manifest.truncation_k = truncation_k
             split = accountant = None
             if self.is_private:
-                split = self.budget_split or BudgetSplit.default_for(self.backend)
+                split = self.budget_split or DEFAULT_BUDGET_SPLIT
                 accountant = PrivacyAccountant(self.epsilon)
                 manifest.splits = {
                     **split.weights(),

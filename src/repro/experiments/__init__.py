@@ -1,19 +1,18 @@
 """Experiment drivers that regenerate the paper's tables and figures.
 
 Each driver returns plain data structures (lists of dictionaries) so it can
-be used by the benchmark harness, the examples and the CLI alike.  Trial
-counts default to small values appropriate for a laptop run and can be raised
+be used by the benchmark harness, the examples and the CLI alike.  Each
+table cell is one :class:`~repro.core.pipeline.SynthesisPipeline`, whose
+trials the Monte-Carlo runner (:func:`run_trials`) averages.  Trial counts
+default to small values appropriate for a laptop run and can be raised
 through the ``REPRO_TRIALS`` environment variable to approach the paper's
 Monte-Carlo precision.
 """
 
 from repro.experiments.runner import (
-    ExperimentConfig,
     TrialsResult,
     default_trials,
     default_workers,
-    run_agm_trials,
-    run_agm_dp_trials,
     run_trials,
     run_trials_detailed,
 )
@@ -35,12 +34,9 @@ from repro.experiments.ablations import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "TrialsResult",
     "default_trials",
     "default_workers",
-    "run_agm_trials",
-    "run_agm_dp_trials",
     "run_trials",
     "run_trials_detailed",
     "results_table",

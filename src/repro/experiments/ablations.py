@@ -17,9 +17,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.agm_dp import BudgetSplit
+from repro.core.agm_dp import DEFAULT_BUDGET_SPLIT, BudgetSplit
+from repro.core.pipeline import SynthesisPipeline
 from repro.datasets.registry import get_dataset_spec
-from repro.experiments.runner import ExperimentConfig, default_trials, run_trials
+from repro.experiments.runner import default_trials, run_trials
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.statistics import triangle_count
 from repro.graphs.truncation import default_truncation_parameter
@@ -37,7 +38,7 @@ Row = Dict[str, object]
 
 #: Budget-split strategies compared by the ablation.
 BUDGET_SPLIT_STRATEGIES: Dict[str, BudgetSplit] = {
-    "even": BudgetSplit(attributes=0.25, correlations=0.25, structural=0.5),
+    "even": DEFAULT_BUDGET_SPLIT,
     "structure-heavy": BudgetSplit(attributes=0.15, correlations=0.15, structural=0.7),
     "correlation-heavy": BudgetSplit(attributes=0.2, correlations=0.5, structural=0.3),
 }
@@ -62,11 +63,9 @@ def ablation_budget_split(dataset: str, epsilon: float = 0.5,
 
     rows: List[Row] = []
     for strategy, split in BUDGET_SPLIT_STRATEGIES.items():
-        config = ExperimentConfig(
-            backend=backend, epsilon=float(epsilon), trials=trial_count,
-            budget_split=split,
-        )
-        report = run_trials(graph, config, rng=rng)
+        pipeline = SynthesisPipeline(epsilon=epsilon, backend=backend,
+                                     budget_split=split)
+        report = run_trials(graph, pipeline, trial_count, rng=rng)
         rows.append({
             "dataset": dataset, "strategy": strategy, "epsilon": float(epsilon),
             **report.as_paper_row(),

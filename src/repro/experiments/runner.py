@@ -1,10 +1,12 @@
 """Parallel Monte-Carlo experiment runner shared by all tables and figures.
 
 The paper reports averages over many synthetic graphs per configuration
-(1 000 for the small datasets, 100 for the large ones).  The runner executes
-one :class:`~repro.core.pipeline.SynthesisPipeline` per trial — refitting
-the DP parameters every trial, as the paper does, so the averages include
-the learning noise — and can fan the trials out over worker processes.
+(1 000 for the small datasets, 100 for the large ones).  The runner takes a
+:class:`~repro.core.pipeline.SynthesisPipeline` and runs it once per trial
+— a private pipeline refits the DP parameters every trial, as the paper
+does, so the averages include the learning noise — and can fan the trials
+out over worker processes.  A non-private pipeline is fitted once up front
+instead, since exact learning draws no randomness.
 
 Determinism contract
 --------------------
@@ -16,7 +18,8 @@ parallel runner is bit-identical to the serial one at the same seed, which
 
 Trial counts default to small values appropriate for a laptop run; the
 ``REPRO_TRIALS`` environment variable raises them for full reproductions,
-and ``REPRO_WORKERS`` sets the default worker-process count.
+and ``REPRO_WORKERS`` sets the default worker-process count.  Either one
+set to anything but a positive integer raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -26,10 +29,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.core.agm import DEFAULT_NUM_ITERATIONS
-from repro.core.agm_dp import BudgetSplit
+from repro.core.agm import learn_agm
 from repro.core.pipeline import RunManifest, SynthesisPipeline
-from repro.core.registry import get_backend
 from repro.graphs.attributed import AttributedGraph
 from repro.metrics.evaluation import EvaluationReport, average_reports
 from repro.utils.rng import SeedLike, spawn_streams
@@ -44,126 +45,37 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 DEFAULT_TRIALS = 3
 
 
-def default_trials(override: Optional[int] = None) -> int:
-    """Resolve the trial count: explicit argument, environment variable, default."""
+def _resolve_count(name: str, override: Optional[int], env_var: str,
+                   fallback: int) -> int:
+    """A positive count: explicit argument, else ``env_var``, else ``fallback``.
+
+    Raises ``ValueError`` for an argument below 1, and for an environment
+    value that is not an integer or is below 1, naming the variable.
+    """
     if override is not None:
         if override < 1:
-            raise ValueError(f"trials must be >= 1, got {override}")
+            raise ValueError(f"{name} must be >= 1, got {override}")
         return int(override)
-    env = os.environ.get(TRIALS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return DEFAULT_TRIALS
+    raw = os.environ.get(env_var)
+    if not raw:
+        return fallback
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ValueError(f"{env_var}={raw!r} is not a positive integer")
+    return value
+
+
+def default_trials(override: Optional[int] = None) -> int:
+    """Resolve the trial count: explicit argument, ``REPRO_TRIALS``, default."""
+    return _resolve_count("trials", override, TRIALS_ENV_VAR, DEFAULT_TRIALS)
 
 
 def default_workers(override: Optional[int] = None) -> int:
-    """Resolve the worker count: explicit argument, environment variable, serial."""
-    if override is not None:
-        if override < 1:
-            raise ValueError(f"workers must be >= 1, got {override}")
-        return int(override)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Configuration of one AGM(-DP) Monte-Carlo estimate.
-
-    Attributes
-    ----------
-    backend:
-        A registered structural backend name (``"tricycle"``, ``"fcl"``, ...).
-    epsilon:
-        Privacy budget, or ``None`` for the non-private baseline.
-    trials:
-        Number of synthetic graphs to average over.
-    num_iterations:
-        Acceptance-refinement rounds used when sampling, one generation
-        each.
-    truncation_k:
-        Truncation parameter for Θ_F (``None`` for the ``n^(1/3)`` heuristic).
-    budget_split:
-        Optional custom budget split for the DP variant.
-    workers:
-        Worker processes for the Monte-Carlo fan-out (``None``: the
-        ``REPRO_WORKERS`` environment variable, else serial; an explicit
-        ``1`` pins the run serial regardless of the environment).  The
-        numbers are identical either way.
-    handle_orphans:
-        Forwarded to the structural backend's model builder.
-    memory_budget_mb:
-        Optional generation memory budget in MiB for every trial's samples.
-    samples:
-        Synthetic graphs each trial samples, scores and averages.
-    """
-
-    backend: str = "tricycle"
-    epsilon: Optional[float] = None
-    trials: int = DEFAULT_TRIALS
-    num_iterations: int = DEFAULT_NUM_ITERATIONS
-    truncation_k: Optional[int] = None
-    budget_split: Optional[BudgetSplit] = None
-    workers: Optional[int] = None
-    handle_orphans: bool = True
-    memory_budget_mb: Optional[int] = None
-    samples: int = 1
-
-    @classmethod
-    def from_spec(cls, spec) -> "ExperimentConfig":
-        """The configuration a :class:`repro.api.ReleaseSpec` describes.
-
-        This is the runner's half of the thin-client contract: all config
-        parsing, defaulting and validation happens in the spec; the runner
-        only reads the already-validated fields (duck-typed, so the runner
-        keeps no import dependency on :mod:`repro.api`).
-        """
-        return cls(
-            backend=spec.backend,
-            epsilon=spec.epsilon,
-            trials=spec.trials,
-            num_iterations=spec.num_iterations,
-            truncation_k=spec.truncation_k,
-            budget_split=spec.budget_split,
-            workers=spec.workers,
-            handle_orphans=spec.handle_orphans,
-            memory_budget_mb=spec.memory_budget_mb,
-            samples=spec.samples,
-        )
-
-    @property
-    def is_private(self) -> bool:
-        """Whether this configuration uses the DP learners."""
-        return self.epsilon is not None
-
-    @property
-    def label(self) -> str:
-        """Human-readable label matching the paper's model names."""
-        model = get_backend(self.backend).label
-        if self.is_private:
-            return f"AGMDP-{model}"
-        return f"AGM-{model}"
-
-    def build_pipeline(self, parameters=None) -> SynthesisPipeline:
-        """The per-trial synthesis pipeline this configuration describes.
-
-        ``parameters`` optionally injects prefit (exact) AGM parameters,
-        which the fit stage adopts instead of learning — used by the
-        non-private runner, which fits once and samples per trial.
-        """
-        return SynthesisPipeline(
-            epsilon=self.epsilon,
-            backend=self.backend,
-            truncation_k=self.truncation_k,
-            budget_split=self.budget_split,
-            num_iterations=self.num_iterations,
-            handle_orphans=self.handle_orphans,
-            memory_budget_mb=self.memory_budget_mb,
-            samples=self.samples,
-            parameters=parameters,
-        )
+    """Resolve the worker count: explicit argument, ``REPRO_WORKERS``, serial."""
+    return _resolve_count("workers", override, WORKERS_ENV_VAR, 1)
 
 
 @dataclass
@@ -195,11 +107,10 @@ class TrialsResult:
         return {stage: spent / count for stage, spent in totals.items()}
 
 
-def _run_one_trial(graph: AttributedGraph, config: ExperimentConfig,
-                   stream, parameters=None
-                   ) -> "tuple[EvaluationReport, RunManifest]":
+def _run_one_trial(graph: AttributedGraph, pipeline: SynthesisPipeline,
+                   stream) -> "tuple[EvaluationReport, RunManifest]":
     """Execute a single Monte-Carlo trial on its dedicated random stream."""
-    result = config.build_pipeline(parameters=parameters).run(graph, rng=stream)
+    result = pipeline.run(graph, rng=stream)
     return result.report, result.manifest
 
 
@@ -209,61 +120,51 @@ def _run_one_trial(graph: AttributedGraph, config: ExperimentConfig,
 _WORKER_STATE: Dict[str, object] = {}
 
 
-def _pool_initializer(graph: AttributedGraph, config: ExperimentConfig,
-                      parameters) -> None:
+def _pool_initializer(graph: AttributedGraph,
+                      pipeline: SynthesisPipeline) -> None:
     _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["parameters"] = parameters
+    _WORKER_STATE["pipeline"] = pipeline
 
 
 def _trial_worker(stream) -> "tuple[EvaluationReport, RunManifest]":
     """Top-level process-pool entry point (must be picklable by name)."""
-    return _run_one_trial(
-        _WORKER_STATE["graph"], _WORKER_STATE["config"], stream,
-        parameters=_WORKER_STATE["parameters"],
-    )
+    return _run_one_trial(_WORKER_STATE["graph"], _WORKER_STATE["pipeline"],
+                          stream)
 
 
-def run_trials_detailed(graph: AttributedGraph, config: ExperimentConfig,
-                        rng: SeedLike = None,
+def run_trials_detailed(graph: AttributedGraph, pipeline: SynthesisPipeline,
+                        trials: int, rng: SeedLike = None,
                         workers: Optional[int] = None) -> TrialsResult:
-    """Run ``config.trials`` pipelines and return reports plus manifests.
+    """Run ``pipeline`` ``trials`` times and return reports plus manifests.
 
     Parameters
     ----------
     graph:
         The input attributed graph.
-    config:
-        The experiment configuration.
+    pipeline:
+        The synthesis pipeline each trial runs.
+    trials:
+        Number of Monte-Carlo trials (>= 1).
     rng:
         Root seed; trial ``i`` runs on the ``i``-th spawned stream, so the
-        result is a pure function of ``(graph, config, rng)`` regardless of
-        the worker count.
+        result is a pure function of ``(graph, pipeline, trials, rng)``
+        regardless of the worker count.
     workers:
-        Worker processes; resolution order is this argument, then
-        ``config.workers``, then the ``REPRO_WORKERS`` environment
-        variable, then serial.
+        Worker processes; ``None`` reads the ``REPRO_WORKERS`` environment
+        variable, else runs serially.  Never more than ``trials``.
     """
-    if config.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {config.trials}")
-    if workers is not None:
-        worker_count = default_workers(workers)
-    elif config.workers is not None:
-        worker_count = default_workers(config.workers)
-    else:
-        worker_count = default_workers()
-    worker_count = min(worker_count, config.trials)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    worker_count = min(default_workers(workers), trials)
 
     # Exact (non-private) learning is deterministic and consumes no
     # randomness, so fit once here and share the parameters across trials —
     # bit-identical to refitting per trial, without multiplying the fitting
     # cost by the trial count.  DP learning must refit per trial (the paper
     # averages over the learning noise too).
-    parameters = None
-    if not config.is_private:
-        from repro.core.agm import learn_agm
-
-        parameters = learn_agm(graph, backend=config.backend)
+    if not pipeline.is_private and pipeline.parameters is None:
+        pipeline = replace(pipeline, parameters=learn_agm(
+            graph, backend=pipeline.backend))
 
     # Warm the evaluation baseline once: its memoized triangle census and
     # Θ_F probabilities ride into every serial trial directly and into
@@ -273,17 +174,15 @@ def run_trials_detailed(graph: AttributedGraph, config: ExperimentConfig,
 
     prepare_original_graph(graph)
 
-    streams = spawn_streams(rng, config.trials)
+    streams = spawn_streams(rng, trials)
     if worker_count <= 1:
-        outcomes = [
-            _run_one_trial(graph, config, stream, parameters=parameters)
-            for stream in streams
-        ]
+        outcomes = [_run_one_trial(graph, pipeline, stream)
+                    for stream in streams]
     else:
         with ProcessPoolExecutor(
             max_workers=worker_count,
             initializer=_pool_initializer,
-            initargs=(graph, config, parameters),
+            initargs=(graph, pipeline),
         ) as pool:
             outcomes = list(pool.map(_trial_worker, streams))
 
@@ -297,30 +196,9 @@ def run_trials_detailed(graph: AttributedGraph, config: ExperimentConfig,
     )
 
 
-def run_trials(graph: AttributedGraph, config: ExperimentConfig,
-               rng: SeedLike = None,
+def run_trials(graph: AttributedGraph, pipeline: SynthesisPipeline,
+               trials: int, rng: SeedLike = None,
                workers: Optional[int] = None) -> EvaluationReport:
-    """Average the evaluation metrics of ``config.trials`` pipeline runs."""
-    return run_trials_detailed(graph, config, rng=rng, workers=workers).report
-
-
-def run_agm_trials(graph: AttributedGraph, config: ExperimentConfig,
-                   rng: SeedLike = None,
-                   workers: Optional[int] = None) -> EvaluationReport:
-    """Average ``config.trials`` non-private samples (compatibility wrapper)."""
-    if config.is_private:
-        config = replace(config, epsilon=None, budget_split=None)
-    return run_trials(graph, config, rng=rng, workers=workers)
-
-
-def run_agm_dp_trials(graph: AttributedGraph, config: ExperimentConfig,
-                      rng: SeedLike = None,
-                      workers: Optional[int] = None) -> EvaluationReport:
-    """Average ``config.trials`` DP samples.
-
-    Each trial refits the DP parameters (as the paper does), so the reported
-    averages include the learning noise, not just the sampling noise.
-    """
-    if config.epsilon is None:
-        raise ValueError("run_agm_dp_trials requires a configuration with epsilon set")
-    return run_trials(graph, config, rng=rng, workers=workers)
+    """Average the evaluation metrics of ``trials`` runs of ``pipeline``."""
+    return run_trials_detailed(graph, pipeline, trials, rng=rng,
+                               workers=workers).report

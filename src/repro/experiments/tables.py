@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.agm import DEFAULT_NUM_ITERATIONS
+from repro.core.pipeline import SynthesisPipeline
 from repro.datasets.registry import get_dataset_spec
-from repro.experiments.runner import ExperimentConfig, default_trials, run_trials
+from repro.experiments.runner import default_trials, run_trials
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.statistics import summary
 from repro.utils.rng import RngLike, ensure_rng
@@ -68,24 +69,15 @@ def results_table(dataset: str, epsilons: Optional[Sequence[float]] = None,
         epsilons = spec.table_epsilons
     trial_count = default_trials(trials)
 
+    budgets = [None] if include_non_private else []
     rows: List[Row] = []
-    if include_non_private:
+    for epsilon in [*budgets, *epsilons]:
         for backend in backends:
-            config = ExperimentConfig(
-                backend=backend, epsilon=None, trials=trial_count,
-                num_iterations=num_iterations,
-            )
-            report = run_trials(graph, config, rng=rng)
-            rows.append({"model": config.label, "epsilon": None,
-                         **report.as_paper_row()})
-    for epsilon in epsilons:
-        for backend in backends:
-            config = ExperimentConfig(
-                backend=backend, epsilon=float(epsilon), trials=trial_count,
-                num_iterations=num_iterations,
-            )
-            report = run_trials(graph, config, rng=rng)
-            rows.append({"model": config.label, "epsilon": float(epsilon),
+            pipeline = SynthesisPipeline(epsilon=epsilon, backend=backend,
+                                         num_iterations=num_iterations)
+            report = run_trials(graph, pipeline, trial_count, rng=rng)
+            rows.append({"model": pipeline.label,
+                         "epsilon": pipeline.epsilon,
                          **report.as_paper_row()})
     return rows
 

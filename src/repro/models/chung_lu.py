@@ -38,7 +38,7 @@ import numpy as np
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.dtypes import storage_index_dtype, widen
 from repro.models.base import EdgeAcceptance, StructuralModel
-from repro.utils.membership import DynamicKeySet
+from repro.utils.arrays import sorted_membership
 from repro.utils.memory import MemoryBudget, csr_bytes
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sampling import WeightedSampler
@@ -276,10 +276,9 @@ class ChungLuModel(StructuralModel):
         same accepted rows whatever the acceptance rate, and ``attempts``
         still counts proposals against ``max_attempts``.  Rows are
         deduplicated on the encoded keys ``min * n + max`` and self-loops
-        dropped.  Cross-round collision tracking (a partitioned key bitmap
-        within its byte budget, a sorted key array otherwise — see
-        :mod:`repro.utils.membership`) is only instantiated if the first
-        round leaves a shortfall.  When a batch overshoots the target, the
+        dropped.  Cross-round collision tracking (the sorted array of the
+        keys accepted so far) is only built if the first round leaves a
+        shortfall.  When a batch overshoots the target, the
         admitted subset is drawn *weighted by proposal multiplicity*
         (Efraimidis–Spirakis weighted sampling without replacement): the
         first occurrences of distinct keys in a uniformly ordered multiset
@@ -300,8 +299,7 @@ class ChungLuModel(StructuralModel):
         shard_cap = self._memory_budget.shard_rows(
             _SAMPLE_ROW_BYTES, minimum=2048
         )
-        seen: Optional[DynamicKeySet] = None
-        seen_budget = self._memory_budget.remaining_bytes()
+        seen: Optional[np.ndarray] = None  # sorted accepted keys
         accepted = []
         count = 0
         attempts = 0
@@ -345,14 +343,8 @@ class ChungLuModel(StructuralModel):
             )
             if accepted:
                 if seen is None:
-                    # The bitmap accelerator inside the key set honours the
-                    # memory budget; its sorted-array fallback answers the
-                    # same membership queries, so results are unaffected.
-                    seen = DynamicKeySet(
-                        np.sort(np.concatenate(accepted)),
-                        budget_bytes=seen_budget,
-                    )
-                fresh_mask = ~seen.contains(keys)
+                    seen = np.sort(np.concatenate(accepted))
+                fresh_mask = ~sorted_membership(seen, keys)
                 fresh = keys[fresh_mask]
                 fresh_weights = multiplicities[fresh_mask]
             else:
@@ -364,7 +356,9 @@ class ChungLuModel(StructuralModel):
             if fresh.size == 0:
                 continue
             if seen is not None:
-                seen.add(np.sort(fresh))
+                fresh_sorted = np.sort(fresh)
+                seen = np.insert(seen, np.searchsorted(seen, fresh_sorted),
+                                 fresh_sorted)
             accepted.append(fresh)
             count += fresh.size
         if not accepted:

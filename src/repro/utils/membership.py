@@ -21,10 +21,7 @@ Memory stays bounded: building is subject to a byte budget
 fails the import) that counts the bitmaps and the slot table, and callers
 fall back to :func:`repro.utils.arrays.sorted_membership` when scattered
 keys would allocate too many blocks or span too wide a block range.
-:func:`membership_probe` packages that decision; :class:`DynamicKeySet`
-adds incremental insertion (with block growth and a transparent downgrade
-to the sorted representation) for the batched generators' cross-round
-collision tracking.
+:func:`membership_probe` packages that decision for a static key set.
 """
 
 from __future__ import annotations
@@ -99,48 +96,34 @@ def _footprint(block_ids: np.ndarray) -> int:
 
 
 class PartitionedKeyBitmap:
-    """Per-block packed bitmaps over a sparse set of non-negative int keys."""
+    """Per-block packed bitmaps over a static set of non-negative int keys."""
 
     __slots__ = ("_block_ids", "_bits", "_slots")
 
-    def __init__(self, block_ids: np.ndarray, bits: np.ndarray) -> None:
+    def __init__(self, sorted_keys: np.ndarray,
+                 block_ids: np.ndarray) -> None:
+        """Index non-empty ``sorted_keys``; ``block_ids`` are their blocks,
+        sorted and unique."""
         self._block_ids = block_ids
-        self._bits = bits
+        self._bits = np.zeros(block_ids.size * BLOCK_BYTES, dtype=np.uint8)
         self._slots = _slot_table(block_ids)
+        slots = self._slots[(sorted_keys >> BLOCK_BITS) - block_ids[0]]
+        offsets = sorted_keys & (BLOCK_KEYS - 1)
+        masks = np.left_shift(
+            np.uint8(1), (offsets & 7).astype(np.uint8), dtype=np.uint8
+        )
+        byte_positions = np.multiply(slots, BLOCK_BYTES, dtype=np.int64) \
+            + (offsets >> 3)
+        # Sorted keys give non-decreasing byte positions, so the per-byte OR
+        # is one segmented reduction (``bitwise_or.at`` measures ~20x
+        # slower) followed by a unique-index scatter.
+        starts = np.flatnonzero(
+            np.concatenate(([True], byte_positions[1:] != byte_positions[:-1]))
+        )
+        self._bits[byte_positions[starts]] |= np.bitwise_or.reduceat(
+            masks, starts
+        )
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, keys: np.ndarray) -> "PartitionedKeyBitmap":
-        """Build the index over ``keys`` (need not be sorted or unique)."""
-        sorted_keys = np.sort(np.asarray(keys, dtype=np.int64))
-        block_ids = _sorted_unique(sorted_keys >> BLOCK_BITS)
-        bits = np.zeros(block_ids.size * BLOCK_BYTES, dtype=np.uint8)
-        index = cls(block_ids, bits)
-        if sorted_keys.size:
-            index._scatter_sorted(sorted_keys)
-        return index
-
-    @staticmethod
-    def projected_bytes(keys: np.ndarray) -> int:
-        """Bytes (bitmaps plus slot table) :meth:`build` allocates for ``keys``."""
-        keys = np.asarray(keys, dtype=np.int64)
-        return _footprint(np.unique(keys >> BLOCK_BITS))
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the packed bitmaps and the slot table."""
-        return int(self._bits.size) + int(self._slots.nbytes)
-
-    @property
-    def num_blocks(self) -> int:
-        """Number of allocated blocks."""
-        return int(self._block_ids.size)
-
-    # ------------------------------------------------------------------
-    # Queries and updates
-    # ------------------------------------------------------------------
     def contains(self, queries: np.ndarray) -> np.ndarray:
         """Boolean mask: which ``queries`` are members of the key set."""
         queries = np.asarray(queries, dtype=np.int64)
@@ -156,48 +139,6 @@ class PartitionedKeyBitmap:
                             + (offsets >> 3)]
         return (slots >= 0) & ((bytes_ >> (offsets & 7).astype(np.uint8)) & 1
                                != 0)
-
-    def add(self, keys: np.ndarray) -> None:
-        """Insert ``keys``, allocating bitmap blocks for new key ranges."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return
-        fresh_blocks = np.unique(keys >> BLOCK_BITS)
-        missing = fresh_blocks[~sorted_membership(self._block_ids, fresh_blocks)]
-        if missing.size:
-            merged = np.insert(
-                self._block_ids,
-                np.searchsorted(self._block_ids, missing),
-                missing,
-            )
-            bits = np.zeros(merged.size * BLOCK_BYTES, dtype=np.uint8)
-            if self._block_ids.size:
-                old_slots = np.searchsorted(merged, self._block_ids)
-                bits.reshape(-1, BLOCK_BYTES)[old_slots] = \
-                    self._bits.reshape(-1, BLOCK_BYTES)
-            self._block_ids = merged
-            self._bits = bits
-            self._slots = _slot_table(merged)
-        self._scatter_sorted(np.sort(keys))
-
-    def _scatter_sorted(self, keys: np.ndarray) -> None:
-        """Set the bits of sorted ``keys``; each key's block is allocated."""
-        slots = self._slots[(keys >> BLOCK_BITS) - self._block_ids[0]]
-        offsets = keys & (BLOCK_KEYS - 1)
-        masks = np.left_shift(
-            np.uint8(1), (offsets & 7).astype(np.uint8), dtype=np.uint8
-        )
-        byte_positions = np.multiply(slots, BLOCK_BYTES, dtype=np.int64) \
-            + (offsets >> 3)
-        # Sorted keys give non-decreasing byte positions, so the per-byte OR
-        # is one segmented reduction (``bitwise_or.at`` measures ~20x
-        # slower) followed by a unique-index scatter.
-        starts = np.flatnonzero(
-            np.concatenate(([True], byte_positions[1:] != byte_positions[:-1]))
-        )
-        self._bits[byte_positions[starts]] |= np.bitwise_or.reduceat(
-            masks, starts
-        )
 
 
 def membership_probe(sorted_keys: np.ndarray,
@@ -216,67 +157,10 @@ def membership_probe(sorted_keys: np.ndarray,
     if sorted_keys.size:
         block_ids = _sorted_unique(sorted_keys >> BLOCK_BITS)
         if _footprint(block_ids) <= budget_bytes:
-            bits = np.zeros(block_ids.size * BLOCK_BYTES, dtype=np.uint8)
-            bitmap = PartitionedKeyBitmap(block_ids, bits)
-            bitmap._scatter_sorted(sorted_keys)
-            return bitmap.contains
+            return PartitionedKeyBitmap(sorted_keys, block_ids).contains
 
     def probe(queries: np.ndarray) -> np.ndarray:
         return sorted_membership(sorted_keys, queries)
 
     return probe
 
-
-class DynamicKeySet:
-    """A growing key set with bitmap-accelerated membership tests.
-
-    Maintains the authoritative sorted key array and, while the byte budget
-    allows, a :class:`PartitionedKeyBitmap` accelerator.  When an insertion
-    would overrun the budget the accelerator is dropped and the set degrades
-    transparently to sorted-array membership.
-    """
-
-    __slots__ = ("_keys", "_bitmap", "_budget")
-
-    def __init__(self, sorted_keys: np.ndarray,
-                 budget_bytes: Optional[int] = None) -> None:
-        self._keys = np.asarray(sorted_keys, dtype=np.int64)
-        self._budget = (
-            DEFAULT_BUDGET_BYTES if budget_bytes is None else int(budget_bytes)
-        )
-        bitmap: Optional[PartitionedKeyBitmap] = None
-        if PartitionedKeyBitmap.projected_bytes(self._keys) <= self._budget:
-            bitmap = PartitionedKeyBitmap.build(self._keys)
-        self._bitmap = bitmap
-
-    @property
-    def keys(self) -> np.ndarray:
-        """The sorted member keys."""
-        return self._keys
-
-    @property
-    def uses_bitmap(self) -> bool:
-        """Whether the bitmap accelerator is currently live."""
-        return self._bitmap is not None
-
-    def contains(self, queries: np.ndarray) -> np.ndarray:
-        """Boolean mask: which ``queries`` are members."""
-        if self._bitmap is not None:
-            return self._bitmap.contains(queries)
-        return sorted_membership(self._keys, queries)
-
-    def add(self, sorted_new_keys: np.ndarray) -> None:
-        """Insert ``sorted_new_keys`` (sorted, distinct, not yet members)."""
-        fresh = np.asarray(sorted_new_keys, dtype=np.int64)
-        if fresh.size == 0:
-            return
-        self._keys = np.insert(
-            self._keys, np.searchsorted(self._keys, fresh), fresh
-        )
-        if self._bitmap is None:
-            return
-        # The bitmap after the insertion covers exactly the sorted keys.
-        if _footprint(_sorted_unique(self._keys >> BLOCK_BITS)) > self._budget:
-            self._bitmap = None
-            return
-        self._bitmap.add(fresh)

@@ -129,6 +129,19 @@ class TestFormatChecks:
                            match="rewire_equivalence 'distributional'"):
             ModelArtifact.load(path)
 
+    def test_unknown_backend_is_a_format_error(self, fitted, tmp_path):
+        _spec, artifact = fitted
+        payload = artifact.to_dict()
+        payload["parameters"]["backend"] = "ergm"
+        with pytest.raises(ArtifactFormatError,
+                           match="unknown backend 'ergm'"):
+            ModelArtifact.from_dict(payload)
+        path = tmp_path / "ergm.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactFormatError,
+                           match="unknown backend 'ergm'"):
+            ModelArtifact.load(path)
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{truncated")

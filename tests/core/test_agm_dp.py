@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.agm import AgmSynthesizer
-from repro.core.agm_dp import BudgetSplit, learn_agm_dp
+from repro.core.agm_dp import DEFAULT_BUDGET_SPLIT, BudgetSplit, learn_agm_dp
 from repro.params.structural import TriCycLeParameters
 
 
@@ -22,11 +22,11 @@ class TestBudgetSplit:
             BudgetSplit(attributes=0.25, correlations=0.25, structural=0.5,
                         structural_degree_fraction=1.0)
 
-    def test_default_for_backends(self):
-        assert BudgetSplit.default_for("tricycle").structural == pytest.approx(0.5)
-        assert BudgetSplit.default_for("fcl").structural == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            BudgetSplit.default_for("other")
+    def test_paper_default_split(self):
+        assert DEFAULT_BUDGET_SPLIT == BudgetSplit(
+            attributes=0.25, correlations=0.25, structural=0.5,
+            structural_degree_fraction=0.5,
+        )
 
 
 class TestLearnAgmDp:

@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from repro.api import ReleaseSession, ReleaseSpec
 from repro.attributes.encoding import AttributeEncoder, EdgeConfigurationEncoder
-from repro.core import agm
+from repro.core import agm, backends
 from repro.core.acceptance import expected_correlations
 from repro.core.agm import AgmSynthesizer, learn_agm
 from repro.core.pipeline import SynthesisPipeline
-from repro.core.registry import get_backend
 from repro.models.chung_lu import ChungLuModel, build_pi_distribution
 from repro.models.erdos_renyi import ErdosRenyiModel, UniformEdgeModel
 from repro.models.tcl import TclModel
@@ -121,7 +120,7 @@ class TestPiDistribution:
 def _spy(monkeypatch, backend, params):
     """Count structural generations and Θ'_F observations."""
     counts = {"generations": 0, "observations": 0}
-    model_type = type(get_backend(backend).build_model(params.structural))
+    model_type = type(backends.build_model(backend, params.structural))
     generate = model_type.generate
     observe = agm.observed_correlations
 

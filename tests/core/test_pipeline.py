@@ -1,5 +1,6 @@
 """Tests for the synthesis pipeline and its run manifest."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -48,6 +49,29 @@ class TestConfiguration:
             backend="fcl", num_iterations=1
         ).run(small_social_graph, rng=0)
         assert result.graph == refit.graph
+
+    def test_labels_match_paper_names(self):
+        assert SynthesisPipeline(epsilon=0.5, backend="tricycle").label \
+            == "AGMDP-TriCL"
+        assert SynthesisPipeline(epsilon=0.5, backend="fcl").label \
+            == "AGMDP-FCL"
+        assert SynthesisPipeline(backend="tricycle").label == "AGM-TriCL"
+        assert SynthesisPipeline(backend="fcl").label == "AGM-FCL"
+
+    def test_is_private_flag(self):
+        assert SynthesisPipeline(epsilon=1.0).is_private
+        assert not SynthesisPipeline().is_private
+
+    def test_frozen_and_replace_revalidates(self):
+        pipeline = SynthesisPipeline(epsilon=1.0, backend="fcl", samples=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pipeline.samples = 3
+        public = dataclasses.replace(pipeline, epsilon=None)
+        assert public.label == "AGM-FCL" and public.samples == 2
+        with pytest.raises(ValueError):
+            dataclasses.replace(pipeline, backend="ergm")
+        with pytest.raises(TypeError):
+            SynthesisPipeline(1.0, "fcl", None)  # the rest is keyword-only
 
     def test_prefit_parameters_incompatible_with_privacy(self,
                                                          small_social_graph):

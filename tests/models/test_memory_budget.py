@@ -219,17 +219,16 @@ class TestChunkedFitting:
 
 class TestKnobPlumbing:
     def test_backends_forward_the_budget_to_models(self):
-        import repro.core.backends  # noqa: F401 - registers the backends
-        from repro.core.registry import get_backend
+        from repro.core import backends
         from repro.params.structural import FclParameters, TriCycLeParameters
 
         degrees = _degree_sequence(50, 4)
         built = [
-            get_backend("fcl").build_model(
-                FclParameters(degrees), memory_budget_mb=3
+            backends.build_model(
+                "fcl", FclParameters(degrees), memory_budget_mb=3
             ),
-            get_backend("tricycle").build_model(
-                TriCycLeParameters(degrees, num_triangles=5),
+            backends.build_model(
+                "tricycle", TriCycLeParameters(degrees, num_triangles=5),
                 memory_budget_mb=3,
             ),
         ]

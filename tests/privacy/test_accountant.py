@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.agm_dp import BudgetSplit, learn_agm_dp
+from repro.core.agm_dp import DEFAULT_BUDGET_SPLIT, BudgetSplit, learn_agm_dp
 from repro.privacy.accountant import (
     PrivacyAccountant,
     SubBudget,
@@ -160,7 +160,7 @@ class TestCompositionProperties:
         FCL spends the whole structural half (ε/2) on the degree sequence."""
         _params, accountant = learn_agm_dp(
             small_social_graph, epsilon=1.0, backend=backend,
-            budget_split=BudgetSplit.default_for(backend), rng=0,
+            budget_split=DEFAULT_BUDGET_SPLIT, rng=0,
         )
         breakdown = accountant.breakdown()
         assert breakdown["attributes"] == pytest.approx(0.25)

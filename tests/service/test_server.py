@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import ReleaseSession, ReleaseSpec
+from repro.api import ArtifactStore, ReleaseSession, ReleaseSpec
 from repro.graphs import codec
 from repro.graphs.io import graph_from_payload
 from repro.service import ReleaseServer
@@ -213,3 +213,20 @@ class TestErrors:
         assert excinfo.value.code == 400
         body = json.loads(excinfo.value.read())
         assert body["error"]["code"] == "invalid_request"
+
+    def test_stored_artifact_with_unknown_backend_is_400(self, tmp_path):
+        # A stored artifact naming a backend this build lacks is a format
+        # error: not retryable, so clients do not hammer a broken store.
+        spec = ReleaseSpec.from_dict(FCL_SPEC_DOC)
+        store = ArtifactStore(tmp_path / "artifacts")
+        path = store.put(ReleaseSession().fit(spec))
+        document = json.loads(path.read_text())
+        document["parameters"]["backend"] = "ergm"
+        path.write_text(json.dumps(document))
+        with ReleaseServer(port=0, workers=1,
+                           artifact_dir=tmp_path / "artifacts") as running:
+            code, body = _error(running.url + "/fit", FCL_SPEC_DOC)
+        assert code == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert "unknown backend 'ergm'" in body["error"]["message"]
+        assert body["error"]["retryable"] is False

@@ -30,6 +30,20 @@ class TestParser:
         assert args.command == "synthesize"
         assert args.epsilon == 0.5
 
+    @pytest.mark.parametrize("backend", ["tricycle", "fcl"])
+    def test_backend_choices(self, backend):
+        args = build_parser().parse_args(
+            ["synthesize", "--backend", backend, "--output", "out.json"]
+        )
+        assert args.backend == backend
+
+    def test_unknown_backend_is_refused(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["synthesize", "--backend", "ergm", "--output", "out.json"]
+            )
+        assert "invalid choice: 'ergm'" in capsys.readouterr().err
+
     def test_serve_arguments(self):
         args = build_parser().parse_args(
             ["serve", "--port", "9000", "--workers", "2"]

@@ -19,7 +19,6 @@ from repro.utils import membership
 from repro.utils.arrays import sorted_membership
 from repro.utils.membership import (
     BLOCK_KEYS,
-    DynamicKeySet,
     PartitionedKeyBitmap,
     membership_probe,
 )
@@ -29,7 +28,14 @@ def random_keys(rng, count, universe):
     return np.unique(rng.integers(0, universe, size=count).astype(np.int64))
 
 
-class TestPartitionedKeyBitmap:
+def bitmap_probe(keys):
+    """``membership_probe`` with room for the bitmap, checked to use it."""
+    probe = membership_probe(keys, budget_bytes=1 << 30)
+    assert isinstance(getattr(probe, "__self__", None), PartitionedKeyBitmap)
+    return probe
+
+
+class TestBitmapProbe:
     @pytest.mark.parametrize("universe", [
         100,                      # single block
         BLOCK_KEYS - 1,           # just below one block
@@ -41,16 +47,15 @@ class TestPartitionedKeyBitmap:
         rng = np.random.default_rng(universe)
         keys = random_keys(rng, 500, universe)
         queries = rng.integers(0, universe, size=2000).astype(np.int64)
-        bitmap = PartitionedKeyBitmap.build(keys)
         assert np.array_equal(
-            bitmap.contains(queries), sorted_membership(keys, queries)
+            bitmap_probe(keys)(queries), sorted_membership(keys, queries)
         )
 
     def test_empty_key_set(self):
-        bitmap = PartitionedKeyBitmap.build(np.empty(0, dtype=np.int64))
+        probe = membership_probe(np.empty(0, dtype=np.int64),
+                                 budget_bytes=1 << 30)
         queries = np.array([0, 5, 10], dtype=np.int64)
-        assert not bitmap.contains(queries).any()
-        assert bitmap.nbytes == 0
+        assert not probe(queries).any()
 
     def test_block_boundary_keys(self):
         # Keys straddling block edges: last bit of one block, first of next.
@@ -58,73 +63,24 @@ class TestPartitionedKeyBitmap:
             [BLOCK_KEYS - 1, BLOCK_KEYS, 3 * BLOCK_KEYS - 1, 3 * BLOCK_KEYS],
             dtype=np.int64,
         )
-        bitmap = PartitionedKeyBitmap.build(keys)
-        assert bitmap.num_blocks == 4  # blocks 0, 1, 2 and 3
         queries = np.arange(4 * BLOCK_KEYS, dtype=np.int64)
         assert np.array_equal(
-            bitmap.contains(queries), sorted_membership(keys, queries)
+            bitmap_probe(keys)(queries), sorted_membership(keys, queries)
         )
-
-    def test_incremental_add_grows_blocks(self):
-        rng = np.random.default_rng(7)
-        first = random_keys(rng, 200, 4 * BLOCK_KEYS)
-        later = random_keys(rng, 200, 40 * BLOCK_KEYS)
-        later = later[~sorted_membership(first, later)]
-        bitmap = PartitionedKeyBitmap.build(first)
-        bitmap.add(later)
-        reference = np.union1d(first, later)
-        queries = rng.integers(0, 40 * BLOCK_KEYS, size=5000).astype(np.int64)
-        assert np.array_equal(
-            bitmap.contains(queries), sorted_membership(reference, queries)
-        )
-
-    def test_projected_bytes_matches_build(self):
-        rng = np.random.default_rng(3)
-        keys = random_keys(rng, 300, 64 * BLOCK_KEYS)
-        assert PartitionedKeyBitmap.projected_bytes(keys) == \
-            PartitionedKeyBitmap.build(keys).nbytes
 
     def test_queries_outside_the_block_range(self):
         # Blocks 5 and 9 only: queries below block 5, inside the absent
         # blocks between, and above block 9 (including far past it).
         keys = np.array([5 * BLOCK_KEYS + 3, 9 * BLOCK_KEYS + 8],
                         dtype=np.int64)
-        bitmap = PartitionedKeyBitmap.build(keys)
         queries = np.array([
             0, 3, 4 * BLOCK_KEYS + 3, 5 * BLOCK_KEYS - 1,
             5 * BLOCK_KEYS + 3, 7 * BLOCK_KEYS + 3, 9 * BLOCK_KEYS + 8,
             10 * BLOCK_KEYS + 8, 10 * BLOCK_KEYS, 1 << 40,
         ], dtype=np.int64)
         assert np.array_equal(
-            bitmap.contains(queries), sorted_membership(keys, queries)
+            bitmap_probe(keys)(queries), sorted_membership(keys, queries)
         )
-
-    def test_empty_bitmap_accepts_inserts(self):
-        bitmap = PartitionedKeyBitmap.build(np.empty(0, dtype=np.int64))
-        assert not bitmap.contains(np.array([0, 1 << 30])).any()
-        bitmap.add(np.array([7 * BLOCK_KEYS + 1], dtype=np.int64))
-        bitmap.add(np.array([2 * BLOCK_KEYS], dtype=np.int64))
-        queries = np.arange(10 * BLOCK_KEYS, dtype=np.int64)
-        expected = np.array([2 * BLOCK_KEYS, 7 * BLOCK_KEYS + 1])
-        assert np.array_equal(
-            bitmap.contains(queries), sorted_membership(expected, queries)
-        )
-
-    @pytest.mark.parametrize("block", [0, 3, 6, 40])
-    def test_add_inserts_blocks_anywhere(self, block):
-        # Existing blocks 2 and 5; the new block lands before (0), between
-        # (3), right after (6) or far after (40) them.
-        keys = np.array([2 * BLOCK_KEYS + 1, 5 * BLOCK_KEYS + 2],
-                        dtype=np.int64)
-        fresh = block * BLOCK_KEYS + np.array([0, 77, BLOCK_KEYS - 1])
-        bitmap = PartitionedKeyBitmap.build(keys)
-        bitmap.add(fresh)
-        reference = np.union1d(keys, fresh)
-        queries = np.arange(42 * BLOCK_KEYS, dtype=np.int64)
-        assert bitmap.num_blocks == 3
-        assert bitmap.nbytes == PartitionedKeyBitmap.projected_bytes(reference)
-        assert np.array_equal(bitmap.contains(queries),
-                              sorted_membership(reference, queries))
 
 
 class TestMembershipProbe:
@@ -149,63 +105,19 @@ class TestMembershipProbe:
         # table spanning the ~1000 blocks between them does not.
         keys = np.array([1, 1000 * BLOCK_KEYS + 1], dtype=np.int64)
         bitmap_bytes = 2 * (BLOCK_KEYS >> 3)
-        projected = PartitionedKeyBitmap.projected_bytes(keys)
-        assert projected > bitmap_bytes + 1000
+        # Blocks 0..1000 plus the trailing sentinel, as int32 slots.
+        projected = bitmap_bytes + (1000 + 2) * 4
         fits = membership_probe(keys, budget_bytes=projected)
         assert isinstance(getattr(fits, "__self__", None),
                           PartitionedKeyBitmap)
+        tight = membership_probe(keys, budget_bytes=projected - 1)
+        assert not isinstance(getattr(tight, "__self__", None),
+                              PartitionedKeyBitmap)
         probe = membership_probe(keys, budget_bytes=bitmap_bytes)
         assert not isinstance(getattr(probe, "__self__", None),
                               PartitionedKeyBitmap)
         queries = np.array([0, 1, 2, 1000 * BLOCK_KEYS + 1], dtype=np.int64)
         assert np.array_equal(probe(queries), [False, True, False, True])
-
-
-class TestDynamicKeySet:
-    def test_downgrades_when_budget_exhausted(self):
-        rng = np.random.default_rng(5)
-        first = random_keys(rng, 50, 2 * BLOCK_KEYS)
-        seen = DynamicKeySet(first, budget_bytes=4 * 1024)
-        assert seen.uses_bitmap
-        # Scattered keys across many blocks blow the 4 KiB budget.
-        spread = np.arange(100, dtype=np.int64) * 10 * BLOCK_KEYS + 3
-        spread = spread[~sorted_membership(first, spread)]
-        seen.add(np.sort(spread))
-        assert not seen.uses_bitmap
-        reference = np.union1d(first, spread)
-        queries = rng.integers(0, 1000 * BLOCK_KEYS, size=4000).astype(np.int64)
-        assert np.array_equal(
-            seen.contains(queries), sorted_membership(reference, queries)
-        )
-
-    def test_budget_counts_the_slot_table(self):
-        near = np.array([1], dtype=np.int64)
-        far = np.array([1000 * BLOCK_KEYS + 1], dtype=np.int64)
-        bitmap_bytes = 2 * (BLOCK_KEYS >> 3)
-        assert not DynamicKeySet(np.union1d(near, far),
-                                 budget_bytes=bitmap_bytes).uses_bitmap
-        # Growing into a far block fits the bitmaps but not the table.
-        seen = DynamicKeySet(near, budget_bytes=bitmap_bytes + 64)
-        assert seen.uses_bitmap
-        seen.add(far)
-        assert not seen.uses_bitmap
-        queries = np.array([0, 1, 1000 * BLOCK_KEYS + 1], dtype=np.int64)
-        assert np.array_equal(seen.contains(queries), [False, True, True])
-
-    def test_add_keeps_answers_exact(self):
-        rng = np.random.default_rng(9)
-        seen = DynamicKeySet(np.empty(0, dtype=np.int64))
-        reference = np.empty(0, dtype=np.int64)
-        for round_seed in range(4):
-            batch = random_keys(rng, 100, 30 * BLOCK_KEYS)
-            batch = batch[~sorted_membership(reference, batch)]
-            seen.add(batch)
-            reference = np.union1d(reference, batch)
-            queries = rng.integers(0, 30 * BLOCK_KEYS, size=1000)
-            assert np.array_equal(
-                seen.contains(queries.astype(np.int64)),
-                sorted_membership(reference, queries.astype(np.int64)),
-            )
 
 
 def _sparse_triangle_graph(n: int, num_nodes_used: int, seed: int,
