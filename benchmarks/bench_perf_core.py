@@ -162,7 +162,7 @@ class TestOrphanRepair:
         reference = pokec_like(scale=0.017, seed=20160626)  # ~10k nodes
         desired = reference.degrees()
         seed_graph = ChungLuModel(
-            desired, bias_correction=True, exclude_degree_one=True
+            desired, exclude_degree_one=True
         ).generate(rng=1)
         pi = build_pi_distribution(desired, exclude_degree_one=True)
         return seed_graph, desired, pi

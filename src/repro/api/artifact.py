@@ -31,10 +31,13 @@ samples at a given seed differ from version 2's.  The fitted parameters and
 their ε are unchanged.  Version-1 and version-2 documents still load, and
 they sample under the version-3 contract: this build has one sampler.
 
-Documents written while rewiring had a second, distributional engine may
-carry ``"rewire_equivalence"``.  One that says ``"exact"`` (or nothing)
-loads and samples as before, since exact samples did not change; any other
-value raises an :class:`ArtifactFormatError` naming the field.
+Documents written by older builds may carry the options this build runs at
+one value (:data:`repro.api.spec.RETIRED_FIELDS`): ``"rewire_equivalence"``
+and ``"handle_orphans"``.  One that holds exactly that value (or omits the
+key) loads and samples as before, since those samples did not change; any
+other value raises an :class:`ArtifactFormatError` naming the field.  This
+build no longer writes either key; a reader that predates the retirement
+takes the missing ``"handle_orphans"`` for ``true``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from typing import (
 
 import numpy as np
 
+from repro.api.spec import RETIRED_FIELDS, retired_mismatch
 from repro.core.agm import (
     DEFAULT_NUM_ITERATIONS,
     AgmParameters,
@@ -204,10 +208,10 @@ class ModelArtifact:
     spec_hash:
         Hash of the originating :class:`~repro.api.spec.ReleaseSpec`'s
         fit-relevant fields; the service's cache key.
-    num_iterations / handle_orphans:
-        Generation knobs recorded at fit time so sampling needs nothing but
-        the artifact, a count and a seed.  ``num_iterations`` is the
-        number of refinement rounds, one generation each.
+    num_iterations:
+        Refinement rounds per sample, one generation each, recorded at fit
+        time so sampling needs nothing but the artifact, a count and a
+        seed.
     accountant:
         Serialisable snapshot of the fit's privacy ledger
         (:meth:`~repro.privacy.accountant.PrivacyAccountant.as_dict`), or
@@ -221,7 +225,6 @@ class ModelArtifact:
     parameters: AgmParameters
     spec_hash: str
     num_iterations: int = DEFAULT_NUM_ITERATIONS
-    handle_orphans: bool = True
     accountant: Optional[Dict[str, Any]] = None
     manifest: Dict[str, Any] = field(default_factory=dict)
     created_at: str = ""
@@ -270,7 +273,6 @@ class ModelArtifact:
             "num_nodes": self.parameters.num_nodes,
             "num_attributes": self.parameters.num_attributes,
             "num_iterations": self.num_iterations,
-            "handle_orphans": self.handle_orphans,
             "accountant": self.accountant,
             "created_at": self.created_at,
             "library_version": self.library_version,
@@ -289,7 +291,7 @@ class ModelArtifact:
     # ------------------------------------------------------------------
     def synthesizer(self, memory_budget_mb: Optional[int] = None
                     ) -> AgmSynthesizer:
-        """A synthesizer configured with the artifact's generation knobs.
+        """A synthesizer for the artifact's parameters and iterations.
 
         ``memory_budget_mb`` is a sample-time run-control knob (like the
         seed), deliberately *not* persisted in the artifact: the budget
@@ -299,7 +301,6 @@ class ModelArtifact:
         return AgmSynthesizer(
             self.parameters,
             num_iterations=self.num_iterations,
-            handle_orphans=self.handle_orphans,
             memory_budget_mb=memory_budget_mb,
         )
 
@@ -351,7 +352,6 @@ class ModelArtifact:
             "created_at": self.created_at,
             "library_version": self.library_version,
             "num_iterations": self.num_iterations,
-            "handle_orphans": self.handle_orphans,
             "accountant": self.accountant,
             "manifest": self.manifest,
             "parameters": parameters_to_dict(self.parameters),
@@ -401,12 +401,12 @@ class ModelArtifact:
                 f"unsupported artifact format_version {version!r}; this build "
                 f"reads versions {READABLE_FORMAT_VERSIONS}"
             )
-        rewiring = payload.get("rewire_equivalence", "exact")
-        if rewiring != "exact":
+        mismatch = retired_mismatch(payload)
+        if mismatch is not None:
+            name, value = mismatch
             raise ArtifactFormatError(
-                f"artifact has rewire_equivalence {rewiring!r}; the "
-                f"distributional rewiring engine was removed, and this build "
-                f"samples only 'exact' artifacts"
+                f"artifact has {name} {value!r}; this option was removed, "
+                f"and this build samples only {RETIRED_FIELDS[name]!r}"
             )
         if payload.get("sidecar") and arrays is None:
             raise ArtifactFormatError(
@@ -427,21 +427,18 @@ class ModelArtifact:
             spec_hash=str(payload.get("spec_hash", "")),
             num_iterations=int(payload.get("num_iterations",
                                            DEFAULT_NUM_ITERATIONS)),
-            handle_orphans=bool(payload.get("handle_orphans", True)),
             accountant=dict(accountant) if accountant is not None else None,
             manifest=dict(payload.get("manifest") or {}),
             created_at=str(payload.get("created_at", "")),
             library_version=str(payload.get("library_version", "")),
         )
 
-    def save(self, path: Union[str, Path], sidecar: bool = True) -> Path:
+    def save(self, path: Union[str, Path]) -> Path:
         """Write the artifact to ``path``, atomically.
 
-        With ``sidecar=True`` (the default) the large parameter arrays go
-        to ``<path-stem>.npz`` next to the manifest and the manifest
-        references it by file name; with ``sidecar=False`` the arrays are
-        inlined into the JSON document (still a current-version document,
-        readable without the sidecar).
+        The large parameter arrays go to ``<path-stem>.npz`` next to the
+        manifest, and the manifest references it by file name
+        (:meth:`to_dict` is the self-contained form, arrays inline).
 
         Every file lands in a temporary name in the same directory, is
         fsync'd, then renamed over its target (``os.replace``) — and the
@@ -451,20 +448,19 @@ class ModelArtifact:
         one.
         """
         path = Path(path)
+        sidecar_path = path.with_suffix(".npz")
+        if sidecar_path == path:
+            raise ArtifactError(
+                f"manifest path {path} collides with its .npz sidecar; "
+                f"use a different extension for the manifest"
+            )
         document = self.to_dict()
-        if sidecar:
-            sidecar_path = path.with_suffix(".npz")
-            if sidecar_path == path:
-                raise ArtifactError(
-                    f"manifest path {path} collides with its .npz sidecar; "
-                    f"use a different extension for the manifest"
-                )
-            document["sidecar"] = sidecar_path.name
-            parameters = document["parameters"]
-            del parameters["attribute_distribution"]["probabilities"]
-            del parameters["correlations"]["probabilities"]
-            del parameters["structural"]["degrees"]
-            self._write_sidecar(sidecar_path)
+        document["sidecar"] = sidecar_path.name
+        parameters = document["parameters"]
+        del parameters["attribute_distribution"]["probabilities"]
+        del parameters["correlations"]["probabilities"]
+        del parameters["structural"]["degrees"]
+        self._write_sidecar(sidecar_path)
         temp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
         try:
             with open(temp, "w", encoding="utf-8") as handle:
@@ -555,7 +551,6 @@ class ModelArtifact:
             parameters=parameters,
             spec_hash=spec.spec_hash,
             num_iterations=spec.num_iterations,
-            handle_orphans=spec.handle_orphans,
             accountant=snapshot,
             manifest=dict(manifest or {}),
             created_at=datetime.datetime.now(datetime.timezone.utc)

@@ -35,28 +35,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.api.artifact import ModelArtifact
 from repro.api.spec import ReleaseSpec
-from repro.experiments.runner import run_trials_detailed
+from repro.experiments.runner import default_trials, run_trials_detailed
 from repro.graphs.attributed import AttributedGraph
 from repro.testing.faults import fire
 from repro.utils.rng import SeedLike
+from repro.utils.validation import positive_from_env
 
 #: Environment variable bounding the artifact cache of new sessions.
 CACHE_SIZE_ENV_VAR = "REPRO_ARTIFACT_CACHE_SIZE"
 #: Default artifact-cache bound when the environment does not override it.
 DEFAULT_CACHE_SIZE = 64
-
-
-def _default_cache_size() -> int:
-    raw = os.environ.get(CACHE_SIZE_ENV_VAR)
-    if not raw:
-        return DEFAULT_CACHE_SIZE
-    try:
-        size = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{CACHE_SIZE_ENV_VAR}={raw!r} is not an integer"
-        ) from None
-    return max(1, size)
 
 
 class ReleaseSession:
@@ -67,7 +55,7 @@ class ReleaseSession:
     max_artifacts:
         Upper bound on cached artifacts (LRU eviction).  Defaults to the
         ``REPRO_ARTIFACT_CACHE_SIZE`` environment variable, or 64; a value
-        there that is not an integer raises :class:`ValueError`.
+        there that is not a positive integer raises :class:`ValueError`.
     ledger_store:
         Optional :class:`~repro.privacy.ledger.LedgerStore`.  When set,
         every *private* fit runs as a durable two-phase spend against the
@@ -94,8 +82,8 @@ class ReleaseSession:
         self._fit_locks: Dict[str, threading.Lock] = {}
         self._artifacts: "OrderedDict[str, ModelArtifact]" = OrderedDict()
         self._max_artifacts = (
-            _default_cache_size() if max_artifacts is None
-            else max(1, int(max_artifacts))
+            positive_from_env(CACHE_SIZE_ENV_VAR, DEFAULT_CACHE_SIZE)
+            if max_artifacts is None else max(1, int(max_artifacts))
         )
         self._ledger_store = ledger_store
         if isinstance(artifact_store, (str, os.PathLike)):
@@ -324,13 +312,16 @@ class ReleaseSession:
 
         Executes ``spec.trials`` synthesis pipelines (refitting the DP
         parameters per trial, as the paper's averages do) over
-        ``spec.workers`` processes and returns a JSON-serialisable result:
+        ``spec.workers`` processes, each resolved like the runner's
+        defaults when unset (``REPRO_TRIALS``, ``REPRO_WORKERS``), and
+        returns a JSON-serialisable result:
         the averaged Tables 2-5 metric row, the averaged per-stage ε spends
         and the first trial's manifest.
         """
         input_graph = graph if graph is not None else spec.load_graph()
         pipeline = spec.pipeline()
-        outcome = run_trials_detailed(input_graph, pipeline, spec.trials,
+        outcome = run_trials_detailed(input_graph, pipeline,
+                                      default_trials(spec.trials),
                                       rng=spec.seed, workers=spec.workers)
         manifest = outcome.manifest
         return {

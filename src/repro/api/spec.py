@@ -20,11 +20,14 @@ dicts — the pre-API ``repro run`` config format — are still accepted by
 :meth:`ReleaseSpec.from_dict` and are converted with a single
 :class:`DeprecationWarning` pointing at the new format.
 
-Specs written while rewiring had a second, distributional engine may carry
-``"rewire_equivalence"``.  In either form, ``"exact"`` (the one engine this
-build runs) loads and the key is dropped; any other value fails with a
-:class:`SpecValidationError` naming the field, instead of being sampled
-under a contract it did not ask for.
+Older builds had options this one runs at a single value, listed with that
+value in :data:`RETIRED_FIELDS`: ``"rewire_equivalence"`` (rewiring had a
+second, distributional engine) and ``"handle_orphans"`` (TriCycLe's orphan
+extension could be switched off).  In either form, a spec that holds
+exactly that value loads and the key is dropped; any other value fails
+with a :class:`SpecValidationError` naming the field, instead of being
+sampled under a contract it did not ask for.  :meth:`ReleaseSpec.spec_hash`
+keeps the constants, so hashes written by those builds still match.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.agm import DEFAULT_NUM_ITERATIONS
 from repro.core.agm_dp import BudgetSplit
@@ -51,6 +54,28 @@ SPEC_VERSION = 1
 
 #: Dataset the pre-API CLI defaulted to when a config named no input.
 _LEGACY_DEFAULT_DATASET = "lastfm"
+
+#: Options of older builds, each with the one value this build runs.  Spec
+#: and artifact documents may hold exactly that value or omit the key.
+RETIRED_FIELDS: Dict[str, Any] = {
+    "rewire_equivalence": "exact",
+    "handle_orphans": True,
+}
+
+
+def retired_mismatch(document: Mapping[str, Any]
+                     ) -> Optional[Tuple[str, Any]]:
+    """The first retired field ``document`` holds at another value than the
+    one this build runs, as ``(name, value)``; ``None`` if there is none.
+
+    The value must be the constant itself: ``1`` or ``"true"`` is not
+    ``True``.
+    """
+    for name, constant in RETIRED_FIELDS.items():
+        value = document.get(name, constant)
+        if type(value) is not type(constant) or value != constant:
+            return name, value
+    return None
 
 
 class SpecValidationError(ValueError):
@@ -118,12 +143,13 @@ class ReleaseSpec:
     num_iterations:
         Acceptance-refinement rounds used when sampling, one generation
         each.
-    handle_orphans:
-        Forwarded to the structural backend's model builder.
     samples:
         Synthetic graphs produced per pipeline run.
     trials / workers:
         Monte-Carlo evaluation controls (:meth:`ReleaseSession.evaluate`).
+        ``None`` resolves like the runner's defaults: the ``REPRO_TRIALS``
+        and ``REPRO_WORKERS`` environment variables, else 3 trials and a
+        serial run.
     output:
         Where the CLI writes the run result (``None``: stdout).
     tenant:
@@ -154,9 +180,8 @@ class ReleaseSpec:
     budget_split: Optional[BudgetSplit] = None
     truncation_k: Optional[int] = None
     num_iterations: int = DEFAULT_NUM_ITERATIONS
-    handle_orphans: bool = True
     samples: int = 1
-    trials: int = 3
+    trials: Optional[int] = None
     workers: Optional[int] = None
     output: Optional[str] = None
     tenant: Optional[str] = None
@@ -266,9 +291,9 @@ class ReleaseSpec:
                                             minimum=1))
         put("num_iterations", _coerce_int("num_iterations", self.num_iterations,
                                           minimum=1))
-        put("handle_orphans", bool(self.handle_orphans))
         put("samples", _coerce_int("samples", self.samples, minimum=1))
-        put("trials", _coerce_int("trials", self.trials, minimum=1))
+        if self.trials is not None:
+            put("trials", _coerce_int("trials", self.trials, minimum=1))
         if self.memory_budget_mb is not None:
             put("memory_budget_mb",
                 _coerce_int("memory_budget_mb", self.memory_budget_mb,
@@ -309,9 +334,9 @@ class ReleaseSpec:
         with a :class:`DeprecationWarning` and keep the old reader's
         permissiveness: extra keys are ignored, an ``edges`` input wins over
         ``dataset``/``scale``, and a config naming no input gets the old CLI
-        default (``dataset="lastfm"``).  In both forms a
-        ``"rewire_equivalence"`` key is read before anything else: ``"exact"``
-        is dropped, any other value raises (see the module doc).
+        default (``dataset="lastfm"``).  In both forms the
+        :data:`RETIRED_FIELDS` are read before anything else: the value this
+        build runs is dropped, any other value raises (see the module doc).
         """
         if not isinstance(mapping, Mapping):
             raise SpecValidationError(
@@ -327,14 +352,16 @@ class ReleaseSpec:
                 f"version {SPEC_VERSION}",
             )
         # Checked before the legacy reader drops unknown keys, so an old
-        # distributional spec cannot silently sample under exact rewiring.
-        rewiring = data.pop("rewire_equivalence", "exact")
-        if rewiring != "exact":
+        # spec cannot silently sample under an option it did not ask for.
+        mismatch = retired_mismatch(data)
+        if mismatch is not None:
+            name, value = mismatch
             raise SpecValidationError(
-                "rewire_equivalence",
-                "the distributional rewiring engine was removed; only "
-                f"'exact' is accepted, got {rewiring!r}",
+                name, f"this option was removed; only "
+                      f"{RETIRED_FIELDS[name]!r} is accepted, got {value!r}",
             )
+        for name in RETIRED_FIELDS:
+            data.pop(name, None)
         known = {spec_field.name for spec_field in fields(cls)}
         if version is None:
             warnings.warn(
@@ -452,12 +479,11 @@ class ReleaseSpec:
             "budget_split": split,
             "truncation_k": self.truncation_k,
             "num_iterations": self.num_iterations,
-            "handle_orphans": self.handle_orphans,
-            # Rewiring has one engine, so this entry is a constant.  It
-            # stays because dropping it would change every spec_hash:
-            # artifact ids and stored releases are keyed by the hash, and a
-            # new one would refit each release and spend its ε again.
-            "rewire_equivalence": "exact",
+            # The retired options stay as constants because dropping them
+            # would change every spec_hash: artifact ids and stored
+            # releases are keyed by the hash, and a new one would refit
+            # each release and spend its ε again.
+            **RETIRED_FIELDS,
         }
 
     @property
@@ -497,7 +523,6 @@ class ReleaseSpec:
             truncation_k=self.truncation_k,
             budget_split=self.budget_split,
             num_iterations=self.num_iterations,
-            handle_orphans=self.handle_orphans,
             memory_budget_mb=self.memory_budget_mb,
             samples=self.samples,
         )

@@ -94,8 +94,7 @@ class ArtifactStore:
 
     def put(self, artifact: ModelArtifact) -> Path:
         """Persist ``artifact`` under its ``spec_hash`` (atomic publish)."""
-        return artifact.save(self.manifest_path(artifact.spec_hash),
-                             sidecar=True)
+        return artifact.save(self.manifest_path(artifact.spec_hash))
 
     def __contains__(self, spec_hash: str) -> bool:
         return self.manifest_path(spec_hash).exists()

@@ -137,8 +137,6 @@ class AgmSynthesizer:
         each round computes the acceptance vector from the latest Θ'_F and
         generates through it, and the last round's graph is the sample.
         The paper observes convergence "after just a few iterations".
-    handle_orphans:
-        Forwarded to the TriCycLe backend's orphan-repair extension.
     memory_budget_mb:
         Optional generation memory budget in MiB, forwarded to the
         structural backend.  Models shard their sampling passes to fit and
@@ -154,13 +152,11 @@ class AgmSynthesizer:
 
     def __init__(self, parameters: AgmParameters,
                  num_iterations: int = DEFAULT_NUM_ITERATIONS,
-                 handle_orphans: bool = True,
                  memory_budget_mb: Optional[int] = None) -> None:
         if num_iterations < 1:
             raise ValueError(f"num_iterations must be >= 1, got {num_iterations}")
         self._parameters = parameters
         self._num_iterations = int(num_iterations)
-        self._handle_orphans = bool(handle_orphans)
         self._memory_budget_mb = (
             None if memory_budget_mb is None else int(memory_budget_mb)
         )
@@ -218,12 +214,6 @@ class AgmSynthesizer:
 
         return graph
 
-    def sample_many(self, count: int, rng: RngLike = None):
-        """Yield ``count`` independent synthetic graphs."""
-        generator = ensure_rng(rng)
-        for _ in range(count):
-            yield self.sample(rng=generator)
-
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
@@ -246,7 +236,6 @@ class AgmSynthesizer:
         params = self._parameters
         return backends.build_model(
             params.backend, params.structural,
-            handle_orphans=self._handle_orphans,
             memory_budget_mb=self._memory_budget_mb,
         )
 

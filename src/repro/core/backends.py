@@ -81,11 +81,10 @@ def fit_dp(backend: str, graph: AttributedGraph, epsilon: EpsilonLike,
 
 
 def build_model(backend: str, structural: FclParameters,
-                handle_orphans: bool = True,
                 memory_budget_mb: Optional[int] = None) -> StructuralModel:
     """The generative model for fitted ``structural`` parameters.
 
-    ``handle_orphans`` turns on TriCycLe's orphan repair (FCL has none).
+    TriCycLe always runs the orphan extension and its repair; FCL has none.
     ``memory_budget_mb`` is the generation memory budget in MiB, or
     ``None`` for the model's default.
     """
@@ -93,8 +92,6 @@ def build_model(backend: str, structural: FclParameters,
         return TriCycLeModel(
             degrees=structural.degrees,
             num_triangles=structural.num_triangles,
-            handle_orphans=handle_orphans,
             memory_budget_mb=memory_budget_mb,
         )
-    return ChungLuModel(structural.degrees, bias_correction=True,
-                        memory_budget_mb=memory_budget_mb)
+    return ChungLuModel(structural.degrees, memory_budget_mb=memory_budget_mb)

@@ -199,8 +199,6 @@ class SynthesisPipeline:
     num_iterations:
         Acceptance-refinement rounds used when sampling, one generation
         each.
-    handle_orphans:
-        Forwarded to the structural backend's model builder.
     memory_budget_mb:
         Optional generation memory budget in MiB, forwarded to the
         structural backend by the generate stage.  Over-budget generation
@@ -233,7 +231,6 @@ class SynthesisPipeline:
     truncation_k: Optional[int] = None
     budget_split: Optional[BudgetSplit] = None
     num_iterations: int = DEFAULT_NUM_ITERATIONS
-    handle_orphans: bool = True
     memory_budget_mb: Optional[int] = None
     samples: int = 1
     parameters: Optional[AgmParameters] = field(default=None, repr=False)
@@ -262,7 +259,6 @@ class SynthesisPipeline:
                 f"num_iterations must be >= 1, got {self.num_iterations}"
             )
         put("num_iterations", int(self.num_iterations))
-        put("handle_orphans", bool(self.handle_orphans))
         if self.memory_budget_mb is not None:
             put("memory_budget_mb", int(self.memory_budget_mb))
             if self.memory_budget_mb < 1:
@@ -312,7 +308,6 @@ class SynthesisPipeline:
             synthesizer = AgmSynthesizer(
                 parameters,
                 num_iterations=self.num_iterations,
-                handle_orphans=self.handle_orphans,
                 memory_budget_mb=self.memory_budget_mb,
             )
             graphs = [synthesizer.sample(rng=generate_rng)

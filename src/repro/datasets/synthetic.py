@@ -160,9 +160,11 @@ def attributed_social_graph(num_nodes: int, average_degree: float,
                             attribute_marginals: Sequence[float] = (0.4, 0.3),
                             homophily: float = 0.6,
                             exponent: float = 2.3,
-                            connected: bool = True,
                             rng: RngLike = None) -> AttributedGraph:
     """Generate a synthetic attributed social graph with the requested statistics.
+
+    Only the largest connected component is returned, as in the paper's
+    preprocessing.
 
     Parameters
     ----------
@@ -176,9 +178,6 @@ def attributed_social_graph(num_nodes: int, average_degree: float,
         independent attributes, larger values give stronger homophily.
     exponent:
         Power-law exponent of the degree distribution.
-    connected:
-        When true (default), only the largest connected component is
-        returned, as in the paper's preprocessing.
     rng:
         Seed or generator.
     """
@@ -186,7 +185,7 @@ def attributed_social_graph(num_nodes: int, average_degree: float,
     degrees = powerlaw_degree_sequence(
         num_nodes, average_degree, max_degree, exponent=exponent, rng=generator
     )
-    model = TriCycLeModel(degrees, num_triangles=num_triangles, handle_orphans=True)
+    model = TriCycLeModel(degrees, num_triangles=num_triangles)
     structure = model.generate(rng=generator)
 
     w = len(list(attribute_marginals))
@@ -199,10 +198,7 @@ def attributed_social_graph(num_nodes: int, average_degree: float,
         ])
         graph.set_all_attributes(attributes)
         _induce_homophily(graph, homophily, generator)
-
-    if connected:
-        graph = largest_connected_component(graph)
-    return graph
+    return largest_connected_component(graph)
 
 
 def _scaled(value: float, scale: float, minimum: int = 1) -> int:

@@ -122,7 +122,7 @@ def _structural_models(graph: AttributedGraph) -> Dict[str, Callable[[], object]
     params = fit_tricycle(graph)
     rho = estimate_transitive_closure_probability(graph)
     return {
-        "FCL": lambda: ChungLuModel(params.degrees, bias_correction=True),
+        "FCL": lambda: ChungLuModel(params.degrees),
         "TCL": lambda: TclModel(params.degrees, rho=rho),
         "TriCycLe": lambda: TriCycLeModel(
             params.degrees, num_triangles=params.num_triangles

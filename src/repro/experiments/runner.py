@@ -24,7 +24,6 @@ set to anything but a positive integer raises ``ValueError``.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
@@ -34,6 +33,7 @@ from repro.core.pipeline import RunManifest, SynthesisPipeline
 from repro.graphs.attributed import AttributedGraph
 from repro.metrics.evaluation import EvaluationReport, average_reports
 from repro.utils.rng import SeedLike, spawn_streams
+from repro.utils.validation import positive_from_env
 
 #: Environment variable overriding the number of Monte-Carlo trials.
 TRIALS_ENV_VAR = "REPRO_TRIALS"
@@ -52,20 +52,11 @@ def _resolve_count(name: str, override: Optional[int], env_var: str,
     Raises ``ValueError`` for an argument below 1, and for an environment
     value that is not an integer or is below 1, naming the variable.
     """
-    if override is not None:
-        if override < 1:
-            raise ValueError(f"{name} must be >= 1, got {override}")
-        return int(override)
-    raw = os.environ.get(env_var)
-    if not raw:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise ValueError(f"{env_var}={raw!r} is not a positive integer")
-    return value
+    if override is None:
+        return positive_from_env(env_var, fallback)
+    if override < 1:
+        raise ValueError(f"{name} must be >= 1, got {override}")
+    return int(override)
 
 
 def default_trials(override: Optional[int] = None) -> int:

@@ -4,16 +4,16 @@ In the Chung-Lu (CL) model every node is assigned a desired degree and edges
 are sampled with probability proportional to the product of the endpoint
 degrees, which reproduces the expected degree sequence.  The fast variant
 (FCL, Pinar et al.) samples endpoints from the π distribution — node ``i``
-with probability ``d_i / 2m`` — and inserts the resulting edge; repeated
-edges and self-loops are discarded and resampled, and the bias-corrected
-variant (cFCL) compensates for the resulting under-representation of
-low-degree nodes by continuing to sample until the target number of distinct
-edges is reached while tracking residual degree demand.
+with probability ``d_i / 2m`` — and inserts the resulting edge.  Classical
+FCL draws exactly ``m`` pairs and discards self-loops and repeats, which
+under-generates edges on skewed degree sequences; :class:`ChungLuModel` is
+the bias-corrected variant (cFCL) only: it keeps sampling until the target
+number of distinct edges is reached.
 
 Under AGM's acceptance vector ``A`` (Algorithm 3, lines 9-18) a π×π
 proposal ``(u, v)`` survives with probability ``A(c_u, c_v)``, where ``c``
 is the node's attribute code.  Instead of flipping that coin per proposal,
-the samplers draw the survivors directly from their law
+the sampler draws the survivors directly from their law
 ``P(u, v) ∝ π_u · A(c_u, c_v) · π_v``.  That law is the acyclic path join
 ``R(u, a) ⋈ A(a, b) ⋈ R(b, v)`` over the codes, so one marginalisation
 (``Π_a``, the π mass of code ``a``, and ``M(a, b) = Π_a · A(a, b) · Π_b``)
@@ -43,8 +43,8 @@ from repro.utils.memory import MemoryBudget, csr_bytes
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.sampling import WeightedSampler
 
-#: Pessimistic bytes of transient state per drawn row in the vectorized
-#: samplers, used to derive the byte-budgeted shard cap.  A row is one
+#: Pessimistic bytes of transient state per drawn row in the sampler,
+#: used to derive the byte-budgeted shard cap.  A row is one
 #: endpoint pair; with an acceptance vector it is an *accepted* pair, so
 #: the cap bounds the ``K`` rows a round allocates, not its proposals.
 #: Per row, the accepted-pair draw holds at most five 8-byte arrays (the
@@ -57,6 +57,10 @@ from repro.utils.sampling import WeightedSampler
 #: measures 88 B per row for single-round generations at 5k-400k nodes,
 #: with and without an acceptance vector.
 _SAMPLE_ROW_BYTES = 96
+
+#: Generation spends at most this many π×π proposals per target edge, so a
+#: degree sequence whose distinct pairs saturate cannot hang the sampler.
+_MAX_ATTEMPT_FACTOR = 50
 
 
 def build_pi_distribution(degrees: np.ndarray,
@@ -106,7 +110,7 @@ def _pi_weights(degrees: np.ndarray, exclude_degree_one: bool) -> np.ndarray:
 
 
 class ChungLuModel(StructuralModel):
-    """Fast Chung-Lu generator with optional bias correction.
+    """Fast Chung-Lu generator with bias correction (cFCL).
 
     Endpoints are drawn in blocks through
     :class:`~repro.utils.sampling.WeightedSampler`, and self-loops and
@@ -114,27 +118,20 @@ class ChungLuModel(StructuralModel):
     an acceptance vector, each round draws only the accepted pairs, from
     their exact law (see the module docstring), so the cost of a round
     follows the rows it keeps rather than the proposals it would have
-    rejected.
+    rejected.  At most :data:`_MAX_ATTEMPT_FACTOR` proposals per target
+    edge are spent, counted before the acceptance filter.
 
     Parameters
     ----------
     degrees:
         Desired degree sequence (one entry per node of the generated graph).
-    bias_correction:
-        When true (default, the "cFCL" variant), sampling continues until the
-        target number of *distinct* edges has been inserted; when false, the
-        classical FCL behaviour of drawing exactly ``m`` endpoint pairs and
-        discarding collisions is used, which under-generates edges on skewed
-        degree sequences.
-    max_attempt_factor:
-        Safety bound: at most ``max_attempt_factor * m`` π×π proposals are
-        spent, counted before the acceptance filter, so a degree sequence
-        whose distinct pairs saturate (duplicates and self-loops only)
-        cannot hang the generator.
+    exclude_degree_one:
+        Zero degree-one nodes in π and generate ``m - |N_1|`` edges (the
+        TriCycLe orphan extension, see :meth:`effective_target_edges`).
     memory_budget_mb:
         Optional byte budget for generation.  When set (or when the
         ``REPRO_MEMORY_BUDGET_MB`` environment variable provides a default),
-        the vectorized samplers draw their rows in shards whose transient
+        the sampler draws its rows in shards whose transient
         footprint fits the budget, and the final edge store is admitted
         against the budget before sampling begins (raising
         :class:`~repro.utils.memory.MemoryBudgetError` when it cannot fit).
@@ -143,20 +140,14 @@ class ChungLuModel(StructuralModel):
         unbudgeted path.
     """
 
-    def __init__(self, degrees: np.ndarray, bias_correction: bool = True,
-                 exclude_degree_one: bool = False,
-                 max_attempt_factor: int = 50,
+    def __init__(self, degrees: np.ndarray, exclude_degree_one: bool = False,
                  memory_budget_mb: Optional[int] = None) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
         if self._degrees.ndim != 1:
             raise ValueError("degrees must be one-dimensional")
         if np.any(self._degrees < 0):
             raise ValueError("degrees must be non-negative")
-        if max_attempt_factor < 1:
-            raise ValueError("max_attempt_factor must be >= 1")
-        self._bias_correction = bool(bias_correction)
         self._exclude_degree_one = bool(exclude_degree_one)
-        self._max_attempt_factor = int(max_attempt_factor)
         self._memory_budget = MemoryBudget.resolve(memory_budget_mb)
 
     @property
@@ -218,7 +209,7 @@ class ChungLuModel(StructuralModel):
         if n < 2 or target_edges == 0:
             return AttributedGraph(n, num_attributes)
 
-        max_attempts = self._max_attempt_factor * max(target_edges, 1)
+        max_attempts = _MAX_ATTEMPT_FACTOR * max(target_edges, 1)
         # Admit the durable output before any sampling: the accepted key
         # arrays (concat + sort scratch, ~4 int64 copies at peak) plus the
         # CSR the result graph will own (2m directed entries), and
@@ -231,35 +222,23 @@ class ChungLuModel(StructuralModel):
                 * storage_index_dtype(n).itemsize
         self._memory_budget.admit("chung_lu.generate", durable)
 
-        pairs = self._pair_source(acceptance)
-        if self._bias_correction:
-            keys = self._sample_corrected(
-                n, pairs, target_edges, max_attempts, generator
-            )
-        else:
-            keys = self._sample_plain(n, pairs, target_edges, generator)
+        keys = self._sample_corrected(
+            n, self._pair_source(acceptance), target_edges, max_attempts,
+            generator,
+        )
         return AttributedGraph._from_canonical_keys(n, keys, num_attributes)
 
     # ------------------------------------------------------------------
-    # Internal sampling strategies (batched fast paths)
+    # Batched sampling
     # ------------------------------------------------------------------
     def _pair_source(self, acceptance: Optional[EdgeAcceptance]
                      ) -> "_Proposals | _AcceptedPairs":
-        """The pair helper both strategies draw their rows through."""
+        """The pair helper the sampler draws its rows through."""
         if acceptance is None:
             return _Proposals(self.pi_distribution())
         return _AcceptedPairs(
             _pi_weights(self._degrees, self._exclude_degree_one), acceptance
         )
-
-    @staticmethod
-    def _dedupe_sorted(keys: np.ndarray) -> np.ndarray:
-        """Sort ``keys`` in place and drop duplicates (manual, as
-        ``np.unique`` is measurably slower than a plain sort here)."""
-        keys.sort()
-        if keys.size < 2:
-            return keys
-        return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
     def _sample_corrected(self, n: int,
                           pairs: "_Proposals | _AcceptedPairs",
@@ -365,38 +344,6 @@ class ChungLuModel(StructuralModel):
             # int64: canonical edge-key array (u * n + v packing width).
             return np.empty(0, dtype=np.int64)
         return np.concatenate(accepted) if len(accepted) > 1 else accepted[0]
-
-    def _sample_plain(self, n: int, pairs: "_Proposals | _AcceptedPairs",
-                      target_edges: int, generator: np.random.Generator
-                      ) -> np.ndarray:
-        """Classical FCL: spend exactly ``target_edges`` proposals, discard
-        collisions.
-
-        The proposals' rows (all of them, or the ``Binomial(m, ρ)`` accepted
-        ones) come from :meth:`_pair_source`.  Returns the unique canonical
-        edge keys.  Under a memory budget the rows are drawn in byte-bounded
-        shards; a single full-size shard (the unbudgeted case) consumes the
-        RNG exactly as the one-pass implementation did, and shards of
-        i.i.d. rows preserve the sampling distribution.
-        """
-        shard_cap = self._memory_budget.shard_rows(
-            _SAMPLE_ROW_BYTES, minimum=2048, cap=target_edges
-        )
-        rows = pairs.rows(target_edges, generator)
-        chunks = []
-        while rows:
-            shard = min(shard_cap, rows)
-            rows -= shard
-            us, vs = pairs.draw(shard, generator)
-            lo = np.minimum(us, vs)
-            hi = np.maximum(us, vs)
-            valid = lo != hi
-            chunks.append(lo[valid] * n + hi[valid])
-        if not chunks:
-            # int64: canonical edge-key array (u * n + v packing width).
-            return np.empty(0, dtype=np.int64)
-        raw = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        return self._dedupe_sorted(raw)
 
 
 class _Proposals:

@@ -18,6 +18,9 @@ from repro.models.base import EdgeAcceptance, StructuralModel
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_fraction, check_positive_int
 
+#: :class:`UniformEdgeModel` makes at most this many draws per target edge.
+_MAX_ATTEMPT_FACTOR = 50
+
 
 def _uniform_pi(num_nodes: Optional[int]) -> np.ndarray:
     """The uniform π over ``num_nodes`` nodes (required: these models have
@@ -29,11 +32,8 @@ def _uniform_pi(num_nodes: Optional[int]) -> np.ndarray:
 class UniformEdgeModel(StructuralModel):
     """G(n, m): exactly ``num_edges`` edges placed uniformly at random."""
 
-    def __init__(self, num_edges: int, max_attempt_factor: int = 50) -> None:
+    def __init__(self, num_edges: int) -> None:
         self._num_edges = check_positive_int(num_edges, "num_edges", minimum=0)
-        self._max_attempt_factor = check_positive_int(
-            max_attempt_factor, "max_attempt_factor"
-        )
 
     @property
     def target_num_edges(self) -> int:
@@ -56,7 +56,7 @@ class UniformEdgeModel(StructuralModel):
         max_possible = n * (n - 1) // 2
         target = min(self._num_edges, max_possible)
         attempts = 0
-        max_attempts = self._max_attempt_factor * max(target, 1)
+        max_attempts = _MAX_ATTEMPT_FACTOR * max(target, 1)
         while graph.num_edges < target and attempts < max_attempts:
             attempts += 1
             u = int(generator.integers(n))

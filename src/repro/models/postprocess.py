@@ -32,7 +32,7 @@ When the requested edge budget cannot possibly yield one component
 (``sum(desired) // 2 < n - 1``) the repair warns once up front, and stops
 early once full passes over the orphan worklist stop shrinking it —
 instead of silently churning (removing and re-adding edges, burning RNG
-draws) until ``max_rounds``.
+draws) until its bound of ``4 n`` orphan-processing rounds.
 """
 
 from __future__ import annotations
@@ -90,9 +90,11 @@ def _warn_infeasible(target_edges: int, num_nodes: int) -> None:
 
 def post_process_graph(graph: AttributedGraph, desired_degrees: np.ndarray,
                        pi: np.ndarray, rng: RngLike = None,
-                       acceptance: Optional[EdgeAcceptance] = None,
-                       max_rounds: Optional[int] = None) -> AttributedGraph:
+                       acceptance: Optional[EdgeAcceptance] = None
+                       ) -> AttributedGraph:
     """Reconnect orphaned nodes to the main component (Algorithm 2).
+
+    At most ``4 n`` orphans are processed, a safety bound on the repair.
 
     Parameters
     ----------
@@ -109,9 +111,6 @@ def post_process_graph(graph: AttributedGraph, desired_degrees: np.ndarray,
         Optional attribute-dependent acceptance probabilities; accepted
         partners are still filtered through them so the repair step does not
         wash out the attribute correlations.
-    max_rounds:
-        Safety bound on the number of orphan-processing iterations; defaults
-        to ``4 * n``.
 
     Returns
     -------
@@ -130,13 +129,7 @@ def post_process_graph(graph: AttributedGraph, desired_degrees: np.ndarray,
         raise ValueError(f"pi must have length {graph.num_nodes}, got {pi.size}")
 
     result = graph.copy()
-    target_edges = int(desired.sum() // 2)
-    if max_rounds is None:
-        max_rounds = 4 * max(1, graph.num_nodes)
-
-    _RepairEngine(
-        result, desired, pi, generator, acceptance, target_edges, max_rounds,
-    ).run()
+    _RepairEngine(result, desired, pi, generator, acceptance).run()
     return result
 
 
@@ -167,15 +160,14 @@ class _RepairEngine:
 
     def __init__(self, graph: AttributedGraph, desired: np.ndarray,
                  pi: np.ndarray, generator: np.random.Generator,
-                 acceptance: Optional[EdgeAcceptance], target_edges: int,
-                 max_rounds: int) -> None:
+                 acceptance: Optional[EdgeAcceptance]) -> None:
         self._graph = graph
         self._n = graph.num_nodes
         self._desired = desired
         self._generator = generator
         self._acceptance = acceptance
-        self._target_edges = target_edges
-        self._max_rounds = max_rounds
+        self._target_edges = int(desired.sum() // 2)
+        self._max_rounds = 4 * max(1, self._n)
         self._stream: Optional[PresampledStream] = (
             PresampledStream(WeightedSampler(pi), generator, block_size=2048)
             if pi.sum() > 0 else None

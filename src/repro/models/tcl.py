@@ -7,7 +7,8 @@ new edge connects a node to a random two-hop neighbour (creating a
 triangle), otherwise both endpoints are drawn from the π distribution.  After
 every insertion, the oldest seed edge is retired so the expected degree
 sequence is preserved; refinement stops when every seed edge has been
-replaced.
+replaced.  The orphan extension is always on, as in TriCycLe: degree-one
+nodes get zero weight in π and the Algorithm 2 repair wires up the output.
 
 ρ is learned from the input graph by expectation-maximisation over the
 latent "was this edge formed transitively?" indicator — the very step whose
@@ -101,19 +102,15 @@ class TclModel(StructuralModel):
     rho:
         Transitive closure probability in ``(0, 1)``; learn it from an input
         graph with :func:`estimate_transitive_closure_probability`.
-    handle_orphans:
-        Apply the same orphan-repair extension as TriCycLe.
     """
 
-    def __init__(self, degrees: np.ndarray, rho: float,
-                 handle_orphans: bool = True) -> None:
+    def __init__(self, degrees: np.ndarray, rho: float) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
         if self._degrees.ndim != 1:
             raise ValueError("degrees must be one-dimensional")
         if np.any(self._degrees < 0):
             raise ValueError("degrees must be non-negative")
         self._rho = check_fraction(rho, "rho", inclusive=False)
-        self._handle_orphans = bool(handle_orphans)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -131,10 +128,9 @@ class TclModel(StructuralModel):
         return int(self._degrees.sum() // 2)
 
     def pi_distribution(self, num_nodes: Optional[int] = None) -> np.ndarray:
-        """The Chung-Lu seed's π (degree-one nodes zeroed under
-        ``handle_orphans``), which the transitive walk also starts from."""
-        return degree_pi_distribution(self._degrees, self._handle_orphans,
-                                      num_nodes)
+        """The Chung-Lu seed's π (degree-one nodes zeroed), which the
+        transitive walk also starts from."""
+        return degree_pi_distribution(self._degrees, True, num_nodes)
 
     def generate(self, num_nodes: Optional[int] = None, rng: RngLike = None,
                  acceptance: Optional[EdgeAcceptance] = None) -> AttributedGraph:
@@ -147,11 +143,7 @@ class TclModel(StructuralModel):
             )
         generator = ensure_rng(rng)
 
-        seed_model = ChungLuModel(
-            self._degrees,
-            bias_correction=True,
-            exclude_degree_one=self._handle_orphans,
-        )
+        seed_model = ChungLuModel(self._degrees, exclude_degree_one=True)
         graph = seed_model.generate(rng=generator, acceptance=acceptance)
         pi = self.pi_distribution()
 
@@ -190,11 +182,9 @@ class TclModel(StructuralModel):
             adjacency.add(vi, vj)
             replacements_remaining -= 1
 
-        if self._handle_orphans:
-            graph = post_process_graph(
-                graph, self._degrees, pi, rng=generator, acceptance=acceptance,
-            )
-        return graph
+        return post_process_graph(
+            graph, self._degrees, pi, rng=generator, acceptance=acceptance,
+        )
 
     # ------------------------------------------------------------------
     # Internal helpers

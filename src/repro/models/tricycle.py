@@ -19,9 +19,10 @@ back of the queue.  Node ids carry no age: private degree sequences are
 sorted, and retiring seed edges by id would strip the lowest-degree nodes
 bare for the final orphan repair.
 
-The orphan extension of Section 3.3 is supported: degree-one nodes can be
-excluded from the π distribution and wired up afterwards by
-:func:`repro.models.postprocess.post_process_graph`.
+The orphan extension of Section 3.3 is always on: degree-one nodes get
+zero weight in π, the seed has ``m - |N_1|`` edges, and
+:func:`repro.models.postprocess.post_process_graph` (Algorithm 2) repairs
+the seed graph and the rewired output.
 
 The starting count τ₀ is one totals-only ``triangle_count`` scan of the
 seed graph, which is fresh and so has no statistics memo.  The rewiring
@@ -101,10 +102,6 @@ class TriCycLeModel(StructuralModel):
         Desired degree sequence (one entry per node).
     num_triangles:
         Target number of triangles ``n_∆``.
-    handle_orphans:
-        Enable the orphan extension: exclude degree-one nodes from the π
-        distribution, generate ``m - |N_1|`` seed edges, and repair
-        disconnected nodes with the Algorithm 2 post-processing step.
     memory_budget_mb:
         Optional byte budget for generation (defaults to the
         ``REPRO_MEMORY_BUDGET_MB`` environment variable when unset).  The
@@ -116,7 +113,6 @@ class TriCycLeModel(StructuralModel):
     """
 
     def __init__(self, degrees: np.ndarray, num_triangles: int,
-                 handle_orphans: bool = True,
                  memory_budget_mb: Optional[int] = None) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
         if self._degrees.ndim != 1:
@@ -126,7 +122,6 @@ class TriCycLeModel(StructuralModel):
         if num_triangles < 0:
             raise ValueError(f"num_triangles must be non-negative, got {num_triangles}")
         self._num_triangles = int(num_triangles)
-        self._handle_orphans = bool(handle_orphans)
         self._memory_budget_mb = (
             None if memory_budget_mb is None else int(memory_budget_mb)
         )
@@ -148,10 +143,9 @@ class TriCycLeModel(StructuralModel):
         return int(self._degrees.sum() // 2)
 
     def pi_distribution(self, num_nodes: Optional[int] = None) -> np.ndarray:
-        """The Chung-Lu seed's π (degree-one nodes zeroed under
-        ``handle_orphans``), which rewiring and repair also draw from."""
-        return degree_pi_distribution(self._degrees, self._handle_orphans,
-                                      num_nodes)
+        """The Chung-Lu seed's π (degree-one nodes zeroed), which rewiring
+        and repair also draw from."""
+        return degree_pi_distribution(self._degrees, True, num_nodes)
 
     def generate(self, num_nodes: Optional[int] = None, rng: RngLike = None,
                  acceptance: Optional[EdgeAcceptance] = None) -> AttributedGraph:
@@ -179,19 +173,17 @@ class TriCycLeModel(StructuralModel):
 
         seed_model = ChungLuModel(
             self._degrees,
-            bias_correction=True,
-            exclude_degree_one=self._handle_orphans,
+            exclude_degree_one=True,
             memory_budget_mb=self._memory_budget_mb,
         )
         graph = seed_model.generate(rng=generator, acceptance=acceptance)
         pi = self.pi_distribution()
-        if self._handle_orphans:
-            # The paper applies the orphan repair to the Chung-Lu seed graph
-            # as well as to the final output (Section 3.3), so the rewiring
-            # phase can compensate for any triangles the repair destroys.
-            graph = post_process_graph(
-                graph, self._degrees, pi, rng=generator, acceptance=acceptance,
-            )
+        # The paper applies the orphan repair to the Chung-Lu seed graph as
+        # well as to the final output (Section 3.3), so the rewiring phase
+        # can compensate for any triangles the repair destroys.
+        graph = post_process_graph(
+            graph, self._degrees, pi, rng=generator, acceptance=acceptance,
+        )
 
         # Admit the rewiring phase's dominant resident structures before
         # building any of them: the edge-age queue, the set mirrors of the
@@ -214,10 +206,9 @@ class TriCycLeModel(StructuralModel):
                            target, max_iterations, sampler, generator,
                            acceptance)
 
-        if self._handle_orphans:
-            graph = post_process_graph(
-                graph, self._degrees, pi, rng=generator, acceptance=acceptance,
-            )
+        graph = post_process_graph(
+            graph, self._degrees, pi, rng=generator, acceptance=acceptance,
+        )
         if acceptance is not None and graph.num_attributes == 0:
             # Ensure the attribute dimension matches what AGM expects.
             graph = AttributedGraph.from_graph_structure(

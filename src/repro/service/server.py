@@ -85,6 +85,7 @@ from repro.service.admission import AdmissionQueue, Deadline, TenantRateLimiter
 from repro.service.errors import ServiceError
 from repro.testing.faults import fire
 from repro.utils.memory import MemoryBudgetError
+from repro.utils.validation import positive_from_env
 
 logger = logging.getLogger("repro.service")
 
@@ -109,29 +110,6 @@ REQUEST_TIMEOUT_ENV_VAR = "REPRO_REQUEST_TIMEOUT"
 #: Extra wall-clock grace beyond the deadline before the handler gives up
 #: waiting on the worker future (covers checkpoint granularity).
 DEADLINE_GRACE = 1.0
-
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        logger.warning("ignoring non-numeric %s=%r", name, raw)
-        return None
-    return value if value > 0 else None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        logger.warning("ignoring non-numeric %s=%r", name, raw)
-        return default
 
 
 def negotiate_codec(accept: Optional[str]) -> str:
@@ -224,7 +202,8 @@ class ReleaseServer:
         ``REPRO_REQUEST_TIMEOUT``; unset there too means no deadline).
     max_body_bytes:
         Request-body size cap (``None``: ``REPRO_MAX_BODY_BYTES`` or
-        32 MiB).
+        32 MiB).  Either variable set to anything but a positive number
+        (an integer for the cap) raises :class:`ValueError`.
     queue_depth:
         Bound on admitted-but-unfinished jobs (default ``workers * 4``);
         beyond it new work is rejected 429 ``overloaded``.
@@ -270,6 +249,14 @@ class ReleaseServer:
                  artifact_dir: Optional[Union[str, os.PathLike]] = None,
                  shared_ledgers: bool = False,
                  reuse_port: bool = False) -> None:
+        # Environment values are read first, so a bad one raises before
+        # any store, pool or socket exists.
+        if request_timeout is None:
+            request_timeout = positive_from_env(REQUEST_TIMEOUT_ENV_VAR, None,
+                                                float)
+        if max_body_bytes is None:
+            max_body_bytes = positive_from_env(MAX_BODY_ENV_VAR,
+                                               DEFAULT_MAX_BODY_BYTES)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_sample_count < 1:
@@ -294,14 +281,8 @@ class ReleaseServer:
         self.session = session
         self._max_sample_count = int(max_sample_count)
         self._workers = int(workers)
-        self._request_timeout = (
-            request_timeout if request_timeout is not None
-            else _env_float(REQUEST_TIMEOUT_ENV_VAR)
-        )
-        self._max_body_bytes = (
-            int(max_body_bytes) if max_body_bytes is not None
-            else _env_int(MAX_BODY_ENV_VAR, DEFAULT_MAX_BODY_BYTES)
-        )
+        self._request_timeout = request_timeout
+        self._max_body_bytes = int(max_body_bytes)
         self._queue = AdmissionQueue(
             queue_depth if queue_depth is not None else self._workers * 4
         )
@@ -322,6 +303,9 @@ class ReleaseServer:
         self._httpd = server_cls((host, int(port)), _make_handler(self))
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
+        # Whether a serve loop was started: socketserver's shutdown() waits
+        # for the loop to exit, so without one it would wait forever.
+        self._served = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -352,6 +336,7 @@ class ReleaseServer:
         """Serve in a background thread; returns ``self`` for chaining."""
         if self._thread is not None:
             raise RuntimeError("server is already running")
+        self._served = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-service-acceptor",
             daemon=True,
@@ -361,6 +346,7 @@ class ReleaseServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted."""
+        self._served = True
         self._httpd.serve_forever()
 
     def drain(self, timeout: float = 30.0) -> None:
@@ -392,7 +378,8 @@ class ReleaseServer:
         if self._closed:
             return
         self._closed = True
-        self._httpd.shutdown()
+        if self._served:
+            self._httpd.shutdown()
         self._httpd.server_close()
         self._executor.shutdown(wait=False)
         if self._ledger_store is not None:

@@ -96,11 +96,8 @@ def release_inputs(scale: float, backend: str
 def contract(synthesizer_type: Type[AgmSynthesizer],
              artifact: ModelArtifact) -> AgmSynthesizer:
     """A synthesizer of ``synthesizer_type`` with the artifact's knobs."""
-    return synthesizer_type(
-        artifact.parameters,
-        num_iterations=artifact.num_iterations,
-        handle_orphans=artifact.handle_orphans,
-    )
+    return synthesizer_type(artifact.parameters,
+                            num_iterations=artifact.num_iterations)
 
 
 def ensemble_metrics(synthesizer: AgmSynthesizer, original: AttributedGraph,

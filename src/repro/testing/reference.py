@@ -272,8 +272,7 @@ def _pop_oldest_existing_edge(graph: AttributedGraph,
 def post_process_graph_scalar(graph: AttributedGraph,
                               desired_degrees: np.ndarray, pi: np.ndarray,
                               rng: RngLike = None,
-                              acceptance: Optional[EdgeAcceptance] = None,
-                              max_rounds: Optional[int] = None
+                              acceptance: Optional[EdgeAcceptance] = None
                               ) -> AttributedGraph:
     """Algorithm 2 through the scalar loop.
 
@@ -283,11 +282,9 @@ def post_process_graph_scalar(graph: AttributedGraph,
     generator = ensure_rng(rng)
     desired = np.asarray(desired_degrees, dtype=np.int64)
     result = graph.copy()
-    if max_rounds is None:
-        max_rounds = 4 * max(1, graph.num_nodes)
     _post_process_scalar(
         result, desired, np.asarray(pi, dtype=float), generator, acceptance,
-        int(desired.sum() // 2), max_rounds,
+        int(desired.sum() // 2), 4 * max(1, graph.num_nodes),
     )
     return result
 

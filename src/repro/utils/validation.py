@@ -8,7 +8,9 @@ they can be used inline.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+import os
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +30,28 @@ def check_positive_int(value: int, name: str, minimum: int = 1) -> int:
     value = int(value)
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def positive_from_env(name: str, default: Optional[float],
+                      kind: type = int) -> Optional[float]:
+    """The positive ``kind`` (``int`` or ``float``) environment variable
+    ``name`` holds, or ``default`` when it is unset or empty.
+
+    Any other value (not a number of that kind, zero, negative, or not
+    finite) raises ``ValueError`` naming the variable, so a typo fails
+    where it is read instead of falling back silently.
+    """
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = kind(raw)
+    except ValueError:
+        value = None
+    if value is None or not 0 < value < math.inf:
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{name}={raw!r} is not a positive {noun}")
     return value
 
 

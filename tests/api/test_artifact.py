@@ -12,6 +12,7 @@ from repro.api import (
     ReleaseSpec,
 )
 from repro.api.artifact import READABLE_FORMAT_VERSIONS
+from repro.api.spec import RETIRED_FIELDS
 
 
 @pytest.fixture(scope="module", params=["tricycle", "fcl"])
@@ -46,6 +47,7 @@ class TestRoundTrip:
         one = artifact.sample(count=1, seed=5)
         two = artifact.sample(count=2, seed=5)
         assert one[0] == two[0]
+        assert two[0] != two[1]  # independent streams
 
     def test_iter_samples_checkpoints_before_each_graph(self, fitted):
         _spec, artifact = fitted
@@ -104,29 +106,33 @@ class TestFormatChecks:
         assert loaded.sample(count=1, seed=9) == artifact.sample(count=1,
                                                                   seed=9)
 
-    def test_exact_rewiring_field_loads_and_samples_the_same(
-            self, fitted, tmp_path):
+    @pytest.mark.parametrize("name, value", RETIRED_FIELDS.items())
+    def test_retired_field_loads_and_samples_the_same(
+            self, fitted, tmp_path, name, value):
         _spec, artifact = fitted
         payload = artifact.to_dict()
         assert payload["format_version"] == 3
-        assert "rewire_equivalence" not in payload
-        assert "rewire_equivalence" not in artifact.describe()
+        assert name not in payload
+        assert name not in artifact.describe()
         plain = tmp_path / "plain.json"
         plain.write_text(json.dumps(payload))
-        tagged = tmp_path / "exact.json"
-        tagged.write_text(json.dumps({**payload,
-                                      "rewire_equivalence": "exact"}))
+        tagged = tmp_path / "tagged.json"
+        tagged.write_text(json.dumps({**payload, name: value}))
         assert ModelArtifact.load(tagged).sample(count=2, seed=9) \
             == ModelArtifact.load(plain).sample(count=2, seed=9)
 
-    def test_distributional_rewiring_field_is_rejected(self, fitted,
-                                                       tmp_path):
+    @pytest.mark.parametrize("name, value", [
+        ("rewire_equivalence", "distributional"),
+        ("handle_orphans", False), ("handle_orphans", 0),
+        ("handle_orphans", "false"), ("handle_orphans", "true"),
+    ])
+    def test_other_retired_values_are_rejected(self, fitted, tmp_path,
+                                               name, value):
         _spec, artifact = fitted
-        path = tmp_path / "distributional.json"
-        path.write_text(json.dumps({**artifact.to_dict(),
-                                    "rewire_equivalence": "distributional"}))
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps({**artifact.to_dict(), name: value}))
         with pytest.raises(ArtifactFormatError,
-                           match="rewire_equivalence 'distributional'"):
+                           match=f"{name} {value!r}"):
             ModelArtifact.load(path)
 
     def test_unknown_backend_is_a_format_error(self, fitted, tmp_path):

@@ -184,27 +184,9 @@ class TestEvaluate:
                                            graph=graph)
         assert result["manifest"]["graph"]["num_nodes"] == graph.num_nodes
 
-    def test_evaluate_and_sample_build_models_with_the_specs_orphan_flag(
-            self, monkeypatch):
-        from repro.models.tricycle import TriCycLeModel
-
-        spec = ReleaseSpec(dataset="lastfm", scale=0.05, epsilon=1.0,
-                           backend="tricycle", num_iterations=1, trials=1,
-                           workers=1, handle_orphans=False)
-        # Loaded first: the dataset generators build their own models.
-        graph = spec.load_graph()
-        built = []
-        init = TriCycLeModel.__init__
-
-        def spy(model, *args, **kwargs):
-            init(model, *args, **kwargs)
-            built.append(model._handle_orphans)
-
-        monkeypatch.setattr(TriCycLeModel, "__init__", spy)
-        session = ReleaseSession()
-        result = session.evaluate(spec, graph=graph)
-        assert result["spec"]["handle_orphans"] is False
-        assert built and not any(built)
-        built.clear()
-        session.sample(session.fit(spec, graph=graph), count=1, seed=0)
-        assert built and not any(built)
+    def test_unset_trials_are_read_from_the_environment(self, spec,
+                                                        monkeypatch):
+        monkeypatch.setenv("REPRO_TRIALS", "1")
+        result = ReleaseSession().evaluate(spec.with_overrides(workers=1))
+        assert result["trials"] == 1
+        assert "trials" not in result["spec"]

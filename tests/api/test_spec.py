@@ -239,30 +239,40 @@ class TestOverridesAndHash:
         assert graph.num_nodes > 20
 
 
-class TestRemovedRewireEquivalence:
-    """Specs written while rewiring had a distributional engine."""
+#: Each retired field with the one value this build runs, and values an
+#: older build could have written that it refuses.
+RETIRED = [("rewire_equivalence", "exact", ["distributional"]),
+           ("handle_orphans", True, [False, 0, 1, "false", "true"])]
 
-    def test_exact_loads_and_is_dropped(self):
-        canonical = {"spec_version": 1, "dataset": "lastfm",
-                     "rewire_equivalence": "exact"}
+
+class TestRetiredFields:
+    """Specs written while rewiring had a distributional engine, or while
+    TriCycLe's orphan extension could be switched off."""
+
+    @pytest.mark.parametrize("name, value",
+                             [(name, value) for name, value, _ in RETIRED])
+    def test_retired_value_loads_and_is_dropped(self, name, value):
+        canonical = {"spec_version": 1, "dataset": "lastfm", name: value}
         assert ReleaseSpec.from_dict(canonical) == ReleaseSpec(dataset="lastfm")
         with pytest.warns(DeprecationWarning):
-            legacy = ReleaseSpec.from_dict({"dataset": "lastfm",
-                                            "rewire_equivalence": "exact"})
+            legacy = ReleaseSpec.from_dict({"dataset": "lastfm", name: value})
         assert legacy == ReleaseSpec(dataset="lastfm")
-        assert "rewire_equivalence" not in legacy.to_dict()
+        assert name not in legacy.to_dict()
 
-    @pytest.mark.parametrize("document", [
-        {"spec_version": 1, "dataset": "lastfm",
-         "rewire_equivalence": "distributional"},
-        # The legacy reader drops unknown keys: the field is read first.
-        {"dataset": "lastfm", "rewire_equivalence": "distributional"},
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name, _, refused in RETIRED for value in refused
     ])
-    def test_distributional_fails_naming_the_field(self, document):
+    def test_other_values_fail_naming_the_field(self, name, value,
+                                                 canonical):
+        # The legacy reader drops unknown keys: the field is read first.
+        document = {"dataset": "lastfm", name: value}
+        if canonical:
+            document["spec_version"] = 1
         with pytest.raises(SpecValidationError,
-                           match="^rewire_equivalence: .*removed") as excinfo:
+                           match=f"^{name}: .*removed") as excinfo:
             ReleaseSpec.from_dict(document)
-        assert excinfo.value.field == "rewire_equivalence"
+        assert excinfo.value.field == name
 
     @pytest.mark.parametrize("spec, spec_hash", [
         (ReleaseSpec(dataset="lastfm"), "2e96fb3ddd03d067"),

@@ -92,12 +92,6 @@ class TestAgmSynthesizer:
         sample = AgmSynthesizer(params, num_iterations=1).sample(rng=5)
         assert sample.num_nodes == small_social_graph.num_nodes
 
-    def test_sample_many_yields_independent_graphs(self, small_social_graph):
-        params = learn_agm(small_social_graph)
-        samples = list(AgmSynthesizer(params, num_iterations=1).sample_many(2, rng=6))
-        assert len(samples) == 2
-        assert samples[0] != samples[1]
-
     def test_reproducible_with_seed(self, small_social_graph):
         params = learn_agm(small_social_graph)
         synthesizer = AgmSynthesizer(params, num_iterations=1)

@@ -99,13 +99,6 @@ class TestAgmDpFacade:
         assert sample.num_nodes == small_social_graph.num_nodes
         assert sample.num_attributes == small_social_graph.num_attributes
 
-    def test_sample_many(self, small_social_graph):
-        generator = np.random.default_rng(0)
-        params, _ = learn_agm_dp(small_social_graph, epsilon=1.0, rng=generator)
-        synthesizer = AgmSynthesizer(params, num_iterations=1)
-        samples = list(synthesizer.sample_many(2, rng=generator))
-        assert len(samples) == 2
-
     def test_fcl_facade_end_to_end(self, small_social_graph):
         generator = np.random.default_rng(1)
         params, _ = learn_agm_dp(small_social_graph, epsilon=2.0,

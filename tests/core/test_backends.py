@@ -1,10 +1,11 @@
 """Tests for the closed table of structural backends."""
 
+import numpy as np
 import pytest
 
 from repro.core import backends
 from repro.core.agm import AgmParameters
-from repro.models.chung_lu import ChungLuModel
+from repro.models.chung_lu import ChungLuModel, build_pi_distribution
 from repro.models.tricycle import TriCycLeModel
 from repro.params.attribute_distribution import learn_attributes
 from repro.params.correlations import learn_correlations
@@ -43,20 +44,20 @@ class TestBackendTable:
         graph = model.generate(rng=0)
         assert graph.num_nodes == small_social_graph.num_nodes
 
-    @pytest.mark.parametrize("handle_orphans", [True, False])
-    def test_the_models_they_build(self, small_social_graph, handle_orphans):
-        tricycle = backends.build_model(
-            "tricycle", backends.fit("tricycle", small_social_graph),
-            handle_orphans=handle_orphans,
-        )
+    def test_the_models_they_build(self, small_social_graph):
+        params = backends.fit("tricycle", small_social_graph)
+        assert np.count_nonzero(params.degrees == 1)
+        tricycle = backends.build_model("tricycle", params)
         assert isinstance(tricycle, TriCycLeModel)
-        assert tricycle._handle_orphans is handle_orphans
-        fcl = backends.build_model(
-            "fcl", backends.fit("fcl", small_social_graph),
-            handle_orphans=handle_orphans,
-        )
+        # The orphan extension: degree-one nodes get no π mass.
+        assert np.array_equal(
+            tricycle.pi_distribution(),
+            build_pi_distribution(params.degrees, exclude_degree_one=True))
+        params = backends.fit("fcl", small_social_graph)
+        fcl = backends.build_model("fcl", params)
         assert isinstance(fcl, ChungLuModel)
-        assert fcl._bias_correction
+        assert np.array_equal(fcl.pi_distribution(),
+                              build_pi_distribution(params.degrees))
 
     def test_parameter_type_mismatch(self, small_social_graph):
         fcl_params = backends.fit("fcl", small_social_graph)

@@ -88,14 +88,13 @@ def test_all_mass_on_one_node_gives_the_uniform_vector(degrees,
 class TestPiDistribution:
     DEGREES = np.array([1, 2, 1, 3, 0, 5])
 
-    @pytest.mark.parametrize("handle_orphans", [True, False])
-    def test_rewiring_models_return_their_seeds_pi(self, handle_orphans):
+    def test_rewiring_models_return_their_seeds_pi(self):
         seed_pi = ChungLuModel(
-            self.DEGREES, exclude_degree_one=handle_orphans
+            self.DEGREES, exclude_degree_one=True
         ).pi_distribution()
         for model in (
-            TriCycLeModel(self.DEGREES, 2, handle_orphans=handle_orphans),
-            TclModel(self.DEGREES, 0.5, handle_orphans=handle_orphans),
+            TriCycLeModel(self.DEGREES, 2),
+            TclModel(self.DEGREES, 0.5),
         ):
             assert np.array_equal(model.pi_distribution(), seed_pi)
             assert np.array_equal(model.pi_distribution(6), seed_pi)

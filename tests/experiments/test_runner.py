@@ -4,6 +4,7 @@ import pytest
 
 import repro.core.pipeline as pipeline_module
 import repro.experiments.runner as runner_module
+from repro.api import ReleaseSession
 from repro.core.agm import learn_agm
 from repro.core.agm_dp import learn_agm_dp
 from repro.core.pipeline import SynthesisPipeline
@@ -16,6 +17,7 @@ from repro.experiments.runner import (
     run_trials_detailed,
 )
 from repro.metrics.evaluation import EvaluationReport
+from repro.service import ReleaseServer
 
 
 class TestDefaultTrials:
@@ -36,8 +38,14 @@ class TestDefaultTrials:
             default_trials(0)
 
 
+def _server():
+    with ReleaseServer(port=0, workers=1):
+        pass
+
+
 class TestCountEnvironment:
-    """``REPRO_TRIALS`` and ``REPRO_WORKERS`` fail loudly, naming themselves."""
+    """``REPRO_TRIALS``, ``REPRO_WORKERS`` and the service's limits fail
+    loudly, naming themselves."""
 
     @pytest.mark.parametrize("resolve, env_var", [
         (default_trials, TRIALS_ENV_VAR),
@@ -49,6 +57,21 @@ class TestCountEnvironment:
         monkeypatch.setenv(env_var, raw)
         with pytest.raises(ValueError, match=f"{env_var}='{raw}'"):
             resolve()
+
+    @pytest.mark.parametrize("build, env_var, raw", [
+        *[(_server, "REPRO_MAX_BODY_BYTES", raw)
+          for raw in ("lots", "2.5", "0", "-5")],
+        *[(_server, "REPRO_REQUEST_TIMEOUT", raw)
+          for raw in ("soon", "0", "-1", "nan", "inf")],
+        *[(ReleaseSession, "REPRO_ARTIFACT_CACHE_SIZE", raw)
+          for raw in ("lots", "2.5", "0", "-3")],
+    ])
+    def test_bad_service_values_name_the_variable(self, monkeypatch, build,
+                                                  env_var, raw):
+        # Raised when the server or session is built, not at first use.
+        monkeypatch.setenv(env_var, raw)
+        with pytest.raises(ValueError, match=f"{env_var}='{raw}'"):
+            build()
 
     @pytest.mark.parametrize("resolve, env_var", [
         (default_trials, TRIALS_ENV_VAR),

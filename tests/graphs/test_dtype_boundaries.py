@@ -292,8 +292,7 @@ class TestEdgeAgeQueueAtBoundary:
             edge_age = tricycle._edge_age_queue(graph, generator)
             self._assert_live_edges(graph, edge_age)
             tau = stats.triangle_count(graph)
-            model = model_class(graph.degrees(), tau + 20,
-                                handle_orphans=False)
+            model = model_class(graph.degrees(), tau + 20)
             model._rewire_exact(
                 graph, _SortedAdjacency(graph), edge_age, tau, tau + 20,
                 30 * graph.num_edges,

@@ -63,12 +63,6 @@ class TestChungLuModel:
         assert generated.mean() == pytest.approx(degrees.mean(), rel=0.05)
         assert generated.max() >= 0.5 * degrees.max()
 
-    def test_plain_fcl_generates_fewer_or_equal_edges(self, small_social_graph):
-        degrees = degree_sequence(small_social_graph, sort=True)
-        corrected = ChungLuModel(degrees, bias_correction=True).generate(rng=3)
-        plain = ChungLuModel(degrees, bias_correction=False).generate(rng=3)
-        assert plain.num_edges <= corrected.num_edges
-
     def test_num_nodes_mismatch_rejected(self):
         model = ChungLuModel(np.array([1, 1]))
         with pytest.raises(ValueError):

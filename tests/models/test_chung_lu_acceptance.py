@@ -24,6 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.models.chung_lu as chung_lu
 from repro.attributes.encoding import EdgeConfigurationEncoder
 from repro.models.base import EdgeAcceptance
 from repro.models.chung_lu import (
@@ -143,13 +144,10 @@ def _discrepancies(candidate, oracle) -> List[str]:
 _ORACLE_ENSEMBLES = {}
 
 
-def _oracle_ensemble(w: int, exclude: bool, bias_correction: bool):
-    key = (w, exclude, bias_correction)
+def _oracle_ensemble(w: int, exclude: bool):
+    key = (w, exclude)
     if key not in _ORACLE_ENSEMBLES:
-        oracle = RejectionChungLuModel(
-            DEGREES, bias_correction=bias_correction,
-            exclude_degree_one=exclude,
-        )
+        oracle = RejectionChungLuModel(DEGREES, exclude_degree_one=exclude)
         _ORACLE_ENSEMBLES[key] = _ensemble(oracle, _acceptance(w),
                                            ORACLE_SEEDS)
     return _ORACLE_ENSEMBLES[key]
@@ -161,25 +159,14 @@ class TestDistributionAgainstOracle:
     def test_corrected_matches_rejection(self, w, exclude):
         model = ChungLuModel(DEGREES, exclude_degree_one=exclude)
         candidate = _ensemble(model, _acceptance(w), CANDIDATE_SEEDS)
-        assert _discrepancies(
-            candidate, _oracle_ensemble(w, exclude, True)
-        ) == []
-
-    @pytest.mark.parametrize("exclude", [False, True])
-    def test_plain_matches_rejection(self, exclude):
-        model = ChungLuModel(DEGREES, bias_correction=False,
-                             exclude_degree_one=exclude)
-        candidate = _ensemble(model, _acceptance(2), CANDIDATE_SEEDS)
-        assert _discrepancies(
-            candidate, _oracle_ensemble(2, exclude, False)
-        ) == []
+        assert _discrepancies(candidate, _oracle_ensemble(w, exclude)) == []
 
     def test_positive_control_ignoring_acceptance_fails(self):
         """The comparison has power: a sampler that ignores ``A`` fails."""
         model = ChungLuModel(DEGREES)
         candidate = _ensemble(model, _acceptance(2), CANDIDATE_SEEDS,
                               apply_acceptance=False)
-        assert _discrepancies(candidate, _oracle_ensemble(2, False, True))
+        assert _discrepancies(candidate, _oracle_ensemble(2, False))
 
 
 # ----------------------------------------------------------------------
@@ -271,27 +258,23 @@ class TestEdgeCases:
         return EdgeAcceptance(np.asarray(probabilities, dtype=float),
                               np.asarray(codes, dtype=np.int64), w)
 
-    @pytest.mark.parametrize("bias_correction", [True, False])
     def test_zero_acceptance_spends_every_attempt_and_adds_nothing(
-            self, bias_correction):
+            self, monkeypatch):
+        monkeypatch.setattr(chung_lu, "_MAX_ATTEMPT_FACTOR", 7)
         acceptance = self._acceptance([0.0, 0.0, 0.0], [0, 1] * 4)
-        model = _CountingModel(self.degrees, bias_correction=bias_correction,
-                               max_attempt_factor=7)
+        model = _CountingModel(self.degrees)
         graph = model.generate(rng=3, acceptance=acceptance)
-        oracle = RejectionChungLuModel(
-            self.degrees, bias_correction=bias_correction,
-            max_attempt_factor=7,
-        ).generate(rng=3, acceptance=acceptance)
+        oracle = RejectionChungLuModel(self.degrees).generate(
+            rng=3, acceptance=acceptance)
         assert graph.num_edges == oracle.num_edges == 0
-        spent = 7 * model.effective_target_edges() if bias_correction \
-            else model.effective_target_edges()
-        assert sum(model.proposals) == spent
+        assert sum(model.proposals) == 7 * model.effective_target_edges()
         assert model.draws == []
 
-    def test_vanishing_rate_spends_every_attempt(self):
+    def test_vanishing_rate_spends_every_attempt(self, monkeypatch):
         # ρ ~ 2e-307: the proposals a round would need overflow a float.
+        monkeypatch.setattr(chung_lu, "_MAX_ATTEMPT_FACTOR", 7)
         acceptance = self._acceptance([1e-306, 0.0, 0.0], [0, 1] * 4)
-        model = _CountingModel(self.degrees, max_attempt_factor=7)
+        model = _CountingModel(self.degrees)
         graph = model.generate(rng=3, acceptance=acceptance)
         assert graph.num_edges == 0
         assert model.proposals == [7 * model.effective_target_edges()]
@@ -305,11 +288,8 @@ class TestEdgeCases:
         assert (mass[:, None] * np.ones((2, 2)) * mass[None, :]).sum() > 1.0
         acceptance = self._acceptance([1.0, 1.0, 1.0], codes)
         assert _AcceptedPairs(degrees.astype(float), acceptance).rate == 1.0
-        for bias_correction in (True, False):
-            graph = ChungLuModel(
-                degrees, bias_correction=bias_correction,
-            ).generate(rng=0, acceptance=acceptance)
-            assert 0 < graph.num_edges <= degrees.sum() // 2
+        graph = ChungLuModel(degrees).generate(rng=0, acceptance=acceptance)
+        assert 0 < graph.num_edges <= degrees.sum() // 2
 
     def test_empty_and_massless_codes_never_supply_endpoints(self):
         # w = 2: code 3 has no nodes; code 2 holds the degree-one nodes
@@ -323,11 +303,13 @@ class TestEdgeCases:
             assert graph.num_edges == model.effective_target_edges()
             assert not np.isin(np.concatenate((us, vs)), [6, 7]).any()
 
-    def test_mass_only_on_self_loops_stops_at_max_attempts(self):
+    def test_mass_only_on_self_loops_stops_at_max_attempts(self,
+                                                          monkeypatch):
         # Only configuration {0, 0} is accepted and node 0 alone has code 0:
         # every accepted pair is the self-loop (0, 0).
+        monkeypatch.setattr(chung_lu, "_MAX_ATTEMPT_FACTOR", 200)
         acceptance = self._acceptance([1.0, 0.0, 0.0], [0] + [1] * 7)
-        model = _CountingModel(self.degrees, max_attempt_factor=200)
+        model = _CountingModel(self.degrees)
         graph = model.generate(rng=5, acceptance=acceptance)
         assert graph.num_edges == 0
         assert sum(model.proposals) == 200 * model.effective_target_edges()

@@ -63,14 +63,6 @@ class TestChungLuBudget:
         budgeted = ChungLuModel(degrees, memory_budget_mb=256).generate(rng=13)
         assert budgeted == plain
 
-    def test_unbinding_budget_plain_fcl_is_bit_identical(self):
-        degrees = _degree_sequence(500, 6)
-        plain = ChungLuModel(degrees, bias_correction=False).generate(rng=13)
-        budgeted = ChungLuModel(
-            degrees, bias_correction=False, memory_budget_mb=256
-        ).generate(rng=13)
-        assert budgeted == plain
-
     def test_binding_cap_still_hits_the_corrected_target(self):
         # ~32k target edges; a 2 MiB budget admits the output (~1.5 MiB)
         # but caps each sampling round below the one-shot oversampled
@@ -84,16 +76,12 @@ class TestChungLuBudget:
         us, vs = graph.edge_arrays()
         assert np.all(us < vs)  # simple, canonical
 
-    @pytest.mark.parametrize("bias_correction", [True, False])
-    def test_unbinding_budget_with_acceptance_is_bit_identical(
-            self, bias_correction):
+    def test_unbinding_budget_with_acceptance_is_bit_identical(self):
         degrees = _degree_sequence(500, 6)
         acceptance = _acceptance(degrees.size)
-        plain = ChungLuModel(degrees, bias_correction=bias_correction)\
+        plain = ChungLuModel(degrees).generate(rng=13, acceptance=acceptance)
+        budgeted = ChungLuModel(degrees, memory_budget_mb=256)\
             .generate(rng=13, acceptance=acceptance)
-        budgeted = ChungLuModel(
-            degrees, bias_correction=bias_correction, memory_budget_mb=256
-        ).generate(rng=13, acceptance=acceptance)
         assert budgeted == plain
 
     def test_binding_cap_with_acceptance_bounds_accepted_rows(self):
@@ -110,17 +98,6 @@ class TestChungLuBudget:
         assert model.draws[0] == cap  # this seed's first round overshoots
         us, vs = graph.edge_arrays()
         assert np.all(us < vs)
-
-    def test_binding_cap_plain_fcl_matches_unbudgeted_edge_budgets(self):
-        degrees = _degree_sequence(5000, 8, seed=3)
-        target = ChungLuModel(degrees,
-                              bias_correction=False).effective_target_edges()
-        graph = ChungLuModel(
-            degrees, bias_correction=False, memory_budget_mb=2
-        ).generate(rng=7)
-        # Plain FCL draws exactly ``target`` pairs and discards collisions;
-        # sharding cannot change the number of draws.
-        assert 0 < graph.num_edges <= target
 
     def test_impossible_budget_raises_over_memory_before_sampling(self):
         degrees = _degree_sequence(20000, 25, seed=1)  # ~250k target edges

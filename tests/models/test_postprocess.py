@@ -99,7 +99,7 @@ def _repair_workload(seed: int, num_nodes: int = 400):
         rng.integers(2, 9, size=num_nodes),
     ).astype(np.int64)
     seed_model = ChungLuModel(
-        desired, bias_correction=True, exclude_degree_one=True
+        desired, exclude_degree_one=True
     )
     graph = seed_model.generate(rng=rng)
     pi = build_pi_distribution(desired, exclude_degree_one=True)

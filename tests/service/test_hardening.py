@@ -101,9 +101,14 @@ class TestBudgetAdmission:
             assert result["cache_hit"] is True
 
 
-    def test_distributional_spec_is_400_and_spends_nothing(self, tmp_path):
-        # Rewiring has one engine; an old distributional spec must fail
-        # validation before any reserve, not fit under exact rewiring.
+    @pytest.mark.parametrize("name, value", [
+        ("rewire_equivalence", "distributional"), ("handle_orphans", False),
+    ])
+    def test_retired_option_is_400_and_spends_nothing(self, tmp_path, name,
+                                                      value):
+        # Rewiring has one engine and the orphan repair always runs; an
+        # old spec asking otherwise must fail validation before any
+        # reserve, not fit under the option it did not ask for.
         with ReleaseServer(port=0, workers=1, ledger_dir=tmp_path,
                            tenant_budget=3.0) as server:
             _post(server.url + "/fit", {**SPEC_DOC, "tenant": "alice"})
@@ -111,11 +116,10 @@ class TestBudgetAdmission:
                 server.url + "/ledgers").read())
             code, body, _headers = _error(
                 server.url + "/fit",
-                {**SPEC_DOC, "seed": 99, "tenant": "alice",
-                 "rewire_equivalence": "distributional"})
+                {**SPEC_DOC, "seed": 99, "tenant": "alice", name: value})
             assert code == 400
             assert body["error"]["code"] == "invalid_request"
-            assert body["error"]["field"] == "rewire_equivalence"
+            assert body["error"]["field"] == name
             after = json.loads(urllib.request.urlopen(
                 server.url + "/ledgers").read())
             assert before["ledgers"]["alice"]["spent"] == pytest.approx(1.0)

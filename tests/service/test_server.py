@@ -8,6 +8,7 @@ at seed ``s``.
 """
 
 import json
+import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +52,18 @@ def _error(url, payload=None):
 def server():
     with ReleaseServer(port=0, workers=2) as running:
         yield running
+
+
+class TestLifecycle:
+    def test_closing_a_server_that_never_served_returns(self):
+        # socketserver's shutdown() waits for a serve loop to exit, and
+        # none ran.  The daemon thread bounds the wait, so a regression
+        # fails here instead of hanging the suite.
+        server = ReleaseServer(port=0, workers=1)
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
 
 
 class TestEndpoints:

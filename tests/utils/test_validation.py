@@ -8,6 +8,7 @@ from repro.utils.validation import (
     check_fraction,
     check_positive_int,
     check_probability_vector,
+    positive_from_env,
 )
 
 
@@ -76,3 +77,20 @@ class TestCheckProbabilityVector:
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValueError):
             check_probability_vector(np.full((2, 2), 0.25))
+
+
+class TestPositiveFromEnv:
+    @pytest.mark.parametrize("raw", [None, ""])
+    def test_unset_or_empty_gives_the_default(self, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("REPRO_TEST_VALUE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_TEST_VALUE", raw)
+        assert positive_from_env("REPRO_TEST_VALUE", 7) == 7
+        assert positive_from_env("REPRO_TEST_VALUE", None, float) is None
+
+    def test_reads_a_positive_value_of_its_kind(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_VALUE", "3")
+        assert positive_from_env("REPRO_TEST_VALUE", 7) == 3
+        monkeypatch.setenv("REPRO_TEST_VALUE", "2.5")
+        assert positive_from_env("REPRO_TEST_VALUE", None, float) == 2.5
