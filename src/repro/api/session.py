@@ -55,7 +55,8 @@ class ReleaseSession:
     max_artifacts:
         Upper bound on cached artifacts (LRU eviction).  Defaults to the
         ``REPRO_ARTIFACT_CACHE_SIZE`` environment variable, or 64; a value
-        there that is not a positive integer raises :class:`ValueError`.
+        there that is not a positive integer raises :class:`ValueError`,
+        and so does an explicit bound below 1.
     ledger_store:
         Optional :class:`~repro.privacy.ledger.LedgerStore`.  When set,
         every *private* fit runs as a durable two-phase spend against the
@@ -81,10 +82,12 @@ class ReleaseSession:
         self._lock = threading.Lock()
         self._fit_locks: Dict[str, threading.Lock] = {}
         self._artifacts: "OrderedDict[str, ModelArtifact]" = OrderedDict()
-        self._max_artifacts = (
-            positive_from_env(CACHE_SIZE_ENV_VAR, DEFAULT_CACHE_SIZE)
-            if max_artifacts is None else max(1, int(max_artifacts))
-        )
+        if max_artifacts is None:
+            max_artifacts = positive_from_env(CACHE_SIZE_ENV_VAR,
+                                              DEFAULT_CACHE_SIZE)
+        elif max_artifacts < 1:
+            raise ValueError(f"max_artifacts must be >= 1, got {max_artifacts}")
+        self._max_artifacts = int(max_artifacts)
         self._ledger_store = ledger_store
         if isinstance(artifact_store, (str, os.PathLike)):
             from repro.api.store import ArtifactStore

@@ -5,6 +5,12 @@ rewiring loop (:meth:`repro.models.tricycle.TriCycLeModel._rewire_exact`)
 picks uniform neighbours by index arithmetic on the rows, and probes and
 counts on set mirrors of them, one proposal at a time; TCL's refinement
 loop walks the rows.
+
+The rows hold interned node ids: one Python int object per node
+(:attr:`_SortedAdjacency.ids`), shared by every row entry, and so by the
+set mirrors built from the rows and the proposals read through the same
+array.  That is n int objects where 2m would be made otherwise, and a set
+probe for an id that is present succeeds on identity.
 """
 
 from __future__ import annotations
@@ -33,13 +39,19 @@ class _SortedAdjacency:
       reference in :mod:`repro.testing.reference` (bit-identity);
     * the rows concatenate into directed keys that are already globally
       sorted (:meth:`directed_keys`) — no argsort pass.
+
+    ``ids`` is an object array of the node ids ``0 .. n-1``; the rows are
+    read through it, so every entry naming node ``v`` is the one object
+    ``ids[v]``.  Read a NumPy block of node ids as ``ids[block].tolist()``
+    to get the same objects.
     """
 
-    __slots__ = ("lists",)
+    __slots__ = ("ids", "lists")
 
     def __init__(self, graph: AttributedGraph) -> None:
         indptr, indices = graph.csr()
-        flat = indices.tolist()
+        self.ids = np.arange(graph.num_nodes).astype(object)
+        flat = self.ids[indices].tolist()
         bounds = indptr.tolist()
         self.lists: List[List[int]] = [
             flat[bounds[v]:bounds[v + 1]] for v in range(graph.num_nodes)

@@ -43,7 +43,17 @@ is accepted.  A proposal pays only for modelling work:
 * vk's row is strictly increasing and holds vi, so the second hop skips vi
   by taking ``row[hop + 1]`` exactly when ``row[hop] >= vi``;
 * acceptance coins are drawn per block, then the generator is rewound to the
-  coins used (``random(k)`` equals ``k`` scalar draws: the same stream).
+  coins used (``random(k)`` equals ``k`` scalar draws: the same stream);
+* the rows hold interned node ids (one int object per node,
+  :attr:`~repro.models.rewiring._SortedAdjacency.ids`), and each chunk of
+  presampled proposals is read through the same object array, so the rows,
+  the set mirrors and the proposals share those objects and a set probe
+  that hits succeeds on identity.
+
+The presampled blocks are read as Python lists a chunk at a time, the
+coins included.  Before the rows are adopted, the set mirrors and the
+blocks are released, so the adoption's edge-length arrays do not stack on
+top of them.
 
 The loop does not evaluate proposals in vectorized blocks against a CSR
 snapshot: accepted swaps dirty the hub rows so fast that about 80% of first
@@ -249,6 +259,7 @@ class TriCycLeModel(StructuralModel):
         if graph.num_edges == 0 or tau >= target:
             return
         n = graph.num_nodes
+        ids = adjacency.ids
         rows = adjacency.lists
         sets = [set(row) for row in rows]
         filtered = acceptance is not None
@@ -272,14 +283,14 @@ class TriCycLeModel(StructuralModel):
             if filtered:
                 state = generator.bit_generator.state
                 coin_block = generator.random(count)
-                coins = []
                 used = 0
             for start in range(0, count, _CHUNK):
                 stop = min(start + _CHUNK, count)
                 if filtered:  # a proposal spends at most one coin
-                    coins += coin_block[len(coins):stop].tolist()
+                    first = used
+                    coins = coin_block[first:first + stop - start].tolist()
                 for vi, hop_one, hop_two in zip(
-                    vi_block[start:stop].tolist(),
+                    ids[vi_block[start:stop]].tolist(),
                     unit_block[start:stop, 0].tolist(),
                     unit_block[start:stop, 1].tolist(),
                 ):
@@ -307,7 +318,7 @@ class TriCycLeModel(StructuralModel):
                     if vj in near:
                         continue
                     if filtered:  # A is finite: the reference's not coin <= A
-                        coin = coins[used]
+                        coin = coins[used - first]
                         used += 1
                         if coin > accept_row[vi][codes[vj]]:
                             continue
@@ -354,6 +365,9 @@ class TriCycLeModel(StructuralModel):
             unit_block = generator.random((block_size, 2))
 
         if swapped:
+            # The adoption builds edge-length arrays: release the set
+            # mirrors and the presampled blocks first.
+            sets = vi_block = unit_block = coin_block = coins = None
             # Swaps keep the edge count, so only the edge set is adopted.
             graph._adopt_directed_keys(adjacency.directed_keys(),
                                        graph.num_edges)

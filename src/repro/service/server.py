@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import queue as queue_module
 import signal
@@ -203,7 +204,8 @@ class ReleaseServer:
     max_body_bytes:
         Request-body size cap (``None``: ``REPRO_MAX_BODY_BYTES`` or
         32 MiB).  Either variable set to anything but a positive number
-        (an integer for the cap) raises :class:`ValueError`.
+        (an integer for the cap) raises :class:`ValueError`, and so does a
+        timeout that is not a finite positive number or a cap below 1.
     queue_depth:
         Bound on admitted-but-unfinished jobs (default ``workers * 4``);
         beyond it new work is rejected 429 ``overloaded``.
@@ -257,6 +259,13 @@ class ReleaseServer:
         if max_body_bytes is None:
             max_body_bytes = positive_from_env(MAX_BODY_ENV_VAR,
                                                DEFAULT_MAX_BODY_BYTES)
+        if request_timeout is not None and not 0 < request_timeout < math.inf:
+            raise ValueError(f"request_timeout must be a finite positive "
+                             f"number of seconds, got {request_timeout!r}")
+        if max_body_bytes < 1:
+            raise ValueError(
+                f"max_body_bytes must be >= 1, got {max_body_bytes}"
+            )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_sample_count < 1:

@@ -123,6 +123,11 @@ class TestBoundedCache:
         assert ReleaseSession().max_artifacts == 64
         assert ReleaseSession(max_artifacts=5).max_artifacts == 5
 
+    @pytest.mark.parametrize("bound", [0, -4])
+    def test_an_explicit_bound_below_one_raises(self, bound):
+        with pytest.raises(ValueError, match=f"max_artifacts.*got {bound}"):
+            ReleaseSession(max_artifacts=bound)
+
 
 class TestSample:
     def test_sampling_does_not_touch_the_ledger(self, spec):

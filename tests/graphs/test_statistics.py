@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.graphs.statistics as stats
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.statistics import (
     average_local_clustering,
@@ -176,14 +177,15 @@ class TestBatchedCommonNeighbours:
         )
         assert np.array_equal(counts, _naive_common_neighbours(graph, us, vs))
 
-    def test_small_probe_budget_chunks_identically(self):
+    def test_small_probe_budget_chunks_identically(self, monkeypatch):
         graph, us, vs = _random_pair_workload(seed=5)
         indptr, indices, keys = _csr_with_keys(graph)
         full = batched_common_neighbours(
             graph.num_nodes, indptr, indices, keys, us, vs
         )
+        monkeypatch.setattr(stats, "_MAX_PAIRS_PER_CHUNK", 7)
         chunked = batched_common_neighbours(
-            graph.num_nodes, indptr, indices, keys, us, vs, max_probes=7,
+            graph.num_nodes, indptr, indices, keys, us, vs
         )
         assert np.array_equal(full, chunked)
 

@@ -8,10 +8,14 @@ at seed ``s``.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from repro.api import ArtifactStore, ReleaseSession, ReleaseSpec
 from repro.graphs import codec
 from repro.graphs.io import graph_from_payload
 from repro.service import ReleaseServer
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SPEC_DOC = {
     "spec_version": 1,
@@ -64,6 +70,31 @@ class TestLifecycle:
         closer.start()
         closer.join(timeout=10)
         assert not closer.is_alive()
+
+    @pytest.mark.parametrize("argument, value", [
+        *[("request_timeout", value)
+          for value in (0, -1, float("nan"), float("inf"))],
+        *[("max_body_bytes", value) for value in (0, -5)],
+    ])
+    def test_bad_explicit_limits_raise_before_any_store(self, tmp_path,
+                                                        argument, value):
+        ledgers = tmp_path / "ledgers"
+        with pytest.raises(ValueError, match=f"{argument} must"):
+            ReleaseServer(port=0, workers=1, ledger_dir=ledgers,
+                          **{argument: value})
+        assert not ledgers.exists()
+
+    def test_serve_with_a_bad_timeout_fails_at_startup(self):
+        # A timeout the server accepted would leave the CLI serving; the
+        # subprocess timeout bounds that failure.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--request-timeout", "-1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode != 0
+        assert "request_timeout must be a finite positive" in done.stderr
 
 
 class TestEndpoints:
