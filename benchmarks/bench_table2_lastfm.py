@@ -31,6 +31,14 @@ def _check_table_shape(rows):
       error is structural, not noise-driven);
     * attribute-correlation error stays well below the uniform baseline
       (Hellinger ≈ 0.37-0.55 in the paper; 0.65 is used as the bound).
+
+    At lastfm-0.2 the n_tri column cannot separate the models.  The input
+    has 3 914 triangles, while non-private FCL samples carry 4 559-7 529 and
+    TriCycLe samples 4 697-7 630 (4 sample seeds each).  So the Chung-Lu
+    seed already overshoots the target, and ``_rewire_exact`` returns as soon
+    as τ ≥ target: rewiring adds little or nothing there, and both models
+    miss n_tri alike (MRE 0.407 for AGM-TriCL against 0.415 for AGM-FCL).
+    C_avg does separate them, in AGM-FCL's favour (0.172 against 0.093).
     """
     by_model = {}
     for row in rows:

@@ -1,22 +1,14 @@
-"""Attribute encoding and binarisation utilities.
+"""Attribute encoding utilities.
 
 Provides the ``f_w`` / ``F_w`` mappings of Section 2.2 (node and edge
-attribute configurations to integer codes) and helpers to convert categorical
-or continuous attributes into the binary attributes the framework expects
-(Section 7, "Non-Binary Attributes").
+attribute configurations to integer codes).  Attributes are binary: the
+attribute-table reader rejects any other value, so Section 7's conversions of
+categorical or continuous attributes happen before the data is loaded.
 """
 
 from repro.attributes.encoding import AttributeEncoder, EdgeConfigurationEncoder
-from repro.attributes.binarize import (
-    binarize_categorical,
-    binarize_numeric_threshold,
-    one_hot_top_k,
-)
 
 __all__ = [
     "AttributeEncoder",
     "EdgeConfigurationEncoder",
-    "binarize_categorical",
-    "binarize_numeric_threshold",
-    "one_hot_top_k",
 ]

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -62,6 +63,15 @@ from repro.graphs.io import load_attributed_graph, save_graph_json, write_edge_l
 from repro.utils.logging import configure_basic_logging
 
 
+def _positive_scale(text: str) -> float:
+    """Parse ``--scale``: a finite positive number, else argparse exits 2."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     """Arguments shared by commands that take an input graph."""
     parser.add_argument(
@@ -73,7 +83,7 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
         "--attributes", default=None, help="path to a node-attribute table file"
     )
     parser.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_positive_scale, default=None,
         help="generation scale for registered datasets",
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
@@ -206,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     datasets = subparsers.add_parser(
         "datasets", help="print the Table 6 dataset summary"
     )
-    datasets.add_argument("--scale", type=float, default=None)
+    datasets.add_argument("--scale", type=_positive_scale, default=None)
     datasets.add_argument("--seed", type=int, default=0)
 
     figure = subparsers.add_parser(

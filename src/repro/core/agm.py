@@ -227,7 +227,7 @@ class AgmSynthesizer:
         """
         params = self._parameters
         return expected_correlations(
-            self._build_model().pi_distribution(params.num_nodes),
+            self._build_model().pi_distribution(),
             node_codes, params.num_attributes,
         )
 

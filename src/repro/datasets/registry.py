@@ -11,7 +11,6 @@ table and figure.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -23,10 +22,6 @@ from repro.datasets.synthetic import (
     pokec_like,
 )
 from repro.utils.rng import RngLike
-
-#: Environment variable that globally rescales dataset generation, so CI can
-#: run the full benchmark suite on very small graphs.
-SCALE_ENV_VAR = "REPRO_DATASET_SCALE"
 
 
 @dataclass(frozen=True)
@@ -88,13 +83,17 @@ class DatasetSpec:
         return self.generator(scale=effective, seed=seed)
 
     def effective_scale(self, scale: Optional[float] = None) -> float:
-        """Resolve the scale: explicit argument, environment override, default."""
-        if scale is not None:
-            return float(scale)
-        override = os.environ.get(SCALE_ENV_VAR)
-        if override:
-            return self.default_scale * float(override)
-        return self.default_scale
+        """Resolve the scale: the explicit argument, else the registry default.
+
+        A scale that is not finite and positive raises ``ValueError``.
+        """
+        if scale is None:
+            return self.default_scale
+        value = float(scale)
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"scale must be a finite positive number, got {scale!r}")
+        return value
 
 
 DATASETS: Dict[str, DatasetSpec] = {

@@ -13,11 +13,9 @@ from repro.graphs.components import (
     component_labels,
     connected_components,
     largest_connected_component,
-    orphaned_nodes,
 )
 from repro.graphs.statistics import (
     average_local_clustering,
-    degree_histogram,
     degree_sequence,
     global_clustering_coefficient,
     local_clustering_coefficients,
@@ -34,9 +32,7 @@ __all__ = [
     "component_labels",
     "connected_components",
     "largest_connected_component",
-    "orphaned_nodes",
     "degree_sequence",
-    "degree_histogram",
     "triangle_count",
     "wedge_count",
     "local_clustering_coefficients",

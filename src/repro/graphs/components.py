@@ -250,25 +250,6 @@ def largest_connected_component(graph: AttributedGraph) -> AttributedGraph:
     return graph.induced_subgraph(np.flatnonzero(labels == main).tolist())
 
 
-def orphaned_nodes(graph: AttributedGraph) -> Set[int]:
-    """Return the nodes outside the main connected component.
-
-    A node is *orphaned* (footnote 2 of the paper) if it is not part of the
-    largest connected component; isolated nodes are always orphaned unless
-    the graph has no edges at all and every node is trivially in a singleton
-    component (in which case nodes other than the canonical largest component
-    are reported).
-    """
-    if graph.num_nodes == 0:
-        return set()
-    components = connected_components(graph)
-    main = components[0]
-    orphans: Set[int] = set()
-    for component in components[1:]:
-        orphans |= component
-    return orphans
-
-
 def is_connected(graph: AttributedGraph) -> bool:
     """Return whether the graph consists of a single connected component."""
     if graph.num_nodes <= 1:

@@ -7,7 +7,7 @@ provide a small, dependency-free interchange format:
 * **edge list** — one edge per line, two node labels separated by whitespace
   (or a custom delimiter), ``#``-prefixed comment lines ignored;
 * **attribute table** — one node per line: the node label followed by ``w``
-  binary attribute values.
+  binary attribute values (any value other than 0 or 1 is an error).
 
 Arbitrary node labels are supported; they are mapped onto the contiguous ids
 ``0 .. n-1`` and the mapping is returned so callers can translate results
@@ -47,7 +47,11 @@ def read_edge_list(path: PathLike, delimiter: Optional[str] = None,
 
 def read_attribute_table(path: PathLike, delimiter: Optional[str] = None,
                          comment: str = "#") -> Dict[str, List[int]]:
-    """Read a node-attribute table: ``label attr_1 ... attr_w`` per line."""
+    """Read a node-attribute table: ``label attr_1 ... attr_w`` per line.
+
+    Every value must be 0 or 1; anything else raises ``ValueError`` naming
+    ``path:line``.
+    """
     table: Dict[str, List[int]] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -61,11 +65,17 @@ def read_attribute_table(path: PathLike, delimiter: Optional[str] = None,
                 )
             label, values = parts[0], parts[1:]
             try:
-                table[label] = [int(v) for v in values]
+                row = [int(v) for v in values]
             except ValueError as exc:
                 raise ValueError(
                     f"{path}:{line_number}: attribute values must be integers"
                 ) from exc
+            if any(value not in (0, 1) for value in row):
+                raise ValueError(
+                    f"{path}:{line_number}: attribute values must be 0 or 1, "
+                    f"got {' '.join(values)}"
+                )
+            table[label] = row
     return table
 
 
@@ -123,8 +133,7 @@ def load_attributed_graph(edge_path: PathLike,
         keys = np.empty(0, dtype=np.int64)  # int64: canonical edge-key array
     graph = AttributedGraph._from_canonical_keys(n, keys, num_attributes)
     for label, values in attribute_table.items():
-        binary = [1 if value else 0 for value in values]
-        graph.set_attributes(label_to_id[label], binary)
+        graph.set_attributes(label_to_id[label], values)
     return graph, label_to_id
 
 

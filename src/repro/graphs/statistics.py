@@ -86,17 +86,6 @@ def degree_sequence(graph: AttributedGraph, sort: bool = False) -> np.ndarray:
     return degrees
 
 
-def degree_histogram(graph: AttributedGraph) -> np.ndarray:
-    """Return ``h`` where ``h[d]`` is the number of nodes with degree ``d``.
-
-    The histogram has length ``max_degree + 1`` (or length one for an empty
-    graph).
-    """
-    degrees = graph.degrees()
-    max_degree = int(degrees.max()) if degrees.size else 0
-    return np.bincount(degrees, minlength=max_degree + 1)
-
-
 # ----------------------------------------------------------------------
 # CSR pair-enumeration machinery
 # ----------------------------------------------------------------------

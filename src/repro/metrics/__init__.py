@@ -7,11 +7,6 @@ coefficients, and a combined per-graph evaluation report matching the columns
 of Tables 2-5.
 """
 
-from repro.metrics.assortativity import (
-    assortativity_profile,
-    attribute_assortativity,
-    same_attribute_edge_fraction,
-)
 from repro.metrics.distributions import (
     hellinger_distance,
     ks_statistic,
@@ -32,9 +27,6 @@ from repro.metrics.evaluation import (
 from repro.metrics.incremental import prepare_original_graph
 
 __all__ = [
-    "attribute_assortativity",
-    "assortativity_profile",
-    "same_attribute_edge_fraction",
     "mean_absolute_error",
     "mean_relative_error",
     "relative_error",

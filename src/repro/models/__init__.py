@@ -1,7 +1,7 @@
 """Generative structural models.
 
 AGM needs an underlying structural model ``M`` that proposes edges; this
-package provides every model the paper uses or compares against:
+package provides the paper's structural models:
 
 * :mod:`repro.models.chung_lu` — the Chung-Lu model and its fast (FCL)
   implementation with collision-aware bias correction (cFCL);
@@ -11,14 +11,11 @@ package provides every model the paper uses or compares against:
   (Algorithm 1), which rewires a Chung-Lu seed graph until it contains a
   target number of triangles;
 * :mod:`repro.models.postprocess` — the orphan-repair post-processing step
-  (Algorithm 2);
-* :mod:`repro.models.erdos_renyi` — uniform-edge baselines used to calibrate
-  error rates in Section 5.2.
+  (Algorithm 2).
 """
 
 from repro.models.base import EdgeAcceptance, StructuralModel
 from repro.models.chung_lu import ChungLuModel, build_pi_distribution
-from repro.models.erdos_renyi import ErdosRenyiModel, UniformEdgeModel
 from repro.models.postprocess import post_process_graph
 from repro.models.tcl import TclModel, estimate_transitive_closure_probability
 from repro.models.tricycle import TriCycLeModel
@@ -32,6 +29,4 @@ __all__ = [
     "estimate_transitive_closure_probability",
     "TriCycLeModel",
     "post_process_graph",
-    "ErdosRenyiModel",
-    "UniformEdgeModel",
 ]

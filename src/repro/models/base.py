@@ -124,16 +124,14 @@ class StructuralModel(abc.ABC):
         """
 
     @abc.abstractmethod
-    def pi_distribution(self, num_nodes: Optional[int] = None) -> np.ndarray:
+    def pi_distribution(self) -> np.ndarray:
         """The π distribution each endpoint of an unfiltered proposal follows.
 
         AGM computes the first round's Θ'_F from it in closed form, so it
         must be the law by which :meth:`generate`, without an acceptance
         vector, proposes pairs (for a model that rewires a Chung-Lu seed,
-        the seed's law): ordered ``π × π`` pairs, self-loops dropped.
-        ``num_nodes`` is the node count :meth:`generate` would be called
-        with; models with a degree sequence default it to, and require it
-        to equal, the sequence's length.
+        the seed's law): ordered ``π × π`` pairs, self-loops dropped.  It is
+        built from the model's degree sequence, one entry per node.
         """
 
     @property

@@ -82,19 +82,6 @@ def build_pi_distribution(degrees: np.ndarray,
     return weights / total
 
 
-def degree_pi_distribution(degrees: np.ndarray, exclude_degree_one: bool,
-                           num_nodes: Optional[int] = None) -> np.ndarray:
-    """:func:`build_pi_distribution` for a degree-sequence model's
-    :meth:`~repro.models.base.StructuralModel.pi_distribution`:
-    ``num_nodes`` defaults to, and must equal, the sequence's length."""
-    if num_nodes is not None and int(num_nodes) != len(degrees):
-        raise ValueError(
-            f"num_nodes ({num_nodes}) must match the degree sequence length "
-            f"({len(degrees)})"
-        )
-    return build_pi_distribution(degrees, exclude_degree_one)
-
-
 def _pi_weights(degrees: np.ndarray, exclude_degree_one: bool) -> np.ndarray:
     """The unnormalised weights :func:`build_pi_distribution` divides by
     their sum: the clipped degrees, degree-one nodes zeroed if excluded."""
@@ -172,10 +159,9 @@ class ChungLuModel(StructuralModel):
             target = max(0, target - degree_one)
         return target
 
-    def pi_distribution(self, num_nodes: Optional[int] = None) -> np.ndarray:
+    def pi_distribution(self) -> np.ndarray:
         """The π endpoint-sampling distribution for this degree sequence."""
-        return degree_pi_distribution(self._degrees, self._exclude_degree_one,
-                                      num_nodes)
+        return build_pi_distribution(self._degrees, self._exclude_degree_one)
 
     def generate(self, num_nodes: Optional[int] = None, rng: RngLike = None,
                  acceptance: Optional[EdgeAcceptance] = None) -> AttributedGraph:

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.graphs.attributed import AttributedGraph
 from repro.models.base import EdgeAcceptance, StructuralModel
-from repro.models.chung_lu import ChungLuModel, degree_pi_distribution
+from repro.models.chung_lu import ChungLuModel, build_pi_distribution
 from repro.models.postprocess import post_process_graph
 from repro.models.rewiring import _SortedAdjacency
 from repro.utils.rng import RngLike, ensure_rng
@@ -127,10 +127,10 @@ class TclModel(StructuralModel):
         """Target number of edges ``m = sum(d_i) / 2``."""
         return int(self._degrees.sum() // 2)
 
-    def pi_distribution(self, num_nodes: Optional[int] = None) -> np.ndarray:
+    def pi_distribution(self) -> np.ndarray:
         """The Chung-Lu seed's π (degree-one nodes zeroed), which the
         transitive walk also starts from."""
-        return degree_pi_distribution(self._degrees, True, num_nodes)
+        return build_pi_distribution(self._degrees, True)
 
     def generate(self, num_nodes: Optional[int] = None, rng: RngLike = None,
                  acceptance: Optional[EdgeAcceptance] = None) -> AttributedGraph:

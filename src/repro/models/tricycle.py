@@ -78,7 +78,7 @@ from repro.graphs.attributed import AttributedGraph
 from repro.graphs.dtypes import pack_edge_keys
 from repro.graphs.statistics import triangle_count
 from repro.models.base import EdgeAcceptance, StructuralModel
-from repro.models.chung_lu import ChungLuModel, degree_pi_distribution
+from repro.models.chung_lu import ChungLuModel, build_pi_distribution
 from repro.models.postprocess import post_process_graph
 from repro.models.rewiring import _SortedAdjacency
 from repro.utils.memory import (
@@ -152,10 +152,10 @@ class TriCycLeModel(StructuralModel):
         """Target number of edges ``m = sum(d_i) / 2``."""
         return int(self._degrees.sum() // 2)
 
-    def pi_distribution(self, num_nodes: Optional[int] = None) -> np.ndarray:
+    def pi_distribution(self) -> np.ndarray:
         """The Chung-Lu seed's π (degree-one nodes zeroed), which rewiring
         and repair also draw from."""
-        return degree_pi_distribution(self._degrees, True, num_nodes)
+        return build_pi_distribution(self._degrees, True)
 
     def generate(self, num_nodes: Optional[int] = None, rng: RngLike = None,
                  acceptance: Optional[EdgeAcceptance] = None) -> AttributedGraph:

@@ -130,9 +130,3 @@ def learn_attributes_dp(graph: AttributedGraph, epsilon: EpsilonLike,
     )
     probabilities = normalize_counts(noisy, floor=0.0, ceiling=float(graph.num_nodes))
     return AttributeDistribution(graph.num_attributes, probabilities)
-
-
-def uniform_attribute_distribution(num_attributes: int) -> AttributeDistribution:
-    """A data-independent uniform Θ_X, used as the baseline in Section 5.2."""
-    size = 1 << num_attributes
-    return AttributeDistribution(num_attributes, np.full(size, 1.0 / size))

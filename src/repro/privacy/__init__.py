@@ -2,7 +2,7 @@
 
 Implements the building blocks the paper composes:
 
-* the Laplace, geometric and exponential mechanisms (Section 2.3);
+* Laplace noise and the normalisation of noisy counts (Section 2.3);
 * privacy-budget accounting through sequential / parallel composition;
 * the smooth-sensitivity framework of Nissim et al. (Appendix B.1);
 * the constrained-inference degree-sequence estimator of Hay et al.
@@ -17,13 +17,7 @@ from repro.privacy.accountant import (
     charge_epsilon,
 )
 from repro.privacy.budget import BudgetExceededError
-from repro.privacy.mechanisms import (
-    clamp,
-    exponential_mechanism,
-    geometric_mechanism,
-    laplace_mechanism,
-    laplace_noise,
-)
+from repro.privacy.mechanisms import laplace_noise
 from repro.privacy.sensitivity import (
     smooth_sensitivity_degree_bounded,
     smooth_sensitivity_laplace_noise,
@@ -43,10 +37,6 @@ __all__ = [
     "charge_epsilon",
     "BudgetExceededError",
     "laplace_noise",
-    "laplace_mechanism",
-    "geometric_mechanism",
-    "exponential_mechanism",
-    "clamp",
     "smooth_sensitivity_degree_bounded",
     "smooth_sensitivity_laplace_noise",
     "beta_for_smooth_sensitivity",

@@ -73,9 +73,6 @@ from repro.utils.validation import check_epsilon
 
 logger = logging.getLogger("repro.privacy.ledger")
 
-#: Format tag carried by every ledger record.
-LEDGER_FORMAT = "repro.epsilon-ledger"
-
 #: Current version of the ledger record format.
 LEDGER_FORMAT_VERSION = 1
 

@@ -1,11 +1,9 @@
-"""Core differential-privacy mechanisms.
+"""Laplace noise and the normalisation of noisy counts.
 
-Implements the standard output-perturbation mechanisms from Section 2.3: the
-Laplace mechanism for real-valued queries, the (two-sided) geometric
-mechanism for integer-valued queries, and the exponential mechanism for
-selection from a discrete candidate set.  All mechanisms take an explicit
-sensitivity argument — callers are responsible for supplying the correct
-global (or smooth) sensitivity for their query.
+The Laplace mechanism of Section 2.3 adds ``Lap(Δ / ε)`` noise to a query
+answer.  The learners draw that noise with :func:`laplace_noise`, supplying
+the scale from their own global (or smooth) sensitivity, and turn noisy
+histograms into distributions with :func:`normalize_counts`.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_epsilon
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
@@ -32,93 +29,6 @@ def laplace_noise(scale: float, size=None, rng: RngLike = None) -> np.ndarray:
     if scale == 0:
         return np.zeros(size) if size is not None else np.float64(0.0)
     return generator.laplace(loc=0.0, scale=scale, size=size)
-
-
-def laplace_mechanism(values: ArrayLike, sensitivity: float, epsilon: float,
-                      rng: RngLike = None) -> np.ndarray:
-    """The Laplace mechanism: add ``Lap(sensitivity / epsilon)`` noise to ``values``.
-
-    Parameters
-    ----------
-    values:
-        The exact query answer(s).
-    sensitivity:
-        L1 global sensitivity of the query.
-    epsilon:
-        Privacy parameter.
-    rng:
-        Seed or generator for reproducibility.
-    """
-    epsilon = check_epsilon(epsilon)
-    if sensitivity < 0:
-        raise ValueError(f"sensitivity must be non-negative, got {sensitivity}")
-    arr = np.asarray(values, dtype=float)
-    noise = laplace_noise(sensitivity / epsilon, size=arr.shape, rng=rng)
-    return arr + noise
-
-
-def geometric_mechanism(values: ArrayLike, sensitivity: float, epsilon: float,
-                        rng: RngLike = None) -> np.ndarray:
-    """The two-sided geometric mechanism for integer-valued queries.
-
-    Adds noise ``X - Y`` where ``X, Y`` are geometric with parameter
-    ``1 - exp(-epsilon / sensitivity)``; the output stays integral, which is
-    sometimes preferable to the Laplace mechanism for counts.
-    """
-    epsilon = check_epsilon(epsilon)
-    if sensitivity <= 0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    generator = ensure_rng(rng)
-    arr = np.asarray(values, dtype=np.int64)
-    p = 1.0 - np.exp(-epsilon / sensitivity)
-    positive = generator.geometric(p, size=arr.shape) - 1
-    negative = generator.geometric(p, size=arr.shape) - 1
-    return arr + positive - negative
-
-
-def exponential_mechanism(scores: Sequence[float], epsilon: float,
-                          sensitivity: float = 1.0,
-                          rng: RngLike = None) -> int:
-    """The exponential mechanism: sample an index with probability ∝ exp(εq/2Δ).
-
-    Parameters
-    ----------
-    scores:
-        Quality score of each candidate (higher is better).
-    epsilon:
-        Privacy parameter.
-    sensitivity:
-        Sensitivity of the quality function (default 1).
-
-    Returns
-    -------
-    int
-        The index of the selected candidate.
-    """
-    epsilon = check_epsilon(epsilon)
-    if sensitivity <= 0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    arr = np.asarray(scores, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("scores must be a non-empty one-dimensional sequence")
-    generator = ensure_rng(rng)
-    logits = (epsilon / (2.0 * sensitivity)) * arr
-    logits -= logits.max()  # numerical stability; shifts cancel in the softmax
-    weights = np.exp(logits)
-    probabilities = weights / weights.sum()
-    return int(generator.choice(arr.size, p=probabilities))
-
-
-def clamp(values: ArrayLike, low: float, high: float) -> np.ndarray:
-    """Clamp noisy values to ``[low, high]``.
-
-    Clamping is pure post-processing of a DP output and therefore does not
-    affect the privacy guarantee; the paper's learners clamp noisy counts to
-    ``(0, n)`` before normalising.
-    """
-    if low > high:
-        raise ValueError(f"low ({low}) must not exceed high ({high})")
-    return np.clip(np.asarray(values, dtype=float), low, high)
 
 
 def normalize_counts(noisy_counts: ArrayLike, floor: float = 0.0,

@@ -1,6 +1,6 @@
 """Shared utilities: random-number handling, validation and logging helpers."""
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_epsilon,
     check_fraction,
@@ -10,7 +10,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "ensure_rng",
-    "spawn_rngs",
     "check_epsilon",
     "check_fraction",
     "check_positive_int",

@@ -2,25 +2,13 @@
 
 The library logs through the standard :mod:`logging` package under the
 ``repro`` namespace and never configures handlers on import, so applications
-stay in control of their logging setup.  :func:`get_logger` is a thin wrapper
-that keeps logger names consistent; :func:`configure_basic_logging` is a
+stay in control of their logging setup.  :func:`configure_basic_logging` is a
 convenience for scripts and the CLI.
 """
 
 from __future__ import annotations
 
 import logging
-
-
-def get_logger(name: str) -> logging.Logger:
-    """Return a logger under the ``repro`` namespace.
-
-    ``get_logger("models.tricycle")`` and ``get_logger("repro.models.tricycle")``
-    return the same logger.
-    """
-    if not name.startswith("repro"):
-        name = f"repro.{name}"
-    return logging.getLogger(name)
 
 
 def configure_basic_logging(level: int = logging.INFO) -> None:

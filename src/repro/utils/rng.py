@@ -82,17 +82,3 @@ def spawn_streams(seed: SeedLike, count: int) -> List[np.random.Generator]:
             f"got {type(seed)!r}"
         )
     return [np.random.default_rng(child) for child in root.spawn(count)]
-
-
-def spawn_rngs(rng: RngLike, count: int) -> list:
-    """Derive ``count`` independent child generators from ``rng``.
-
-    Children are derived through :class:`numpy.random.SeedSequence` spawning,
-    so they are statistically independent of each other and of the parent.
-    This is used by experiment drivers that fan out Monte-Carlo trials.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = ensure_rng(rng)
-    seeds = parent.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(seed)) for seed in seeds]

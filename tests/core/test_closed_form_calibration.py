@@ -23,7 +23,6 @@ from repro.core.acceptance import expected_correlations
 from repro.core.agm import AgmSynthesizer, learn_agm
 from repro.core.pipeline import SynthesisPipeline
 from repro.models.chung_lu import ChungLuModel, build_pi_distribution
-from repro.models.erdos_renyi import ErdosRenyiModel, UniformEdgeModel
 from repro.models.tcl import TclModel
 from repro.models.tricycle import TriCycLeModel
 from repro.testing.reference import LoopCalibratedSynthesizer
@@ -97,23 +96,20 @@ class TestPiDistribution:
             TclModel(self.DEGREES, 0.5),
         ):
             assert np.array_equal(model.pi_distribution(), seed_pi)
-            assert np.array_equal(model.pi_distribution(6), seed_pi)
 
     @pytest.mark.parametrize("model", [
         ChungLuModel(DEGREES),
         TriCycLeModel(DEGREES, 2),
         TclModel(DEGREES, 0.5),
     ])
-    def test_degree_models_reject_another_node_count(self, model):
-        with pytest.raises(ValueError, match="num_nodes"):
-            model.pi_distribution(7)
-
-    @pytest.mark.parametrize("model", [UniformEdgeModel(5),
-                                       ErdosRenyiModel(0.3)])
-    def test_uniform_models_return_the_uniform_pi(self, model):
-        assert np.array_equal(model.pi_distribution(4), np.full(4, 0.25))
-        with pytest.raises(TypeError, match="num_nodes"):
-            model.pi_distribution()
+    def test_degree_models_pi_has_one_entry_per_node(self, model):
+        pi = model.pi_distribution()
+        assert pi.shape == self.DEGREES.shape
+        assert pi.min() >= 0.0 and pi.sum() == pytest.approx(1.0)
+        assert pi[self.DEGREES == 0].sum() == 0.0
+        # The node count comes from the degree sequence alone.
+        with pytest.raises(TypeError):
+            model.pi_distribution(self.DEGREES.size)
 
 
 def _spy(monkeypatch, backend, params):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.datasets.registry import (
     DATASETS,
-    SCALE_ENV_VAR,
     dataset_names,
     get_dataset_spec,
     load_dataset,
@@ -50,15 +49,23 @@ class TestLoading:
         spec = get_dataset_spec("lastfm")
         assert spec.effective_scale(0.5) == 0.5
 
-    def test_environment_scale_multiplier(self, monkeypatch):
-        spec = get_dataset_spec("lastfm")
-        monkeypatch.setenv(SCALE_ENV_VAR, "0.5")
-        assert spec.effective_scale() == pytest.approx(spec.default_scale * 0.5)
-
-    def test_default_scale_without_environment(self, monkeypatch):
-        monkeypatch.delenv(SCALE_ENV_VAR, raising=False)
+    def test_default_scale_when_none_given(self):
         spec = get_dataset_spec("epinions")
         assert spec.effective_scale() == spec.default_scale
+
+    def test_environment_does_not_rescale(self, monkeypatch):
+        # A release's spec_hash names its scale, so no environment variable
+        # may change the graph behind it.
+        monkeypatch.setenv("REPRO_DATASET_SCALE", "0.5")
+        spec = get_dataset_spec("lastfm")
+        assert spec.effective_scale() == spec.default_scale
+
+    @pytest.mark.parametrize("scale", [0, -1, math.nan, math.inf])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            get_dataset_spec("lastfm").effective_scale(scale)
+        with pytest.raises(ValueError, match="scale"):
+            load_dataset("lastfm", scale=scale, seed=0)
 
     def test_every_spec_has_positive_default_scale(self):
         assert all(spec.default_scale > 0 for spec in DATASETS.values())

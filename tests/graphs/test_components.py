@@ -9,7 +9,6 @@ from repro.graphs.components import (
     connected_components,
     is_connected,
     largest_connected_component,
-    orphaned_nodes,
 )
 
 
@@ -83,18 +82,6 @@ def test_largest_component_and_connectivity_skip_the_set_view(monkeypatch):
     graph = two_component_graph()
     assert largest_connected_component(graph).num_nodes == 4
     assert not is_connected(graph)
-
-
-class TestOrphans:
-    def test_orphans_are_outside_main_component(self):
-        orphans = orphaned_nodes(two_component_graph())
-        assert orphans == {4, 5, 6}
-
-    def test_no_orphans_in_connected_graph(self, triangle_graph):
-        assert orphaned_nodes(triangle_graph) == set()
-
-    def test_empty_graph_has_no_orphans(self):
-        assert orphaned_nodes(AttributedGraph(0, 0)) == set()
 
 
 class TestIsConnected:

@@ -1,8 +1,11 @@
 """Unit tests for graph I/O."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.api import ReleaseSpec
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.io import (
     load_attributed_graph,
@@ -56,6 +59,13 @@ class TestReaders:
         with pytest.raises(ValueError):
             read_attribute_table(path)
 
+    @pytest.mark.parametrize("value", ["2", "-1", "7"])
+    def test_read_attribute_table_non_binary(self, tmp_path, value):
+        path = tmp_path / "attrs.txt"
+        path.write_text(f"# header\nalice 1 0\nbob 0 {value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:") + ".*0 or 1"):
+            read_attribute_table(path)
+
 
 class TestLoadAttributedGraph:
     def test_load_with_attributes(self, edge_file, attribute_file):
@@ -69,6 +79,15 @@ class TestLoadAttributedGraph:
         graph, _mapping = load_attributed_graph(edge_file)
         assert graph.num_attributes == 0
         assert graph.num_edges == 3
+
+    def test_non_binary_attributes_rejected(self, edge_file, tmp_path):
+        # Neither the loader nor a release spec may coerce 2 to 1.
+        path = tmp_path / "attrs.txt"
+        path.write_text("alice 1 0\nbob 0 2\ncarol 1 1\ndave 0 0\n")
+        with pytest.raises(ValueError, match="0 or 1"):
+            load_attributed_graph(edge_file, path)
+        with pytest.raises(ValueError, match="0 or 1"):
+            ReleaseSpec(edges=str(edge_file), attributes=str(path)).load_graph()
 
     def test_inconsistent_attribute_width_rejected(self, edge_file, tmp_path):
         path = tmp_path / "attrs.txt"

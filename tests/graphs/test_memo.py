@@ -3,8 +3,8 @@
 The contract of ``AttributedGraph.enable_statistics_memo``: every figure
 the public kernels serve from a filled memo — the triangle count, the
 per-node triangle counts, the common-neighbour maximum — plus the wedge
-count and degree histogram is bit-identical to the pure-Python oracles
-(and the direct degree formulas) at every point of an arbitrary mutation
+count is bit-identical to the pure-Python oracles (and the direct degree
+formula) at every point of an arbitrary mutation
 sequence, because every edge or attribute write clears the memo.
 That includes add/remove of the same edge, the first write to a graph
 built in bulk, and writes interleaved with ``csr()`` rebuilds.  Copies
@@ -37,11 +37,6 @@ def assert_counts_bit_equal(graph):
         reference.max_common_neighbours_reference(graph)
     assert stats.wedge_count(graph) == \
         int((degrees * (degrees - 1) // 2).sum())
-    max_degree = int(degrees.max()) if degrees.size else 0
-    assert np.array_equal(
-        stats.degree_histogram(graph),
-        np.bincount(degrees, minlength=max_degree + 1),
-    )
 
 
 def filled(graph):
@@ -132,14 +127,12 @@ class TestEdgeCases:
             stats.triangle_count(graph),
             stats.triangles_per_node(graph),
             stats.wedge_count(graph),
-            stats.degree_histogram(graph),
         )
         assert graph.add_edge(1, 3)
         assert graph.remove_edge(1, 3)
         assert stats.triangle_count(graph) == before[0]
         assert np.array_equal(stats.triangles_per_node(graph), before[1])
         assert stats.wedge_count(graph) == before[2]
-        assert np.array_equal(stats.degree_histogram(graph), before[3])
         assert_counts_bit_equal(graph)
 
     def test_first_write_to_a_bulk_built_graph(self, triangle_graph):
@@ -175,20 +168,10 @@ class TestEdgeCases:
                 assert_counts_bit_equal(graph)
         assert_counts_bit_equal(graph)
 
-    def test_degree_histogram_trims_trailing_zeros(self, star_graph):
-        graph = filled(star_graph)
-        assert stats.degree_histogram(graph).size == 6  # hub degree 5
-        for leaf in range(2, 6):
-            graph.remove_edge(0, leaf)
-        # Max degree dropped from 5 to 1: the histogram must shrink too.
-        assert np.array_equal(stats.degree_histogram(graph), np.array([4, 2]))
-        assert_counts_bit_equal(graph)
-
     def test_empty_graph(self, empty_graph):
         graph = filled(empty_graph)
         assert stats.triangle_count(graph) == 0
         assert stats.wedge_count(graph) == 0
-        assert np.array_equal(stats.degree_histogram(graph), np.array([5]))
         assert_counts_bit_equal(graph)
 
 

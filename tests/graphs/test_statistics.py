@@ -10,7 +10,6 @@ from repro.graphs.statistics import (
     batched_common_neighbours,
     clustering_ccdf,
     degree_ccdf,
-    degree_histogram,
     degree_sequence,
     global_clustering_coefficient,
     local_clustering_coefficients,
@@ -36,13 +35,6 @@ class TestDegreeStatistics:
 
     def test_degree_sequence_sorted(self, triangle_graph):
         assert list(degree_sequence(triangle_graph, sort=True)) == [1, 2, 2, 3]
-
-    def test_degree_histogram(self, triangle_graph):
-        histogram = degree_histogram(triangle_graph)
-        assert list(histogram) == [0, 1, 2, 1]
-
-    def test_degree_histogram_empty_graph(self, empty_graph):
-        assert list(degree_histogram(empty_graph)) == [5]
 
     def test_degree_ccdf_is_decreasing(self, small_social_graph):
         points = degree_ccdf(small_social_graph)

@@ -8,7 +8,6 @@ from repro.params.attribute_distribution import (
     attribute_configuration_counts,
     learn_attributes,
     learn_attributes_dp,
-    uniform_attribute_distribution,
 )
 
 
@@ -36,10 +35,6 @@ class TestAttributeDistribution:
         dist = AttributeDistribution(0, np.array([1.0]))
         matrix = dist.sample_attribute_matrix(5, rng=rng)
         assert matrix.shape == (5, 0)
-
-    def test_uniform_distribution(self):
-        dist = uniform_attribute_distribution(2)
-        assert np.allclose(dist.probabilities, 0.25)
 
 
 class TestExactLearner:

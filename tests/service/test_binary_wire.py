@@ -10,6 +10,8 @@ from repro.api import ReleaseSession, ReleaseSpec
 from repro.graphs import codec
 from repro.graphs.io import graph_from_payload
 from repro.service import ReleaseServer, ServiceClient, ServiceClientError
+from repro.service.errors import ServiceError
+from repro.service.server import negotiate_codec
 
 SPEC_DOC = {
     "spec_version": 1,
@@ -171,3 +173,26 @@ class TestStrictJsonResponses:
         assert isinstance(fit["epsilon"], float)
         for value in fit["accountant"]["spends"].values():
             assert isinstance(value, (int, float))
+
+
+class TestNegotiateCodec:
+    """How an ``Accept`` header is parsed, without a server."""
+
+    @pytest.mark.parametrize("accept", [
+        None,
+        "  ",
+        "application/*",
+        "text/html, application/json; charset=utf-8",
+    ])
+    def test_json(self, accept):
+        assert negotiate_codec(accept) == "json"
+
+    def test_binary_ignores_case_and_parameters(self):
+        accept = "application/json;q=1, Application/X-Repro-Npy ; q=0.1"
+        assert negotiate_codec(accept) == "binary"
+
+    def test_no_supported_codec_is_406(self):
+        with pytest.raises(ServiceError) as excinfo:
+            negotiate_codec("text/*, image/png")
+        assert (excinfo.value.code, excinfo.value.http_status) == \
+            ("not_acceptable", 406)

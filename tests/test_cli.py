@@ -44,6 +44,22 @@ class TestParser:
             )
         assert "invalid choice: 'ergm'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["datasets", "--scale", "0"],
+        ["datasets", "--scale", "-1"],
+        ["datasets", "--scale", "nan"],
+        ["datasets", "--scale", "inf"],
+        ["evaluate", "--scale", "0"],
+        ["figure", "1", "--scale", "0"],
+        ["synthesize", "--output", "x.json", "--scale", "0"],
+    ])
+    def test_scale_must_be_finite_and_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "argument --scale: must be a finite positive number" in \
+            capsys.readouterr().err
+
     def test_serve_arguments(self):
         args = build_parser().parse_args(
             ["serve", "--port", "9000", "--workers", "2"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rngs, spawn_streams
+from repro.utils.rng import ensure_rng, spawn_streams
 
 
 class TestEnsureRng:
@@ -71,22 +71,3 @@ class TestSpawnStreams:
             spawn_streams(0, -1)
         with pytest.raises(TypeError):
             spawn_streams("seed", 2)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        children = spawn_rngs(0, 3)
-        assert len(children) == 3
-
-    def test_children_are_independent_streams(self):
-        children = spawn_rngs(0, 2)
-        assert not np.array_equal(children[0].random(10), children[1].random(10))
-
-    def test_deterministic_given_parent_seed(self):
-        a = [g.random() for g in spawn_rngs(7, 3)]
-        b = [g.random() for g in spawn_rngs(7, 3)]
-        assert a == b
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
