@@ -10,16 +10,17 @@ cached CSR view (:meth:`repro.graphs.attributed.AttributedGraph.csr`):
 
 * triangle statistics use a degree-ordered edge orientation, enumerate the
   pairs of forward neighbours of every node in bulk, and test each pair for
-  adjacency against a partitioned bitmap membership index over the sorted
-  directed-edge keys (:mod:`repro.utils.membership`; a ``searchsorted``
-  pass above the bitmap's byte budget) rather than per-edge Python set
+  adjacency against a membership index over the sorted canonical edge keys
+  (:mod:`repro.utils.membership`: a partitioned bitmap on dense inputs, a
+  hashed key table on sparse ones) rather than per-edge Python set
   intersections;
 * ``max_common_neighbours`` is an exact heavy-endpoint scan.  Exact counts
   among the top hubs give a lower bound ``best``.  Since ``cn(u, v) ≤
   min(deg u, deg v)``, any pair with more than ``best`` common neighbours
   has both degrees above ``best``, so only the wedges whose two endpoints
   are such *heavy* nodes are enumerated, each heavy pair exactly once (the
-  heavy/light split of worst-case-optimal joins);
+  heavy/light split of worst-case-optimal joins), and only from endpoints
+  with more than ``best`` centres that can still pair them;
 * ``degree_ccdf`` is a single ``searchsorted`` over the sorted degree
   sequence.
 
@@ -37,9 +38,14 @@ adds them to the length-n counts once per about n members, not once per
 chunk.  On a 2-core Xeon with 2 MiB of L2 per core, 2^14-pair chunks cut
 the pokec-0.01 triangle scan (140k pairs) from 13 to 7.5 ms and its traced
 peak from 11.7 to 6.4 MiB, against one block holding every pair; 2^15 was
-slower there and at pokec-0.1, and 2^13 no faster.  What a scan holds
-outside the chunk loop (the membership index, the degree orientation) is
-O(n + m).
+slower there and at pokec-0.1, and 2^13 no faster.
+
+What a triangle scan holds outside the chunk loop is O(n + m): the forward
+CSR of the degree orientation, a few length-n int64 arrays and the
+membership index.  The index is at most 16 B per edge as a hashed table
+and at most ``BITMAP_TABLE_RATIO`` (16) times the table's bytes as a
+bitmap; the orientation's per-entry temporaries are freed before the index
+is built.
 
 The original pure-Python implementations live on as test-only oracles in
 :mod:`repro.testing.reference` (``triangle_count_reference`` and friends);
@@ -55,14 +61,24 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro.graphs.attributed import AttributedGraph
-from repro.graphs.dtypes import edge_key_dtype, pack_edge_keys
-from repro.utils import membership as membership_index
+from repro.graphs.dtypes import edge_key_dtype
+from repro.utils.membership import membership_probe
 
 #: Upper bound on the number of pairs (or probes) materialised per chunk by
 #: the pair kernels.  A chunk loop holds at most about ten int64 arrays of
 #: this length at once (0.9 MiB measured at 2^14), so one chunk fits a
 #: 2 MiB L2 cache.
 _MAX_PAIRS_PER_CHUNK = 1 << 14
+
+#: The max-common-neighbour scan counts a chunk's pairs with one bincount
+#: while the chunk's ``rows × num_heavy`` bins are at most this many per
+#: pair, and with a sort otherwise, so a chunk's work grows with its pairs.
+#: Dense chunks take the bincount (the median pokec or lastfm chunk has
+#: under one bin per pair); a sparse graph's chunks, many light rows over
+#: many heavy nodes, take the sort (thousands of bins per pair on a random
+#: degree-4 graph).  Values from 1 to 16 were within 8% of each other at
+#: pokec-0.01 and pokec-0.1 on a 2-core Xeon, 4 the fastest.
+_BINS_PER_PAIR = 4
 
 #: Hubs whose pairwise common-neighbour counts seed the lower bound of
 #: :func:`max_common_neighbours` (16 hubs are 120 probed pairs).
@@ -149,14 +165,6 @@ def _pairs_within_rows(indptr: np.ndarray, indices: np.ndarray,
     return owners, firsts, seconds
 
 
-#: Adjacency-membership factory used by the triangle kernels: a partitioned
-#: packed bitmap over the canonical edge keys when the byte budget allows,
-#: a searchsorted pass over the sorted keys otherwise (see
-#: :mod:`repro.utils.membership`).  Module-level binding so tests can force
-#: the sorted fallback.
-_membership_probe = membership_index.membership_probe
-
-
 def _triangle_scan(graph: AttributedGraph, per_node: bool):
     """Shared core of :func:`triangle_count` and :func:`triangles_per_node`.
 
@@ -166,8 +174,7 @@ def _triangle_scan(graph: AttributedGraph, per_node: bool):
     of its unique doubly-outgoing node.  The pairs are enumerated in bulk
     and closed-pair adjacency is tested through the membership probe built
     over the (already sorted) canonical edge keys ``u * n + v`` with
-    ``u < v`` — a partitioned packed bitmap within its byte budget, a
-    ``searchsorted`` pass otherwise (:mod:`repro.utils.membership`).
+    ``u < v`` (:mod:`repro.utils.membership`).
     """
     n = graph.num_nodes
     counts = np.zeros(n, dtype=np.int64)
@@ -180,17 +187,20 @@ def _triangle_scan(graph: AttributedGraph, per_node: bool):
     sources = np.repeat(np.arange(n, dtype=np.int64), degrees)
     forward = rank[sources] < rank[indices]
     fdst = indices[forward]
-    forward_degrees = np.bincount(sources[forward], minlength=n) if fdst.size \
-        else np.zeros(n, dtype=np.int64)
     findptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(forward_degrees, out=findptr[1:])
+    np.cumsum(np.bincount(sources[forward], minlength=n), out=findptr[1:])
 
     # Sources are non-decreasing and each CSR row is id-sorted, so the
     # canonical (upper-triangular) keys come out already sorted.
-    upper = sources < indices
-    edge_keys = (sources * n + indices)[upper]
-    probe = _membership_probe(edge_keys)
+    edge_keys = (sources * n + indices)[sources < indices]
+    # Free the per-entry temporaries before the index is built and the keys
+    # before the chunk loop: at pokec-1.0 a census's traced peak is then
+    # 189 MiB instead of 224.
+    del degrees, rank, sources, forward
+    probe = membership_probe(edge_keys)
+    del edge_keys
 
+    forward_degrees = np.diff(findptr)
     pair_totals = forward_degrees * (forward_degrees - 1) // 2
     # Pessimistic zero-bound: rows with fewer than two forward neighbours
     # contribute no pairs — drop them before chunking so sparse tails are
@@ -316,13 +326,17 @@ def max_common_neighbours(graph: AttributedGraph) -> int:
        ``u``.  Partner ``v`` then occurs there exactly ``cn(u, v)`` times,
        so every heavy pair is counted once and completes inside ``u``'s
        chunk; only the running maximum crosses chunk boundaries.
-    3. Endpoints are gathered in chunks of at most ``_MAX_PAIRS_PER_CHUNK``
-       partners, in rank order.  The first chunk whose leading endpoint has
-       ``deg(u) ≤ best`` proves the same for every later chunk, so the scan
-       stops there.
+    3. A tighter bound prunes the endpoints: ``cn(u, v) ≤ live(u)``, the
+       number of ``u``'s centres whose heavy list goes on after ``u``.  Only
+       endpoints with ``live(u) > best`` are gathered, in chunks of at most
+       ``_MAX_PAIRS_PER_CHUNK`` partners, and each chunk drops the ones the
+       running ``best`` has since caught up with.
 
-    Each chunk is compressed with a sort plus boundary-diff pass.  The
-    result is pinned to the oracle
+    Each chunk's ``(u, v)`` pairs become chunk-local keys
+    ``local_u * num_heavy + v``.  They are counted by one ``bincount`` when
+    its ``rows × num_heavy`` bins are at most ``_BINS_PER_PAIR`` per pair,
+    by a sort plus run lengths otherwise, so a chunk's work grows with its
+    pairs either way.  The result is pinned to the oracle
     :func:`repro.testing.reference.max_common_neighbours_reference`.
 
     With the statistics memo on, the result is kept there.
@@ -365,35 +379,49 @@ def _max_common_neighbours_scan(graph: AttributedGraph) -> int:
     # One entry (u, w) per heavy u and neighbour w, grouped by u's rank.
     entry_ptr = np.concatenate(([0], np.cumsum(heavy_degrees)))
     centres = indices[_segment_positions(indptr[heavy], heavy_degrees)]
-    entry_ranks = np.repeat(
-        np.arange(num_heavy, dtype=edge_key_dtype(num_heavy)), heavy_degrees
-    )
     # Stable-sorting the entries by centre lists every centre's heavy
     # neighbours in rank order, and the entry (u, w) lands exactly where
     # u sits in w's list: the part ranked after u starts one step later.
     by_centre = np.argsort(centres, kind="stable")
-    members = entry_ranks[by_centre]
+    members = np.repeat(
+        np.arange(num_heavy, dtype=edge_key_dtype(num_heavy)), heavy_degrees
+    )[by_centre]
     tail_starts = np.empty_like(by_centre)
     tail_starts[by_centre] = np.arange(1, by_centre.size + 1)
-    centre_ends = np.cumsum(np.bincount(centres, minlength=n))
-    tails = centre_ends[centres] - tail_starts
-    volumes = np.diff(np.concatenate(([0], np.cumsum(tails)))[entry_ptr])
+    tails = np.cumsum(np.bincount(centres, minlength=n))[centres] \
+        - tail_starts
+    # Keep the live entries, those whose tail is not empty: u's live count
+    # bounds cn(u, v) for every v ranked after u.
+    live_entries = tails > 0
+    live_ptr = np.concatenate(([0], np.cumsum(live_entries)))[entry_ptr]
+    live = np.diff(live_ptr)
+    tail_starts = tail_starts[live_entries]
+    tails = tails[live_entries]
+    volumes = np.diff(np.concatenate(([0], np.cumsum(tails)))[live_ptr])
 
-    for block in _iter_row_chunks(volumes, _MAX_PAIRS_PER_CHUNK):
-        # cn(u, v) ≤ deg(u), non-increasing along the rank order.
-        if int(heavy_degrees[block[0]]) <= best:
-            break
-        lo, hi = entry_ptr[block[0]], entry_ptr[block[-1] + 1]
-        lengths = tails[lo:hi]
-        partners = members[_segment_positions(tail_starts[lo:hi], lengths)]
-        if partners.size == 0:
+    candidates = np.flatnonzero(live > best)
+    for block in _iter_row_chunks(volumes[candidates], _MAX_PAIRS_PER_CHUNK):
+        rows = candidates[block]
+        rows = rows[live[rows] > best]
+        if rows.size == 0:
             continue
-        keys = pack_edge_keys(
-            np.repeat(entry_ranks[lo:hi], lengths), partners, num_heavy
-        )
-        keys.sort()
-        runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        best = max(best, int(np.diff(np.append(runs, keys.size)).max()))
+        row_live = live[rows]
+        entries = _segment_positions(live_ptr[rows], row_live)
+        lengths = tails[entries]
+        # Key local_u * num_heavy + v of the chunk's local row index and
+        # partner rank occurs cn(u, v) times.
+        keys = np.repeat(np.repeat(
+            np.arange(0, rows.size * num_heavy, num_heavy), row_live
+        ), lengths)
+        keys += members[_segment_positions(tail_starts[entries], lengths)]
+        if rows.size * num_heavy <= _BINS_PER_PAIR * keys.size:
+            count = np.bincount(keys).max()
+        else:
+            keys.sort()
+            runs = np.flatnonzero(
+                np.concatenate(([True], keys[1:] != keys[:-1])))
+            count = np.diff(np.append(runs, keys.size)).max()
+        best = max(best, int(count))
     return best
 
 

@@ -38,11 +38,15 @@ def isotonic_regression(values: np.ndarray) -> np.ndarray:
     "minimum L2 distance sequence satisfying the ordering constraint" that
     Hay et al.'s dynamic program computes.
 
-    The block stack lives in Python lists: the loop is scalar, and list
-    operations on Python floats cost a fraction of NumPy scalar indexing.
-    The float operations and their order are those of
-    :func:`repro.testing.reference.isotonic_regression_reference`, so the
-    output is bit-identical to it.
+    The block stack lives in Python lists, with its top block in two
+    locals: the loop is scalar, and list operations on Python floats cost a
+    fraction of NumPy scalar indexing.  A block is pushed when the next one
+    starts and popped by each merge; the bottom of the stack is an empty
+    ``(0.0, 0)`` block, which no block ever merges with (``0.0 * count >
+    total * 0`` is false for every float ``total``), so the loop never
+    tests for an empty stack.  The float operations and their order are
+    those of :func:`repro.testing.reference.isotonic_regression_reference`,
+    so the output is bit-identical to it.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -51,15 +55,24 @@ def isotonic_regression(values: np.ndarray) -> np.ndarray:
     # Each block is (total, count); blocks are merged while out of order.
     totals = []
     counts = []
-    for value in arr.tolist():
-        total = value
+    top_total = 0.0
+    top_count = 0
+    for total in arr.tolist():
         count = 1
         # Merge while the previous block's mean exceeds the new block's mean.
-        while totals and totals[-1] * count > total * counts[-1]:
-            total = totals.pop() + total
-            count = counts.pop() + count
-        totals.append(total)
-        counts.append(count)
+        while top_total * count > total * top_count:
+            total = top_total + total
+            count = top_count + count
+            top_total = totals.pop()
+            top_count = counts.pop()
+        totals.append(top_total)
+        counts.append(top_count)
+        top_total = total
+        top_count = count
+    totals.append(top_total)
+    counts.append(top_count)
+    # Drop the empty bottom block.
+    del totals[0], counts[0]
     return np.repeat(
         [total / count for total, count in zip(totals, counts)], counts
     )

@@ -1,8 +1,9 @@
 """Shared array primitives for the CSR fast paths.
 
-Centralises the sorted-key membership test the statistics kernels and the
-batched generators fall back to when the partitioned bitmap index
-(:mod:`repro.utils.membership`) would exceed its byte budget.
+Centralises the sorted-key membership test that Chung-Lu's accepted-key
+set, the orphan repair and the component search run against sorted key
+arrays that change between calls (the triangle scans' static edge sets use
+:mod:`repro.utils.membership`), and the CSR helpers built on sorted keys.
 """
 
 from __future__ import annotations

@@ -1,37 +1,41 @@
-"""Partitioned bitmap membership index for integer key sets.
+"""Membership indexes for static sets of non-negative integer keys.
 
-The CSR fast paths repeatedly ask "which of these (edge-)keys are members of
-that key set?".  The original implementation answered with a dense ``n * n``
-boolean table gated at ``n <= 8192`` nodes (64 MB) and fell back to a
-``searchsorted`` pass over the sorted keys above the gate — which meant the
-dense-speed path was simply unavailable at epinions/pokec scale.
+The triangle kernels ask, chunk after chunk, "which of these edge keys are
+members of the graph's edge set?".  Two indexes answer it, and
+:func:`membership_probe` picks one from the input alone:
 
-:class:`PartitionedKeyBitmap` removes the hard gate.  The key space is
-partitioned into blocks of ``2**13`` consecutive keys (a key's block is
-``key >> 13``) and a **packed 1 KiB bitmap is allocated only for blocks that
-actually contain keys**.  A dense block → slot table over the allocated
-blocks' range (``-1`` for absent blocks) locates each bitmap, so membership
-is a vectorized three-step pass: one table gather, one byte gather, one bit
-test.  For graphs below the old gate this strictly dominates the dense
-table (same O(1) probes, a fraction of the memory); above it, it keeps
-bitmap probes available as long as the key *density* allows.
+* :class:`PartitionedKeyBitmap` partitions the key space into blocks of
+  ``2**13`` consecutive keys (a key's block is ``key >> 13``) and allocates a
+  packed 1 KiB bitmap only for blocks that hold keys.  A dense block → slot
+  table over the occupied blocks' range (``-1`` for absent blocks) locates
+  each bitmap, so a probe is one table gather, one byte gather and one bit
+  test.  Its bytes are 1 KiB per occupied block plus 4 B per block of the
+  span: cheap when keys crowd into few blocks, but they grow with the
+  spread of the keys, up to ``n²/8192`` slots, as much as with their count.
+* :class:`HashedKeyTable` stores the keys bucket after bucket, like a CSR
+  over ``2**b ≥ m`` hash buckets: 8 B per key plus 4 B per bucket, so at
+  most 16 B per key whatever their spread.  A probe is one hash, two
+  directory gathers and one key compare, then a short loop over the few
+  queries whose bucket holds more than one key.
 
-Memory stays bounded: building is subject to a byte budget
-(``REPRO_MEMBERSHIP_BUDGET_MB``, default 256; a value that is not a number
-fails the import) that counts the bitmaps and the slot table, and callers
-fall back to :func:`repro.utils.arrays.sorted_membership` when scattered
-keys would allocate too many blocks or span too wide a block range.
-:func:`membership_probe` packages that decision for a static key set.
+:func:`membership_probe` keeps the bitmap while its bytes are at most
+``BITMAP_TABLE_RATIO`` times the table's and builds the table otherwise, so
+either choice holds O(m) bytes.  Dense inputs (lastfm, pokec up to 0.02)
+keep the bitmap: a chunk's queries share their first endpoints and so
+their blocks, while hashing scatters them.  Sparse inputs get the table.
+The release path's sampler also leans on the bitmap at pokec-0.01: the
+census's 3.7 MiB bitmap, allocated and freed, raises glibc's adaptive mmap
+threshold for the whole process, which keeps the Chung-Lu sampler's
+batched temporaries on the heap.  With the table instead, an FCL sample
+there faulted in 2 412 fresh pages, against none with the bitmap or after
+one 8 MiB allocate-and-free.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-from repro.utils.arrays import sorted_membership
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -48,21 +52,16 @@ BLOCK_KEYS = 1 << BLOCK_BITS
 #: Packed bytes per block (one bit per key).
 BLOCK_BYTES = BLOCK_KEYS >> 3
 
+#: The bitmap is built while its bytes are at most this many times the
+#: hashed table's.  Measured ratios: petster 2.4, lastfm 2.5, pokec-0.004
+#: 3.7, pokec-0.01 7.0, epinions-0.2 9.6, pokec-0.02 12.0, pokec-0.05 20.9,
+#: pokec-0.1 28.5, pokec-1.0 about 59.  In 40 alternating runs on 2 cores,
+#: the table's totals scan took 1.04 times the bitmap's at pokec-0.01, 1.03
+#: at pokec-0.02 and 0.96 at pokec-0.05 (median of the per-run ratios).
+BITMAP_TABLE_RATIO = 16
 
-def _default_budget_bytes() -> int:
-    raw = os.environ.get("REPRO_MEMBERSHIP_BUDGET_MB", "256")
-    try:
-        return max(0, int(float(raw) * (1 << 20)))
-    except (ValueError, OverflowError):
-        raise ValueError(
-            f"REPRO_MEMBERSHIP_BUDGET_MB={raw!r} is not a finite number "
-            f"of MiB"
-        ) from None
-
-
-#: Byte budget for bitmap allocation; module-level so tests can force the
-#: sorted fallback by setting it to 0.
-DEFAULT_BUDGET_BYTES = _default_budget_bytes()
+#: Fibonacci hashing multiplier, ``2**64`` over the golden ratio (odd).
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _slot_dtype(num_blocks: int) -> np.dtype:
@@ -102,11 +101,13 @@ class PartitionedKeyBitmap:
 
     def __init__(self, sorted_keys: np.ndarray,
                  block_ids: np.ndarray) -> None:
-        """Index non-empty ``sorted_keys``; ``block_ids`` are their blocks,
-        sorted and unique."""
+        """Index ``sorted_keys``; ``block_ids`` are their blocks, sorted and
+        unique."""
         self._block_ids = block_ids
         self._bits = np.zeros(block_ids.size * BLOCK_BYTES, dtype=np.uint8)
         self._slots = _slot_table(block_ids)
+        if block_ids.size == 0:
+            return
         slots = self._slots[(sorted_keys >> BLOCK_BITS) - block_ids[0]]
         offsets = sorted_keys & (BLOCK_KEYS - 1)
         masks = np.left_shift(
@@ -141,26 +142,83 @@ class PartitionedKeyBitmap:
                                != 0)
 
 
-def membership_probe(sorted_keys: np.ndarray,
-                     budget_bytes: Optional[int] = None
-                     ) -> Callable[[np.ndarray], np.ndarray]:
-    """Best membership test for a *static* sorted key array.
+def _bucket_bits(num_keys: int) -> int:
+    """``b = ⌈log2 m⌉``, at least 1: ``2**b ≥ m`` buckets, load at most 1."""
+    return max(1, (num_keys - 1).bit_length())
 
-    Returns a callable ``probe(queries) -> bool mask``: a
-    :class:`PartitionedKeyBitmap` when its blocks and slot table fit the
-    byte budget, the plain :func:`sorted_membership` binary search
-    otherwise.
+
+class HashedKeyTable:
+    """Static hash table over a non-empty set of non-negative int64 keys.
+
+    Key ``k`` falls in bucket ``(k · 0x9E3779B97F4A7C15 mod 2**64) >> (64 −
+    b)`` of ``2**b`` (Fibonacci hashing).  The keys are stored bucket after
+    bucket, and the int32 directory ``starts[h]`` is the first slot of
+    bucket ``h``, so bucket ``h`` is ``keys[starts[h]:starts[h + 1]]``.
     """
-    if budget_bytes is None:
-        budget_bytes = DEFAULT_BUDGET_BYTES
+
+    __slots__ = ("_keys", "_shift", "_starts")
+
+    @staticmethod
+    def footprint(num_keys: int) -> int:
+        """Bytes of the table over ``num_keys`` keys: keys plus directory."""
+        return 8 * (num_keys + 1) + 4 * ((1 << _bucket_bits(num_keys)) + 1)
+
+    def __init__(self, keys: np.ndarray) -> None:
+        num_keys = keys.size
+        bits = _bucket_bits(num_keys)
+        self._shift = np.uint64(64 - bits)
+        buckets = self._buckets(keys).astype(np.int32)
+        self._starts = np.zeros((1 << bits) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(buckets, minlength=1 << bits),
+                  out=self._starts[1:])
+        order = np.argsort(buckets)
+        del buckets
+        self._keys = np.empty(num_keys + 1, dtype=np.int64)
+        np.take(keys, order, out=self._keys[:num_keys])
+        # The slot past the end repeats the first key.  Only a query whose
+        # bucket comes after every occupied one reads it, and that query
+        # cannot equal a key from the first occupied bucket.
+        self._keys[num_keys] = self._keys[0]
+
+    def _buckets(self, keys: np.ndarray) -> np.ndarray:
+        hashed = keys.view(np.uint64) * _HASH_MULTIPLIER
+        hashed >>= self._shift
+        # Signed bucket ids index without a cast (4% of a pokec-0.1 scan).
+        return hashed.view(np.int64)
+
+    def contains(self, queries: np.ndarray) -> np.ndarray:
+        """Boolean mask: which ``queries`` are members of the key set."""
+        queries = np.asarray(queries, dtype=np.int64)
+        buckets = self._buckets(queries)
+        slots = self._starts[buckets]
+        # A bucket's first slot holds either one of its keys or the first
+        # key of a later bucket, which cannot equal the query.
+        hits = self._keys[slots] == queries
+        sizes = self._starts[1:][buckets] - slots
+        pending = np.flatnonzero((sizes > 1) & ~hits)
+        step = 1
+        while pending.size:
+            found = self._keys[slots[pending] + step] == queries[pending]
+            hits[pending] = found
+            step += 1
+            pending = pending[~found & (sizes[pending] > step)]
+        return hits
+
+
+def membership_probe(sorted_keys: np.ndarray
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+    """Membership test for a *static* sorted array of non-negative keys.
+
+    Returns a callable ``probe(queries) -> bool mask``: the
+    :class:`PartitionedKeyBitmap` while its bytes are at most
+    ``BITMAP_TABLE_RATIO`` times the :class:`HashedKeyTable`'s, the table
+    otherwise.  The choice depends only on the keys' bytes per key.
+    """
     sorted_keys = np.asarray(sorted_keys, dtype=np.int64)
-    if sorted_keys.size:
-        block_ids = _sorted_unique(sorted_keys >> BLOCK_BITS)
-        if _footprint(block_ids) <= budget_bytes:
-            return PartitionedKeyBitmap(sorted_keys, block_ids).contains
-
-    def probe(queries: np.ndarray) -> np.ndarray:
-        return sorted_membership(sorted_keys, queries)
-
-    return probe
-
+    block_ids = _sorted_unique(sorted_keys >> BLOCK_BITS)
+    if _footprint(block_ids) <= BITMAP_TABLE_RATIO * HashedKeyTable.footprint(
+            sorted_keys.size):
+        return PartitionedKeyBitmap(sorted_keys, block_ids).contains
+    # Up to one block id per key: free them before the table is built.
+    del block_ids
+    return HashedKeyTable(sorted_keys).contains

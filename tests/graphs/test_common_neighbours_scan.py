@@ -2,9 +2,9 @@
 
 ``max_common_neighbours`` seeds a lower bound ``best`` from the top hubs,
 then enumerates only pairs whose degrees both exceed ``best``, in chunks,
-stopping at the first chunk whose leading degree is at most ``best``.  The
-cases below attack each step of that argument and pin the scan to the
-pure-Python reference.
+and only from endpoints whose live count (centres with a heavy tail after
+them) exceeds ``best``.  The cases below attack each step of that argument
+and pin the scan to the pure-Python reference.
 """
 
 import numpy as np
@@ -140,11 +140,88 @@ def test_adversarial_cases(case, chunk_size):
     _assert_exact(graph, chunk_size)
 
 
+def _clique(size, first_node):
+    nodes = range(first_node, first_node + size)
+    return [(u, v) for u in nodes for v in nodes if u < v], first_node + size
+
+
+def clique_graph(size):
+    """K_size: every pair has size - 2 common neighbours, so the hub seed
+    is already the answer and most live counts exceed it by one."""
+    edges, node = _clique(size, 0)
+    return _build(node, edges)
+
+
+def hidden_clique_graph(size):
+    """Seventeen disjoint stars seed ``best = 0``; a K_size elsewhere
+    holds the maximum ``size - 2``, one below its nodes' live counts."""
+    edges, node = _stars(17, 30)
+    more, node = _clique(size, node)
+    return _build(node, edges + more)
+
+
+def hidden_bipartite_graph(left, right):
+    """Stars seed ``best = 0``; in K_{left,right} the first-ranked left
+    node's live count equals its ``right`` common neighbours (tight)."""
+    edges, node = _stars(17, 30)
+    more, node = _bipartite(left, right, node)
+    return _build(node, edges + more)
+
+
+def shared_hub_cliques_graph(num_cliques, size, stars):
+    """``num_cliques`` copies of K_size sharing node 0: the hub's pairs
+    and the in-clique pairs all tie at ``size - 2``."""
+    edges, node = _stars(stars, 30, first_node=1) if stars else ([], 1)
+    for _ in range(num_cliques):
+        members = list(range(node, node + size - 1))
+        edges += [(0, v) for v in members]
+        edges += [(u, v) for u in members for v in members if u < v]
+        node += size - 1
+    return _build(node, edges)
+
+
+LIVE_BOUND = {
+    "clique-20": (lambda: clique_graph(20), 18),
+    "clique-6": (lambda: clique_graph(6), 4),
+    "hidden-clique-12": (lambda: hidden_clique_graph(12), 10),
+    "hidden-k3-12": (lambda: hidden_bipartite_graph(3, 12), 12),
+    "hidden-k4-4": (lambda: hidden_bipartite_graph(4, 4), 4),
+    "hub-cliques-3x8": (lambda: shared_hub_cliques_graph(3, 8, 0), 6),
+    "hub-cliques-4x10-stars": (
+        lambda: shared_hub_cliques_graph(4, 10, 17), 8),
+}
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2, 64])
+@pytest.mark.parametrize("case", sorted(LIVE_BOUND))
+def test_live_bound_cases(case, chunk_size):
+    """Graphs where ``live(u)`` is tight against, or ties, the best count."""
+    build, expected = LIVE_BOUND[case]
+    graph = build()
+    assert reference.max_common_neighbours_reference(graph) == expected
+    _assert_exact(graph, chunk_size)
+
+
+@pytest.mark.parametrize("bins_per_pair", [0, float("inf")],
+                         ids=["sort", "bincount"])
+@pytest.mark.parametrize("case", sorted(LIVE_BOUND))
+def test_both_count_paths(monkeypatch, case, bins_per_pair):
+    """Every chunk counted by a sort, then every chunk by a bincount."""
+    monkeypatch.setattr(stats, "_BINS_PER_PAIR", bins_per_pair)
+    build, expected = LIVE_BOUND[case]
+    graph = build()
+    for chunk_size in (1, 64):
+        _assert_exact(graph, chunk_size)
+
+
 def test_cases_hit_the_intended_bounds():
     """Each construction sets up the hub seed it claims to."""
     assert _hub_seed(hidden_pair_graph()) == 1
     assert _hub_seed(tie_graph(True)) == 3
     assert _hub_seed(triangle_free_hubs_graph(True)) == 0
+    assert _hub_seed(clique_graph(20)) == 18
+    assert _hub_seed(hidden_clique_graph(12)) == 0
+    assert _hub_seed(hidden_bipartite_graph(3, 12)) == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,6 +230,16 @@ def test_matches_reference(spec):
     graph = _build(*spec)
     for chunk_size in CHUNK_SIZES[:2]:
         _assert_exact(graph, chunk_size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_specs, st.sampled_from([0, float("inf")]))
+def test_both_count_paths_match_reference(spec, bins_per_pair):
+    """Random graphs with every chunk counted by one of the two paths."""
+    graph = _build(*spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stats, "_BINS_PER_PAIR", bins_per_pair)
+        _assert_exact(graph, 8)
 
 
 @settings(max_examples=60, deadline=None)

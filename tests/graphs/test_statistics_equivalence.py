@@ -86,14 +86,16 @@ class TestEquivalence:
 
 
 class TestFallbackPaths:
-    """The sparse (searchsorted) membership path must agree too."""
+    """The sparse (hashed key table) membership path must agree too."""
 
     @pytest.fixture
     def sparse_mode(self, monkeypatch):
         from repro.utils import membership
 
-        # A zero byte budget forces membership_probe onto sorted_membership.
-        monkeypatch.setattr(membership, "DEFAULT_BUDGET_BYTES", 0)
+        # A zero byte ratio forces membership_probe onto the hashed table.
+        monkeypatch.setattr(membership, "BITMAP_TABLE_RATIO", 0)
+        probe = membership.membership_probe(np.array([1, 2]))
+        assert isinstance(probe.__self__, membership.HashedKeyTable)
 
     def test_triangles_sparse_membership(self, sparse_mode):
         for seed in range(5):

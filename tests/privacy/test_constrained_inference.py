@@ -97,6 +97,28 @@ class TestMatchesReferencePava:
     def test_empty_and_length_one(self, values):
         _assert_bit_identical(np.asarray(values, dtype=float))
 
+    @pytest.mark.parametrize("values", [
+        [4.0] * 7,                          # all equal: seven blocks
+        [0.1] * 5 + [-0.0, 0.0],            # equal, then signed zeros
+        [5.0, 4.0, 3.0, 2.0, 1.0],          # strictly decreasing: one block
+        [1e6, 0.5, -3.0, -1e6],
+        [1.0, 2.0, 3.0, -10.0, 5.0, 6.0],   # a merge empties the stack
+        [3.0, 1.0, 0.0, -8.0, 2.0, -9.0],   # ... twice
+        [2.0, 1.0, 1.5, 1.5, 0.5],          # ties: 3 * 1 > 1.5 * 2 is false
+        [1.0, 3.0, 2.0, 2.0, 2.0],          # ties after a merge
+        [0.1, 0.2, 0.3, 0.6, 0.1, 0.2],     # inexact sums at the tie test
+    ])
+    def test_stack_edge_cases(self, values):
+        _assert_bit_identical(np.asarray(values, dtype=float))
+
+    @pytest.mark.parametrize("values", [
+        [np.inf, 1.0], [1.0, -np.inf, 2.0], [np.nan, 1.0, 0.0],
+        [2.0, np.nan, 1.0],
+    ])
+    def test_non_finite_values(self, values):
+        """The empty bottom block never merges, even with inf or nan."""
+        _assert_bit_identical(np.asarray(values, dtype=float))
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(min_value=1, max_value=600),

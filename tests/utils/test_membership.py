@@ -1,14 +1,17 @@
-"""Tests for the partitioned bitmap membership index.
+"""Tests for the membership indexes and the choice between them.
 
-Covers the boundary that used to be a hard gate (``n <= 8192`` dense
-bitmaps): the bitmap, sorted-array and (former) dense paths must agree at
-``n ∈ {8191, 8192, 8193}`` and on graphs whose populated node ids are
-non-contiguous.
+Both indexes must agree with a binary search over the sorted keys: the
+partitioned bitmap across its block boundaries, the hashed key table across
+its buckets, crowded ones included.  Kernel equivalence also holds across
+the former dense-bitmap gate (``n <= 8192``) and on graphs whose populated
+node ids are non-contiguous.  The choice between the two is pinned by bytes
+per key, never by time.
 """
 
 import numpy as np
 import pytest
 
+from repro.datasets.registry import load_dataset
 from repro.graphs.attributed import AttributedGraph
 from repro.graphs.statistics import triangle_count, triangles_per_node
 from repro.testing.reference import (
@@ -19,9 +22,36 @@ from repro.utils import membership
 from repro.utils.arrays import sorted_membership
 from repro.utils.membership import (
     BLOCK_KEYS,
+    HashedKeyTable,
     PartitionedKeyBitmap,
     membership_probe,
 )
+
+UNIVERSES = [
+    100,                      # single block
+    BLOCK_KEYS - 1,           # just below one block
+    BLOCK_KEYS,               # exactly one block
+    BLOCK_KEYS + 1,           # spills into a second block
+    50 * BLOCK_KEYS,          # many blocks
+]
+
+#: Keys straddling block edges: last bit of one block, first of the next.
+BOUNDARY_KEYS = np.array(
+    [BLOCK_KEYS - 1, BLOCK_KEYS, 3 * BLOCK_KEYS - 1, 3 * BLOCK_KEYS],
+    dtype=np.int64,
+)
+
+#: Blocks 5 and 9 only.
+FAR_APART_KEYS = np.array([5 * BLOCK_KEYS + 3, 9 * BLOCK_KEYS + 8],
+                          dtype=np.int64)
+#: Queries below block 5, inside the absent blocks between, above block 9
+#: (including far past it) and negative.
+OUT_OF_RANGE_QUERIES = np.array([
+    0, 3, 4 * BLOCK_KEYS + 3, 5 * BLOCK_KEYS - 1,
+    5 * BLOCK_KEYS + 3, 7 * BLOCK_KEYS + 3, 9 * BLOCK_KEYS + 8,
+    10 * BLOCK_KEYS + 8, 10 * BLOCK_KEYS, 1 << 40, (1 << 63) - 1,
+    -1, -(5 * BLOCK_KEYS + 3), -(1 << 63),
+], dtype=np.int64)
 
 
 def random_keys(rng, count, universe):
@@ -29,95 +59,139 @@ def random_keys(rng, count, universe):
 
 
 def bitmap_probe(keys):
-    """``membership_probe`` with room for the bitmap, checked to use it."""
-    probe = membership_probe(keys, budget_bytes=1 << 30)
-    assert isinstance(getattr(probe, "__self__", None), PartitionedKeyBitmap)
-    return probe
+    return PartitionedKeyBitmap(keys, np.unique(keys >> membership.BLOCK_BITS)
+                                ).contains
 
 
-class TestBitmapProbe:
-    @pytest.mark.parametrize("universe", [
-        100,                      # single block
-        BLOCK_KEYS - 1,           # just below one block
-        BLOCK_KEYS,               # exactly one block
-        BLOCK_KEYS + 1,           # spills into a second block
-        50 * BLOCK_KEYS,          # many blocks
-    ])
-    def test_agrees_with_sorted_membership(self, universe):
+def table_probe(keys):
+    return HashedKeyTable(keys).contains
+
+
+PROBES = {"bitmap": bitmap_probe, "table": table_probe}
+
+
+@pytest.fixture(params=sorted(PROBES))
+def build(request):
+    return PROBES[request.param]
+
+
+class TestAgreement:
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    def test_agrees_with_sorted_membership(self, build, universe):
         rng = np.random.default_rng(universe)
         keys = random_keys(rng, 500, universe)
         queries = rng.integers(0, universe, size=2000).astype(np.int64)
         assert np.array_equal(
-            bitmap_probe(keys)(queries), sorted_membership(keys, queries)
+            build(keys)(queries), sorted_membership(keys, queries)
         )
 
-    def test_empty_key_set(self):
-        probe = membership_probe(np.empty(0, dtype=np.int64),
-                                 budget_bytes=1 << 30)
-        queries = np.array([0, 5, 10], dtype=np.int64)
-        assert not probe(queries).any()
-
-    def test_block_boundary_keys(self):
-        # Keys straddling block edges: last bit of one block, first of next.
-        keys = np.array(
-            [BLOCK_KEYS - 1, BLOCK_KEYS, 3 * BLOCK_KEYS - 1, 3 * BLOCK_KEYS],
-            dtype=np.int64,
+    def test_every_key_and_its_neighbours(self, build):
+        rng = np.random.default_rng(3)
+        keys = random_keys(rng, 3000, 50 * BLOCK_KEYS)
+        queries = np.concatenate((keys, keys - 1, keys + 1))
+        assert np.array_equal(
+            build(keys)(queries), sorted_membership(keys, queries)
         )
+
+    def test_block_boundary_keys(self, build):
         queries = np.arange(4 * BLOCK_KEYS, dtype=np.int64)
         assert np.array_equal(
-            bitmap_probe(keys)(queries), sorted_membership(keys, queries)
+            build(BOUNDARY_KEYS)(queries),
+            sorted_membership(BOUNDARY_KEYS, queries),
         )
 
-    def test_queries_outside_the_block_range(self):
-        # Blocks 5 and 9 only: queries below block 5, inside the absent
-        # blocks between, and above block 9 (including far past it).
-        keys = np.array([5 * BLOCK_KEYS + 3, 9 * BLOCK_KEYS + 8],
-                        dtype=np.int64)
-        queries = np.array([
-            0, 3, 4 * BLOCK_KEYS + 3, 5 * BLOCK_KEYS - 1,
-            5 * BLOCK_KEYS + 3, 7 * BLOCK_KEYS + 3, 9 * BLOCK_KEYS + 8,
-            10 * BLOCK_KEYS + 8, 10 * BLOCK_KEYS, 1 << 40,
-        ], dtype=np.int64)
+    def test_queries_out_of_range_or_negative(self, build):
         assert np.array_equal(
-            bitmap_probe(keys)(queries), sorted_membership(keys, queries)
+            build(FAR_APART_KEYS)(OUT_OF_RANGE_QUERIES),
+            np.isin(OUT_OF_RANGE_QUERIES, FAR_APART_KEYS),
         )
 
+    @pytest.mark.parametrize("keys", [[0], [7], [(1 << 62) + 5]])
+    def test_one_key(self, build, keys):
+        keys = np.array(keys, dtype=np.int64)
+        queries = np.concatenate((keys - 1, keys, keys + 1, [0, -1]))
+        assert np.array_equal(build(keys)(queries), np.isin(queries, keys))
 
-class TestMembershipProbe:
-    def test_budget_zero_falls_back_to_sorted(self):
-        keys = np.array([1, 5, 9], dtype=np.int64)
-        probe = membership_probe(keys, budget_bytes=0)
-        queries = np.array([0, 1, 5, 8, 9], dtype=np.int64)
-        assert np.array_equal(
-            probe(queries), np.array([False, True, True, False, True])
-        )
+    def test_empty_queries(self, build):
+        probe = build(BOUNDARY_KEYS)
+        assert probe(np.empty(0, dtype=np.int64)).shape == (0,)
 
-    def test_bitmap_and_sorted_paths_agree(self):
-        rng = np.random.default_rng(11)
-        keys = random_keys(rng, 400, 20 * BLOCK_KEYS)
-        queries = rng.integers(0, 20 * BLOCK_KEYS, size=3000).astype(np.int64)
-        fast = membership_probe(keys, budget_bytes=1 << 30)
-        slow = membership_probe(keys, budget_bytes=0)
-        assert np.array_equal(fast(queries), slow(queries))
 
-    def test_budget_counts_the_slot_table(self):
-        # Two blocks far apart: 2 KiB of bitmaps fit the budget, the slot
-        # table spanning the ~1000 blocks between them does not.
+def test_empty_key_set_answers_no():
+    probe = membership_probe(np.empty(0, dtype=np.int64))
+    queries = np.array([-1, 0, 5, 10, 1 << 40], dtype=np.int64)
+    assert not probe(queries).any()
+
+
+def test_table_keys_spread_over_2_to_the_40():
+    """The table's bytes follow its keys, not their span (a bitmap over
+    these keys would need a slot table of 2^27 blocks)."""
+    rng = np.random.default_rng(3)
+    keys = random_keys(rng, 3000, 1 << 40)
+    queries = np.concatenate((keys, keys - 1, keys + 1))
+    assert np.array_equal(table_probe(keys)(queries),
+                          sorted_membership(keys, queries))
+
+
+def test_table_with_many_keys_in_one_bucket():
+    """Twenty of 64 keys share one of the 64 buckets: probes walk them all."""
+    rng = np.random.default_rng(17)
+    scattered = rng.choice(1 << 30, size=44, replace=False).astype(np.int64)
+    # Any table over 64 keys hashes into the same 2**6 buckets.
+    hashing = HashedKeyTable(np.arange(64, dtype=np.int64))
+    candidates = np.arange(1 << 30, (1 << 30) + 20000, dtype=np.int64)
+    crowded = candidates[hashing._buckets(candidates) == 5][:20]
+    keys = np.union1d(scattered, crowded)
+    assert keys.size == 64
+    table = HashedKeyTable(keys)
+    assert int(np.diff(table._starts).max()) == 20
+    queries = np.concatenate((keys, keys + 1, keys - 1, candidates))
+    assert np.array_equal(table.contains(queries),
+                          sorted_membership(keys, queries))
+
+
+class TestChoice:
+    """The index is chosen by bytes per key alone."""
+
+    @staticmethod
+    def _edge_keys(graph):
+        us, vs = graph.edge_arrays()
+        return np.sort(np.minimum(us, vs).astype(np.int64) * graph.num_nodes
+                       + np.maximum(us, vs))
+
+    @staticmethod
+    def _kind(keys):
+        return type(membership_probe(keys).__self__)
+
+    @pytest.mark.parametrize("name,scale", [
+        ("lastfm", 1.0), ("pokec", 0.004), ("pokec", 0.01),
+    ])
+    def test_dense_inputs_keep_the_bitmap(self, name, scale):
+        keys = self._edge_keys(load_dataset(name, scale=scale, seed=0))
+        assert self._kind(keys) is PartitionedKeyBitmap
+
+    def test_low_density_input_gets_the_table(self):
+        rng = np.random.default_rng(0)
+        keys = random_keys(rng, 10_000, 1 << 32)
+        assert self._kind(keys) is HashedKeyTable
+
+    def test_threshold_is_the_byte_ratio(self, monkeypatch):
+        # Two blocks far apart: 2 KiB of bitmaps plus a slot table over
+        # the ~1000 blocks between them, against a two-key table.
         keys = np.array([1, 1000 * BLOCK_KEYS + 1], dtype=np.int64)
-        bitmap_bytes = 2 * (BLOCK_KEYS >> 3)
-        # Blocks 0..1000 plus the trailing sentinel, as int32 slots.
-        projected = bitmap_bytes + (1000 + 2) * 4
-        fits = membership_probe(keys, budget_bytes=projected)
-        assert isinstance(getattr(fits, "__self__", None),
-                          PartitionedKeyBitmap)
-        tight = membership_probe(keys, budget_bytes=projected - 1)
-        assert not isinstance(getattr(tight, "__self__", None),
-                              PartitionedKeyBitmap)
-        probe = membership_probe(keys, budget_bytes=bitmap_bytes)
-        assert not isinstance(getattr(probe, "__self__", None),
-                              PartitionedKeyBitmap)
+        bitmap_bytes = 2 * (BLOCK_KEYS >> 3) + (1000 + 2) * 4
+        ratio = bitmap_bytes / HashedKeyTable.footprint(keys.size)
+        monkeypatch.setattr(membership, "BITMAP_TABLE_RATIO", ratio)
+        assert self._kind(keys) is PartitionedKeyBitmap
+        monkeypatch.setattr(membership, "BITMAP_TABLE_RATIO", ratio * 0.999)
+        assert self._kind(keys) is HashedKeyTable
         queries = np.array([0, 1, 2, 1000 * BLOCK_KEYS + 1], dtype=np.int64)
-        assert np.array_equal(probe(queries), [False, True, False, True])
+        assert np.array_equal(membership_probe(keys)(queries),
+                              [False, True, False, True])
+
+    def test_table_footprint_is_at_most_16_bytes_per_key(self):
+        for num_keys in (1, 2, 3, 1000, 1024, 1025, 373_317):
+            assert HashedKeyTable.footprint(num_keys) <= 16 * num_keys + 16
 
 
 def _sparse_triangle_graph(n: int, num_nodes_used: int, seed: int,
@@ -157,20 +231,10 @@ class TestMembershipGateBoundary:
         )
 
     @pytest.mark.parametrize("n", [8191, 8192, 8193])
-    def test_bitmap_and_sorted_paths_agree_across_gate(self, n, monkeypatch):
+    def test_bitmap_and_table_agree_across_gate(self, n, monkeypatch):
         graph = _sparse_triangle_graph(n, 120, seed=n + 77, spread=True)
-        fast = triangle_count(graph)
-        monkeypatch.setattr(membership, "DEFAULT_BUDGET_BYTES", 0)
-        assert triangle_count(graph) == fast == triangle_count_reference(graph)
-
-
-class TestBudgetEnvironment:
-    def test_budget_is_read_in_megabytes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMBERSHIP_BUDGET_MB", "0.5")
-        assert membership._default_budget_bytes() == 1 << 19
-
-    def test_malformed_budget_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMBERSHIP_BUDGET_MB", "lots")
-        with pytest.raises(ValueError,
-                           match="REPRO_MEMBERSHIP_BUDGET_MB='lots'"):
-            membership._default_budget_bytes()
+        monkeypatch.setattr(membership, "BITMAP_TABLE_RATIO", float("inf"))
+        bitmap = triangle_count(graph)
+        monkeypatch.setattr(membership, "BITMAP_TABLE_RATIO", 0)
+        assert triangle_count(graph) == bitmap == \
+            triangle_count_reference(graph)
